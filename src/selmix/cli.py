@@ -18,7 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import binder_estimate, elicit_zeta, posterior_similarity, prior_ma_simulation
+from .analysis import (
+    PosteriorTrace,
+    binder_estimate,
+    binder_loss,
+    distinct_partitions,
+    elicit_zeta,
+    posterior_similarity,
+    prior_ma_simulation,
+)
 from .ensemble import GeParams, ge_log_density, ge_log_norm_const
 from .io import (
     read_dataset,
@@ -254,27 +262,13 @@ def _cmd_fit(args):
 
 
 def _cmd_analyze(args):
-    traces = [read_trace(p) for p in args.trace]
-    n_obs = {t.n_obs for t in traces}
-    if len(n_obs) != 1:
-        raise ValueError("traces disagree on the number of observations")
-    if n_obs.pop() == 0:
+    merged = PosteriorTrace.concat(read_trace(p) for p in args.trace)
+    if merged.n_obs == 0:
         raise ValueError("cannot analyze traces with zero observations")
-    merged = traces[0]
-    if len(traces) > 1:
-        from .analysis import PosteriorTrace
-
-        merged = PosteriorTrace(
-            m=np.concatenate([t.m for t in traces]),
-            m_allocated=np.concatenate([t.m_allocated for t in traces]),
-            alloc=np.vstack([t.alloc for t in traces]),
-            gamma=np.concatenate([t.gamma for t in traces]),
-            zeta=np.concatenate([t.zeta for t in traces]),
-        )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sim = posterior_similarity(merged)
-    write_matrix_csv(out_dir / "psm.csv", sim)
+    write_matrix_csv(out_dir / "psm.csv", sim, denominator=merged.n_samples)
     partition = binder_estimate(merged, sim)
     write_matrix_csv(out_dir / "binder.csv", (partition + 1).reshape(1, -1))
     hist = {
@@ -290,6 +284,8 @@ def _cmd_analyze(args):
             "mean_m_a": float(merged.m_allocated.mean()),
             "mean_gamma": float(merged.gamma.mean()),
             "mean_zeta": float(merged.zeta.mean()),
+            "binder_loss": binder_loss(partition, sim),
+            "n_unique_partitions": int(distinct_partitions(merged.alloc).size),
         },
     )
     return 0

@@ -130,12 +130,32 @@ def read_trace(path):
     )
 
 
-def write_matrix_csv(path, mat):
-    """Write a matrix as plain CSV without a header (used for the PSM)."""
+def write_matrix_csv(path, mat, denominator=None):
+    """Write a matrix as plain CSV without a header (used for the PSM).
+
+    Cells are ``repr(float(v))`` and lines end in ``\r\n``, as the csv
+    module writes them.  With ``denominator`` T, every entry must be c / T
+    for an integer c in 0..T (a co-allocation frequency over T draws); rows
+    are then written by indexing a table of the T + 1 cell strings, which
+    gives the same bytes without formatting every cell.
+    """
+    mat = np.atleast_2d(np.asarray(mat))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(np.asarray(mat)):
-            writer.writerow([repr(float(v)) for v in row])
+        if denominator is None:
+            writer = csv.writer(fh)
+            for row in mat:
+                writer.writerow([repr(float(v)) for v in row])
+            return
+        cells = np.array([repr(float(c / denominator)) for c in range(denominator + 1)], dtype=object)
+        for row in mat:
+            counts = np.rint(row * denominator)
+            if not (
+                np.array_equal(counts / denominator, row)
+                and 0 <= counts.min()
+                and counts.max() <= denominator
+            ):
+                raise ValueError(f"{path}: entries are not multiples of 1/{denominator} in [0, 1]")
+            fh.write(",".join(cells[counts.astype(np.intp)]) + "\r\n")
 
 
 def read_matrix_csv(path):

@@ -1,12 +1,14 @@
 """Shared test utilities: Monte Carlo error bars, independent quadrature
-oracles for the normalizing constants, random valid sampler states, and
-joint-density oracles for every Metropolis acceptance ratio.
+oracles for the normalizing constants, random valid sampler states,
+joint-density oracles for every Metropolis acceptance ratio, and loop
+references for the partition summaries.
 
 The oracles deliberately reimplement every proposal density with scipy
 primitives so that agreement with the package is a genuine cross-check
 rather than a tautology.
 """
 
+import csv
 import dataclasses
 import warnings
 
@@ -244,3 +246,67 @@ def oracle_death(y, state, hyper, j, w_hat):
     log_rev += stats.norm.logpdf(state.mus[j], 0.0, 1.0 / np.sqrt(state.zeta)).sum()
     log_rev += stats.invwishart.logpdf(state.sigmas[j], df=hyper.nu0, scale=hyper.v0)
     return delta + log_rev - log_fwd
+
+
+# ---------------------------------------------------------------------------
+# loop references for the partition summaries
+# ---------------------------------------------------------------------------
+
+def posterior_similarity_loop(trace):
+    """Co-allocation frequencies from one n x n comparison per draw."""
+    n = trace.n_obs
+    sim = np.zeros((n, n))
+    for row in trace.alloc:
+        sim += row[:, None] == row[None, :]
+    sim /= trace.n_samples
+    return sim
+
+
+def canonical_labels_loop(alloc):
+    """First-appearance relabelling of one allocation vector, label by label."""
+    order = {}
+    out = np.empty(len(alloc), dtype=np.int64)
+    for i, lab in enumerate(np.asarray(alloc).tolist()):
+        out[i] = order.setdefault(lab, len(order))
+    return out
+
+
+def binder_loss_dense(alloc, sim):
+    """Pairwise squared loss summed over the upper triangle of dense n x n arrays."""
+    alloc = np.asarray(alloc)
+    eq = (alloc[:, None] == alloc[None, :]).astype(float)
+    iu = np.triu_indices(alloc.size, 1)
+    return float(((eq - sim)[iu] ** 2).sum())
+
+
+def binder_estimate_scan(trace, sim):
+    """Score each distinct sampled partition with binder_loss_dense, in draw
+    order; a strictly smaller loss replaces the current choice."""
+    seen = {}
+    for idx, row in enumerate(trace.alloc):
+        seen.setdefault(canonical_labels_loop(row).tobytes(), idx)
+    best_idx, best_loss = None, np.inf
+    for idx in sorted(seen.values()):
+        loss = binder_loss_dense(trace.alloc[idx], sim)
+        if loss < best_loss:
+            best_idx, best_loss = idx, loss
+    return trace.alloc[best_idx].copy()
+
+
+def binder_estimate_exact(trace):
+    """Earliest draw minimizing the loss against the trace's own PSM, in
+    integers: T^2 times the loss is sum_{i<j} (T * same_ij - count_ij)^2."""
+    t = trace.n_samples
+    same = [row[:, None] == row[None, :] for row in trace.alloc]
+    counts = sum(s.astype(np.int64) for s in same)
+    iu = np.triu_indices(trace.n_obs, 1)
+    losses = [int(((t * s.astype(np.int64) - counts)[iu] ** 2).sum()) for s in same]
+    return trace.alloc[int(np.argmin(losses))].copy()
+
+
+def write_matrix_csv_repr(path, mat):
+    """The PSM file format: csv rows of ``repr(float(v))`` cells."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        for row in np.atleast_2d(np.asarray(mat)):
+            writer.writerow([repr(float(v)) for v in row])

@@ -4,6 +4,7 @@ cluster-count simulation, k-means, and repulsion-scale elicitation."""
 import numpy as np
 import pytest
 
+import helpers as H
 from selmix.analysis import (
     PosteriorTrace,
     binder_estimate,
@@ -11,6 +12,7 @@ from selmix.analysis import (
     canonical_labels,
     center_gap_by_dimension,
     count_allocated,
+    distinct_partitions,
     elicit_zeta,
     kmeans,
     posterior_similarity,
@@ -19,7 +21,7 @@ from selmix.analysis import (
 from selmix.model import simulate_benchmark
 
 
-def make_trace(alloc_rows):
+def make_trace(alloc_rows, weights=None):
     alloc = np.asarray(alloc_rows, dtype=np.int64)
     t = alloc.shape[0]
     return PosteriorTrace(
@@ -28,7 +30,44 @@ def make_trace(alloc_rows):
         alloc=alloc,
         gamma=np.zeros(t),
         zeta=np.ones(t),
+        weights=weights,
     )
+
+
+def random_traces(rng, cases, t_choices, n_range, m_range):
+    """Random traces: T from ``t_choices``, n and m drawn from their ranges,
+    labels uniform on 0..m-1 (so a draw may leave some labels unused)."""
+    for _ in range(cases):
+        t = int(rng.choice(t_choices))
+        n = int(rng.integers(*n_range))
+        m = int(rng.integers(*m_range))
+        yield make_trace(rng.integers(0, m, size=(t, n)))
+
+
+class TestConcat:
+    def test_weights_kept_when_every_trace_has_them(self):
+        rng = np.random.default_rng(20)
+        a = make_trace([[0, 1, 1], [0, 0, 1]], weights=[rng.dirichlet(np.ones(2))] * 2)
+        b = make_trace([[1, 1, 0]], weights=[rng.dirichlet(np.ones(2))])
+        merged = PosteriorTrace.concat([a, b])
+        np.testing.assert_array_equal(merged.alloc, np.vstack([a.alloc, b.alloc]))
+        np.testing.assert_array_equal(merged.m, np.concatenate([a.m, b.m]))
+        assert merged.n_samples == 3
+        assert len(merged.weights) == 3
+        for got, want in zip(merged.weights, a.weights + b.weights):
+            np.testing.assert_array_equal(got, want)
+
+    def test_weights_dropped_when_any_trace_lacks_them(self):
+        a = make_trace([[0, 1, 1]], weights=[np.array([0.5, 0.5])])
+        b = make_trace([[1, 1, 0]])
+        assert PosteriorTrace.concat([a, b]).weights is None
+        assert PosteriorTrace.concat([b, a]).weights is None
+
+    def test_observation_counts_must_agree(self):
+        with pytest.raises(ValueError):
+            PosteriorTrace.concat([make_trace([[0, 1]]), make_trace([[0, 1, 1]])])
+        with pytest.raises(ValueError):
+            PosteriorTrace.concat([])
 
 
 class TestSimilarity:
@@ -54,6 +93,17 @@ class TestSimilarity:
         with pytest.raises(ValueError):
             posterior_similarity(trace)
 
+    def test_matches_loop_oracle_exactly(self):
+        # up to 200 draws of up to 9 labels: several one-hot blocks per call
+        rng = np.random.default_rng(21)
+        for trace in random_traces(rng, 40, [1, 2, 3, 7, 10, 64, 200], (1, 40), (1, 10)):
+            np.testing.assert_array_equal(
+                posterior_similarity(trace), H.posterior_similarity_loop(trace))
+
+    def test_negative_labels_rejected(self):
+        with pytest.raises(ValueError):
+            posterior_similarity(make_trace([[0, -1]]))
+
 
 class TestPartitionHelpers:
     def test_count_allocated(self):
@@ -64,6 +114,29 @@ class TestPartitionHelpers:
     def test_canonical_labels_first_appearance(self):
         np.testing.assert_array_equal(
             canonical_labels([2, 2, 0, 1, 0]), [0, 0, 1, 2, 1])
+
+    def test_canonical_labels_matches_loop_oracle_row_by_row(self):
+        # 200 rows of 150 labels span more than one block of rows
+        rng = np.random.default_rng(22)
+        for t, n, lo, hi in [(1, 1, 0, 1), (5, 12, -3, 4), (200, 150, 0, 9), (3, 40, 0, 10**9)]:
+            alloc = rng.integers(lo, hi, size=(t, n))
+            want = np.array([H.canonical_labels_loop(row) for row in alloc])
+            np.testing.assert_array_equal(canonical_labels(alloc), want)
+            np.testing.assert_array_equal(canonical_labels(alloc[0]), want[0])
+
+    def test_distinct_partitions_first_draws(self):
+        rows = [[1, 1, 0], [0, 0, 1], [0, 1, 1], [2, 2, 2], [5, 5, 3], [1, 0, 0]]
+        np.testing.assert_array_equal(distinct_partitions(np.array(rows)), [0, 2, 3])
+
+    def test_binder_loss_matches_dense_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            n = int(rng.integers(2, 60))
+            sim = rng.uniform(size=(n, n))
+            sim = 0.5 * (sim + sim.T)
+            alloc = rng.integers(0, 4, size=n)
+            assert binder_loss(alloc, sim) == pytest.approx(
+                H.binder_loss_dense(alloc, sim), rel=1e-12, abs=1e-12 * n * n)
 
     def test_canonical_labels_invariant_under_relabeling(self):
         rng = np.random.default_rng(3)
@@ -107,6 +180,52 @@ class TestBinderEstimate:
             # the estimate is one of the sampled partitions
             keys = {canonical_labels(row).tobytes() for row in alloc}
             assert canonical_labels(est).tobytes() in keys
+
+    def test_matches_scan_oracle(self):
+        # T a power of two keeps every loss of the float scan exact, so exact
+        # ties occur and both must resolve them to the earliest draw
+        rng = np.random.default_rng(24)
+        for n_range in [(1, 8), (30, 80)]:
+            for trace in random_traces(rng, 100, [1, 2, 4, 8, 16, 32, 128], n_range, (1, 5)):
+                sim = posterior_similarity(trace)
+                np.testing.assert_array_equal(
+                    binder_estimate(trace, sim), H.binder_estimate_scan(trace, sim))
+
+    def test_matches_exact_oracle(self):
+        # for other T the float scan can split an exact tie the wrong way
+        # (it does at n=32, T=5), so the reference is the integer loss
+        rng = np.random.default_rng(25)
+        for n_range in [(1, 8), (30, 80)]:
+            for trace in random_traces(rng, 200, [3, 5, 6, 7, 9, 11, 12, 13, 77], n_range, (1, 5)):
+                np.testing.assert_array_equal(
+                    binder_estimate(trace, posterior_similarity(trace)),
+                    H.binder_estimate_exact(trace))
+
+    def test_exact_tie_goes_to_earliest_draw(self):
+        # swapping observations 1 and 2 maps [0,0,1] to [0,1,0] and fixes
+        # [0,1,1], so all three have the same loss (6/9) against T = 3
+        rows = [[0, 1, 0], [0, 0, 1], [0, 1, 1]]
+        for shift in range(3):
+            rolled = rows[shift:] + rows[:shift]
+            trace = make_trace(rolled)
+            est = binder_estimate(trace, posterior_similarity(trace))
+            np.testing.assert_array_equal(est, rolled[0])
+        # with T = 4 the oracle's float losses tie exactly as well
+        trace = make_trace([[1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 1, 0]])
+        sim = posterior_similarity(trace)
+        np.testing.assert_array_equal(binder_estimate(trace, sim), [1, 1, 0, 0])
+        np.testing.assert_array_equal(H.binder_estimate_scan(trace, sim), [1, 1, 0, 0])
+
+    def test_similarity_not_on_the_trace_grid(self):
+        # a similarity that is not c / T for the trace's T is scored in floats
+        rng = np.random.default_rng(26)
+        for _ in range(20):
+            trace = make_trace(rng.integers(0, 3, size=(6, 10)))
+            sim = rng.uniform(size=(10, 10))
+            sim = 0.5 * (sim + sim.T)
+            np.fill_diagonal(sim, 1.0)
+            np.testing.assert_array_equal(
+                binder_estimate(trace, sim), H.binder_estimate_scan(trace, sim))
 
     def test_recovers_exact_modal_partition(self):
         rows = [[0, 0, 1, 1]] * 8 + [[0, 1, 0, 1]] * 2

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import helpers as H
 from selmix.analysis import PosteriorTrace
 from selmix.cli import cli_dispatch
 from selmix.io import (
@@ -107,6 +108,18 @@ class TestMatrixAndJson:
         write_matrix_csv(path, mat)
         np.testing.assert_array_equal(read_matrix_csv(path), mat)
 
+    def test_matrix_on_a_denominator_grid_writes_repr_bytes(self, tmp_path):
+        t = 7
+        mat = np.random.default_rng(4).integers(0, t + 1, size=(5, 9)) / t
+        write_matrix_csv(tmp_path / "table.csv", mat, denominator=t)
+        H.write_matrix_csv_repr(tmp_path / "repr.csv", mat)
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "repr.csv").read_bytes()
+
+    def test_matrix_off_the_denominator_grid_rejected(self, tmp_path):
+        for bad in ([[0.5, 1.0 / 3.0]], [[0.0, 1.5]], [[-0.5, 1.0]], [[np.nan, 1.0]]):
+            with pytest.raises(ValueError):
+                write_matrix_csv(tmp_path / "bad.csv", np.array(bad), denominator=2)
+
     def test_json_round_trip(self, tmp_path):
         payload = {"b": 1, "a": [1.5, None], "c": {"x": "y"}}
         path = tmp_path / "out.json"
@@ -199,6 +212,29 @@ class TestCli:
         assert partition.min() >= 1
         summary = read_json(an_dir / "summary.json")
         assert summary["n_samples"] == 60
+
+    def test_analyze_outputs_match_loop_references(self, benchmark_csv, tmp_path):
+        fit_dir, an_dir = tmp_path / "fit", tmp_path / "an"
+        assert cli_dispatch(tiny_fit_args(benchmark_csv, fit_dir, extra=["--chains", "2"])) == 0
+        paths = [fit_dir / f"trace_chain{i}.ndjson" for i in range(2)]
+        argv = ["analyze", "--out-dir", str(an_dir)]
+        for path in paths:
+            argv += ["--trace", str(path)]
+        assert cli_dispatch(argv) == 0
+
+        merged = PosteriorTrace.concat(read_trace(p) for p in paths)
+        sim = H.posterior_similarity_loop(merged)
+        H.write_matrix_csv_repr(tmp_path / "psm.csv", sim)
+        assert (an_dir / "psm.csv").read_bytes() == (tmp_path / "psm.csv").read_bytes()
+        partition = H.binder_estimate_scan(merged, sim)
+        H.write_matrix_csv_repr(tmp_path / "binder.csv", (partition + 1).reshape(1, -1))
+        assert (an_dir / "binder.csv").read_bytes() == (tmp_path / "binder.csv").read_bytes()
+
+        summary = read_json(an_dir / "summary.json")
+        assert summary["binder_loss"] == pytest.approx(
+            H.binder_loss_dense(partition, sim), rel=1e-12)
+        distinct = {H.canonical_labels_loop(row).tobytes() for row in merged.alloc}
+        assert summary["n_unique_partitions"] == len(distinct)
 
     def test_append_bookkeeping_flag_recorded(self, benchmark_csv, tmp_path):
         out_dir = tmp_path / "fit"
