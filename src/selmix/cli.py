@@ -49,13 +49,7 @@ from .selberg import (
 
 RNG_NAME = "numpy.random.PCG64"
 
-HYPER_KEYS = (
-    "alpha0", "lam", "v0", "nu0",
-    "gamma_fixed", "gamma_shape", "gamma_rate",
-    "zeta_mode", "zeta_fixed", "zeta_shape", "zeta_rate", "rho",
-    "q_birth", "step_mu", "step_gamma",
-    "burn_in", "thin", "n_samples", "covariance_update", "birth_death", "adapt",
-)
+HYPER_KEYS = tuple(field.name for field in dataclasses.fields(Hyperparams))
 
 
 def hyperparams_to_dict(hyper):
@@ -234,6 +228,8 @@ def _cmd_fit(args):
         write_trace(out_dir / f"trace_chain{i}.ndjson", trace)
         summary["chains"][str(i)] = {
             "acceptance_rates": diag.acceptance_rates(),
+            "means_refresh_rate": diag.rate("means_refresh"),
+            "covariance_ridge_retries": diag.covariance_ridge_retries,
             "step_mu_final": diag.step_mu_final,
             "step_gamma_final": diag.step_gamma_final,
             "mean_m": float(trace.m.mean()),

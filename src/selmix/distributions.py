@@ -8,11 +8,22 @@ and so that degenerate one-component edge cases behave predictably.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import gammaln, multigammaln, xlogy
+from scipy.special import gammaln, multigammaln
 
 LOG_2PI = np.log(2.0 * np.pi)
+
+
+@lru_cache(maxsize=128)
+def _upper_pairs(k):
+    """Row and column indices of the pairs i < j, in ``np.triu_indices`` order."""
+    rows, cols = np.triu_indices(k, 1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def pairwise_log_gap_sum(values):
@@ -25,19 +36,11 @@ def pairwise_log_gap_sum(values):
     k = vals.shape[0]
     if k < 2:
         return 0.0
-    gaps = np.abs(vals[:, None] - vals[None, :])[np.triu_indices(k, 1)]
-    if np.any(gaps == 0.0):
+    rows, cols = _upper_pairs(k)
+    gaps = np.abs(vals[rows] - vals[cols])
+    if (gaps == 0.0).any():
         return -np.inf
     return float(np.log(gaps).sum())
-
-
-def dirichlet_log_pdf(w, alpha):
-    """Dirichlet log density; valid for any dimension >= 1."""
-    w = np.asarray(w, dtype=float)
-    alpha = np.asarray(alpha, dtype=float)
-    if w.shape != alpha.shape:
-        raise ValueError("weight and concentration vectors must match in length")
-    return float(gammaln(alpha.sum()) - gammaln(alpha).sum() + xlogy(alpha - 1.0, w).sum())
 
 
 def gamma_log_pdf(x, shape, rate):

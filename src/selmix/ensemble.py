@@ -9,14 +9,13 @@ with a closed-form constant G in gamma functions.  Exact sampling goes
 through the tridiagonal beta-Hermite construction: a symmetric tridiagonal
 matrix with Gaussian diagonal and chi off-diagonals has eigenvalues
 distributed as the ensemble at inverse temperature beta = zeta, and a final
-1/sqrt(zeta) rescaling maps them onto this parameterization.  A slow
-independence Metropolis-Hastings sampler is kept as a cross-validation
-oracle for that construction.
+1/sqrt(zeta) rescaling maps them onto this parameterization.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -24,7 +23,7 @@ from scipy.special import gammaln
 
 from .distributions import LOG_2PI, pairwise_log_gap_sum
 
-__all__ = ["GeParams", "ge_log_norm_const", "ge_log_density", "sample_ge", "sample_ge_mh"]
+__all__ = ["GeParams", "ge_log_norm_const", "ge_log_density", "sample_ge"]
 
 
 @dataclass(frozen=True)
@@ -47,9 +46,14 @@ def ge_log_norm_const(params):
     G(M, zeta) = zeta^(-M/2 - zeta M (M-1)/4) * (2 pi)^(M/2)
                  * prod_{j=1}^{M} Gamma(1 + j zeta / 2) / Gamma(1 + zeta / 2).
 
-    G(1, zeta) reduces to sqrt(2 pi / zeta) and G(2, 2) equals pi.
+    G(1, zeta) reduces to sqrt(2 pi / zeta) and G(2, 2) equals pi.  Values
+    are cached per (zeta, m).
     """
-    z, m = params.zeta, params.m
+    return _ge_log_norm_const(float(params.zeta), int(params.m))
+
+
+@lru_cache(maxsize=1024)
+def _ge_log_norm_const(z, m):
     total = (-0.5 * m - 0.25 * z * m * (m - 1)) * np.log(z) + 0.5 * m * LOG_2PI
     for j in range(1, m + 1):
         total += gammaln(1.0 + 0.5 * j * z) - gammaln(1.0 + 0.5 * z)
@@ -95,43 +99,4 @@ def sample_ge(params, n, rng):
         vec = eigs / np.sqrt(z)
         rng.shuffle(vec)
         out[i] = vec
-    return out
-
-
-def sample_ge_mh(params, n, rng, burn_in=2000, thin=5, proposal_sd=None):
-    """Reference sampler: independence MH with wide Gaussian proposals.
-
-    Kept as a slow oracle for validating the tridiagonal construction; the
-    proposal is i.i.d. N(0, s^2) per coordinate with s^2 = 2*M + 2/zeta by
-    default, which covers the ensemble bulk and dominates its tails.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    z, m = params.zeta, params.m
-    if proposal_sd is None:
-        proposal_sd = np.sqrt(2.0 * m + 2.0 / z)
-    total = burn_in + n * thin
-    proposals = proposal_sd * rng.standard_normal((total, m))
-
-    # log target (unnormalized) minus log proposal, vectorized per draw
-    sq = (proposals * proposals).sum(axis=1)
-    gaps = np.zeros(total)
-    with np.errstate(divide="ignore"):
-        for i in range(m - 1):
-            for j in range(i + 1, m):
-                gaps += np.log(np.abs(proposals[:, i] - proposals[:, j]))
-    log_ratio = (-0.5 * z * sq + z * gaps + 0.5 * sq / proposal_sd**2).tolist()
-    log_u = np.log(rng.random(total)).tolist()
-
-    out = np.empty((n, m))
-    cur_idx = -1
-    cur = -np.inf
-    kept = 0
-    for t in range(total):
-        if log_u[t] < log_ratio[t] - cur:
-            cur_idx = t
-            cur = log_ratio[t]
-        if t >= burn_in and (t - burn_in) % thin == thin - 1:
-            out[kept] = proposals[cur_idx]
-            kept += 1
     return out

@@ -71,19 +71,22 @@ class SamplerConfig:
 
 @dataclass
 class StepDiagnostics:
-    """Acceptance bookkeeping plus the final (possibly adapted) step sizes."""
+    """Acceptance bookkeeping, the final (possibly adapted) step sizes, and
+    the number of covariance draws that needed the diagonal ridge."""
 
     accepts: dict
     attempts: dict
     step_mu_final: float
     step_gamma_final: float
+    covariance_ridge_retries: int = 0
+
+    def rate(self, key):
+        """Acceptance rate of one counter; 0.0 when it was never attempted."""
+        att = self.attempts.get(key, 0)
+        return self.accepts.get(key, 0) / att if att else 0.0
 
     def acceptance_rates(self):
-        out = {}
-        for key in RATE_KEYS:
-            att = self.attempts.get(key, 0)
-            out[key] = self.accepts.get(key, 0) / att if att else 0.0
-        return out
+        return {key: self.rate(key) for key in RATE_KEYS}
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +109,15 @@ def repulsion_log_ratio(gamma, w_num, w_den):
 def _coord_ge_log_ratio(column, j, new, zeta):
     """Change in the (unnormalized) ensemble log density when one coordinate moves."""
     old = column[j]
-    others = np.delete(column, j)
+    others = np.concatenate((column[:j], column[j + 1:]))
     term = 0.0
     if others.size:
-        new_gaps = np.abs(others - new)
-        if np.any(new_gaps == 0.0):
-            return -np.inf
         with np.errstate(divide="ignore"):
-            term = float(np.log(new_gaps).sum() - np.log(np.abs(others - old)).sum())
+            # -inf exactly when the move ties another coordinate
+            new_log_gaps = np.log(np.abs(others - new)).sum()
+            if new_log_gaps == -np.inf:
+                return -np.inf
+            term = float(new_log_gaps - np.log(np.abs(others - old)).sum())
     return zeta * term - 0.5 * zeta * (new * new - old * old)
 
 
@@ -224,7 +228,7 @@ def birth_log_accept(state, hyper, w_new, mu_new, forced):
     la += rep
     la += dim * (ge_log_norm_const(GeParams(z, m)) - ge_log_norm_const(GeParams(z, m + 1)))
     cross = np.abs(state.mus - mu_new[None, :])
-    if np.any(cross == 0.0):
+    if (cross == 0.0).any():
         return -np.inf
     la += z * float(np.log(cross).sum())
     la += np.log1p(-hyper.q_birth)
@@ -281,6 +285,14 @@ def death_log_accept(state, hyper, j, w_hat):
 # sweep steps
 # ---------------------------------------------------------------------------
 
+def _grouped_points(y, alloc, counts):
+    """Per component, the rows of ``y`` that ``y[alloc == j]`` selects, in the
+    same order, as slices of one stably sorted copy."""
+    ys = y[np.argsort(alloc, kind="stable")]
+    ends = np.cumsum(counts).tolist()
+    return [ys[end - c:end] for c, end in zip(counts.tolist(), ends)]
+
+
 def allocation_log_probs(y, state):
     """Unnormalized per-observation allocation log probabilities, shape (n, m)."""
     with np.errstate(divide="ignore"):
@@ -312,10 +324,11 @@ def update_means(y, state, hyper, rng, step_mu=None):
     rw_sd = np.sqrt(var)
     refresh_sd = np.sqrt(2.0 * out.m + 1.0 / out.zeta)
     counts = out.counts()
+    groups = _grouped_points(y, out.alloc, counts)
     rw_acc = rw_att = ref_acc = ref_att = 0
     for j in range(out.m):
         if counts[j]:
-            points = y[out.alloc == j]
+            points = groups[j]
             for d in range(out.dim):
                 prop = out.mus[j, d] + rw_sd * rng.standard_normal()
                 la = mean_rw_log_accept(out, j, d, prop, points)
@@ -334,32 +347,84 @@ def update_means(y, state, hyper, rng, step_mu=None):
     return out, (rw_acc, rw_att, ref_acc, ref_att)
 
 
-def update_covariances(y, state, hyper, rng):
+def update_covariances(y, state, hyper, rng, counters=None):
     """Gibbs draw of every covariance from its inverse-Wishart conditional.
 
     Allocated components use the posterior scale (centered residual scatter
     plus v0 by default; the literal variant skips the centering) with
     nu0 + n_j degrees of freedom; non-allocated components draw from the
-    prior.  A failed Cholesky retries once with a tiny diagonal ridge.
+    prior.  A failed Cholesky retries once with a tiny diagonal ridge; when
+    ``counters`` is a dict, the number of such retries is added to its
+    ``"covariance_ridge_retries"`` entry.
+
+    The draws are ``sample_invwishart``'s, bit for bit and in its order of
+    random variates, with the factorisations and products made once over
+    all components.  When one of them fails, the generator is rewound and
+    the components are drawn one at a time, with the ridge retry.
     """
     out = state.copy()
     counts = out.counts()
-    dim = out.dim
-    for j in range(out.m):
+    groups = _grouped_points(y, out.alloc, counts)
+    m, dim = out.m, out.dim
+    scales = np.empty((m, dim, dim))
+    dfs = np.empty(m)
+    for j in range(m):
         if counts[j]:
-            points = y[out.alloc == j]
+            points = groups[j]
             resid = points - out.mus[j] if hyper.covariance_update == "centered" else points
             scale = resid.T @ resid + hyper.v0
-            scale = 0.5 * (scale + scale.T)
-            df = hyper.nu0 + counts[j]
+            scales[j] = 0.5 * (scale + scale.T)
+            dfs[j] = hyper.nu0 + counts[j]
         else:
-            scale = hyper.v0
-            df = hyper.nu0
-        try:
-            out.sigmas[j] = sample_invwishart(rng, scale, df)
-        except np.linalg.LinAlgError:
-            out.sigmas[j] = sample_invwishart(rng, scale + 1e-10 * np.eye(dim), df)
+            scales[j] = hyper.v0
+            dfs[j] = hyper.nu0
+
+    saved = rng.bit_generator.state
+    try:
+        out.sigmas = _batched_invwishart(rng, scales, dfs)
+    except np.linalg.LinAlgError:
+        rng.bit_generator.state = saved
+        retries = 0
+        for j in range(m):
+            try:
+                out.sigmas[j] = sample_invwishart(rng, scales[j], dfs[j])
+            except np.linalg.LinAlgError:
+                out.sigmas[j] = sample_invwishart(rng, scales[j] + 1e-10 * np.eye(dim), dfs[j])
+                retries += 1
+        if counters is not None:
+            counters["covariance_ridge_retries"] = (
+                counters.get("covariance_ridge_retries", 0) + retries
+            )
     return out
+
+
+def _batched_invwishart(rng, scales, dfs):
+    """``sample_invwishart(rng, scales[j], dfs[j])`` for every j, as one stack.
+
+    Each component still draws its chi-square and normal variates in turn;
+    inverses, Cholesky factors and products are batched, which gives the
+    same bits as the per-matrix calls.  Raises LinAlgError when any
+    factorisation fails.
+    """
+    m, dim = dfs.shape[0], scales.shape[1]
+    chol_prec = np.linalg.cholesky(np.linalg.inv(scales))
+    n_off = dim * (dim - 1) // 2
+    # scalar chi-square calls draw the same variates as one call per row
+    chi2 = []
+    normals = []
+    for row_dfs in (dfs[:, None] - np.arange(dim)).tolist():
+        chi2.extend([rng.chisquare(df) for df in row_dfs])
+        if n_off:
+            normals.append(rng.standard_normal(n_off))
+    bart = np.zeros((m, dim, dim))
+    diag = np.arange(dim)
+    bart[:, diag, diag] = np.sqrt(chi2).reshape(m, dim)
+    if n_off:
+        rows, cols = np.tril_indices(dim, -1)
+        bart[:, rows, cols] = normals
+    root = chol_prec @ bart
+    sigma = np.linalg.inv(root @ root.transpose(0, 2, 1))
+    return 0.5 * (sigma + sigma.transpose(0, 2, 1))
 
 
 def update_weights(state, hyper, rng):
@@ -536,6 +601,7 @@ def run_sampler(y, config):
     attempts = {k: 0 for k in RATE_KEYS}
     accepts["means_refresh"] = 0
     attempts["means_refresh"] = 0
+    fallbacks = {"covariance_ridge_retries": 0}
 
     step_mu = hyper.step_mu
     step_gamma = hyper.step_gamma
@@ -557,7 +623,7 @@ def run_sampler(y, config):
             state, (rw_acc, rw_att, ref_acc, ref_att) = update_means(
                 y, state, hyper, rng, step_mu
             )
-            state = update_covariances(y, state, hyper, rng)
+            state = update_covariances(y, state, hyper, rng, fallbacks)
             state, w_acc = update_weights(state, hyper, rng)
             if ratio_mode:
                 state, g_acc = update_gamma_ratio_tied(state, hyper, rng, step_gamma)
@@ -630,5 +696,6 @@ def run_sampler(y, config):
     diag = StepDiagnostics(
         accepts=accepts, attempts=attempts,
         step_mu_final=step_mu, step_gamma_final=step_gamma,
+        covariance_ridge_retries=fallbacks["covariance_ridge_retries"],
     )
     return trace, diag

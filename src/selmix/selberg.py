@@ -22,6 +22,7 @@ well beyond M = 50.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, xlogy
@@ -148,9 +149,15 @@ def sdir_log_norm_const(params):
         * prod_{j=1}^{M-1} Gamma(alpha + (j-1)*gamma) Gamma(1 + j*gamma)
                            / Gamma(1 + gamma)
 
-    entirely in log space.  For m = 1 the empty product gives 0.0.
+    entirely in log space.  For m = 1 the empty product gives 0.0.  Values
+    are cached per (alpha, gamma, m): the sampler asks for the same few
+    constants on every sweep.
     """
-    a, g, m = params.alpha, params.gamma, params.m
+    return _sdir_log_norm_const(float(params.alpha), float(params.gamma), int(params.m))
+
+
+@lru_cache(maxsize=1024)
+def _sdir_log_norm_const(a, g, m):
     total = gammaln(a) - gammaln(m * a + g * (m - 1) * (m - 2))
     for j in range(1, m):
         total += gammaln(a + (j - 1) * g) + gammaln(1.0 + j * g) - gammaln(1.0 + g)

@@ -1,7 +1,8 @@
 """Shared test utilities: Monte Carlo error bars, independent quadrature
 oracles for the normalizing constants, random valid sampler states,
-joint-density oracles for every Metropolis acceptance ratio, and loop
-references for the partition summaries.
+joint-density oracles for every Metropolis acceptance ratio, slow reference
+samplers and densities, loop references for the partition summaries, and
+per-component references for the sweep steps.
 
 The oracles deliberately reimplement every proposal density with scipy
 primitives so that agreement with the package is a genuine cross-check
@@ -14,7 +15,10 @@ import warnings
 
 import numpy as np
 from scipy import integrate, stats
+from scipy.special import gammaln, xlogy
 
+from selmix import ensemble, sampler, selberg
+from selmix.distributions import LOG_2PI, gaussian_log_pdf, sample_invwishart
 from selmix.model import Hyperparams, MixtureState, log_complete_joint
 
 
@@ -310,3 +314,334 @@ def write_matrix_csv_repr(path, mat):
         writer = csv.writer(fh)
         for row in np.atleast_2d(np.asarray(mat)):
             writer.writerow([repr(float(v)) for v in row])
+
+
+# ---------------------------------------------------------------------------
+# slow reference samplers and densities
+# ---------------------------------------------------------------------------
+
+def dirichlet_log_pdf(w, alpha):
+    """Dirichlet log density; valid for any dimension >= 1."""
+    w = np.asarray(w, dtype=float)
+    alpha = np.asarray(alpha, dtype=float)
+    if w.shape != alpha.shape:
+        raise ValueError("weight and concentration vectors must match in length")
+    return float(gammaln(alpha.sum()) - gammaln(alpha).sum() + xlogy(alpha - 1.0, w).sum())
+
+
+def sample_ge_mh(params, n, rng, burn_in=2000, thin=5, proposal_sd=None):
+    """Reference sampler: independence MH with wide Gaussian proposals.
+
+    A slow oracle for validating the tridiagonal construction; the
+    proposal is i.i.d. N(0, s^2) per coordinate with s^2 = 2*M + 2/zeta by
+    default, which covers the ensemble bulk and dominates its tails.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    z, m = params.zeta, params.m
+    if proposal_sd is None:
+        proposal_sd = np.sqrt(2.0 * m + 2.0 / z)
+    total = burn_in + n * thin
+    proposals = proposal_sd * rng.standard_normal((total, m))
+
+    # log target (unnormalized) minus log proposal, vectorized per draw
+    sq = (proposals * proposals).sum(axis=1)
+    gaps = np.zeros(total)
+    with np.errstate(divide="ignore"):
+        for i in range(m - 1):
+            for j in range(i + 1, m):
+                gaps += np.log(np.abs(proposals[:, i] - proposals[:, j]))
+    log_ratio = (-0.5 * z * sq + z * gaps + 0.5 * sq / proposal_sd**2).tolist()
+    log_u = np.log(rng.random(total)).tolist()
+
+    out = np.empty((n, m))
+    cur_idx = -1
+    cur = -np.inf
+    kept = 0
+    for t in range(total):
+        if log_u[t] < log_ratio[t] - cur:
+            cur_idx = t
+            cur = log_ratio[t]
+        if t >= burn_in and (t - burn_in) % thin == thin - 1:
+            out[kept] = proposals[cur_idx]
+            kept += 1
+    return out
+
+
+# ---------------------------------------------------------------------------
+# per-component references for the sweep steps
+#
+# The sweep batches its factorisations, groups points by one sort and
+# caches closed-form constants.  These are the straightforward versions it
+# replaced: one density, one slice and one inverse-Wishart draw per
+# component, and constants recomputed on every call.  The fast code must
+# match them bit for bit and leave the generator in the same state.
+# ---------------------------------------------------------------------------
+
+def pairwise_log_gap_sum_ref(values):
+    vals = np.asarray(values, dtype=float)
+    k = vals.shape[0]
+    if k < 2:
+        return 0.0
+    gaps = np.abs(vals[:, None] - vals[None, :])[np.triu_indices(k, 1)]
+    if np.any(gaps == 0.0):
+        return -np.inf
+    return float(np.log(gaps).sum())
+
+
+def sdir_log_norm_const_ref(params):
+    a, g, m = params.alpha, params.gamma, params.m
+    total = gammaln(a) - gammaln(m * a + g * (m - 1) * (m - 2))
+    for j in range(1, m):
+        total += gammaln(a + (j - 1) * g) + gammaln(1.0 + j * g) - gammaln(1.0 + g)
+    return float(total)
+
+
+def ge_log_norm_const_ref(params):
+    z, m = params.zeta, params.m
+    total = (-0.5 * m - 0.25 * z * m * (m - 1)) * np.log(z) + 0.5 * m * LOG_2PI
+    for j in range(1, m + 1):
+        total += gammaln(1.0 + 0.5 * j * z) - gammaln(1.0 + 0.5 * z)
+    return float(total)
+
+
+def component_log_pdfs_ref(y, state):
+    out = np.empty((y.shape[0], state.m))
+    for j in range(state.m):
+        out[:, j] = gaussian_log_pdf(y, state.mus[j], state.sigmas[j])
+    return out
+
+
+def update_allocations_ref(y, state, rng):
+    out = state.copy()
+    if state.n_obs == 0:
+        return out
+    with np.errstate(divide="ignore"):
+        log_p = component_log_pdfs_ref(y, state) + np.log(state.weights)[None, :]
+    gumbel = rng.gumbel(size=log_p.shape)
+    out.alloc = np.argmax(log_p + gumbel, axis=1).astype(np.int64)
+    return out
+
+
+def coord_ge_log_ratio_ref(column, j, new, zeta):
+    old = column[j]
+    others = np.delete(column, j)
+    term = 0.0
+    if others.size:
+        new_gaps = np.abs(others - new)
+        if np.any(new_gaps == 0.0):
+            return -np.inf
+        with np.errstate(divide="ignore"):
+            term = float(np.log(new_gaps).sum() - np.log(np.abs(others - old)).sum())
+    return zeta * term - 0.5 * zeta * (new * new - old * old)
+
+
+def mean_rw_log_accept_ref(state, j, d, mu_new, points):
+    la = coord_ge_log_ratio_ref(state.mus[:, d], j, mu_new, state.zeta)
+    if la == -np.inf or points is None or len(points) == 0:
+        return la
+    n = points.shape[0]
+    h = mu_new - state.mus[j, d]
+    resid_sum = points.sum(axis=0) - n * state.mus[j]
+    rhs = np.zeros((state.dim, 2))
+    rhs[:, 0] = resid_sum
+    rhs[d, 1] = 1.0
+    solved = np.linalg.solve(state.sigmas[j], rhs)
+    la += h * solved[d, 0] - 0.5 * n * h * h * solved[d, 1]
+    return float(la)
+
+
+def mean_refresh_log_accept_ref(state, j, d, mu_new, proposal_sd):
+    la = coord_ge_log_ratio_ref(state.mus[:, d], j, mu_new, state.zeta)
+    if la == -np.inf:
+        return la
+    old = state.mus[j, d]
+    return float(la + 0.5 * (mu_new * mu_new - old * old) / proposal_sd**2)
+
+
+def update_means_ref(y, state, hyper, rng, step_mu=None):
+    out = state.copy()
+    var = hyper.step_mu if step_mu is None else step_mu
+    rw_sd = np.sqrt(var)
+    refresh_sd = np.sqrt(2.0 * out.m + 1.0 / out.zeta)
+    counts = out.counts()
+    rw_acc = rw_att = ref_acc = ref_att = 0
+    for j in range(out.m):
+        if counts[j]:
+            points = y[out.alloc == j]
+            for d in range(out.dim):
+                prop = out.mus[j, d] + rw_sd * rng.standard_normal()
+                la = mean_rw_log_accept_ref(out, j, d, prop, points)
+                rw_att += 1
+                if np.log(rng.random()) < la:
+                    out.mus[j, d] = prop
+                    rw_acc += 1
+        else:
+            for d in range(out.dim):
+                prop = refresh_sd * rng.standard_normal()
+                la = mean_refresh_log_accept_ref(out, j, d, prop, refresh_sd)
+                ref_att += 1
+                if np.log(rng.random()) < la:
+                    out.mus[j, d] = prop
+                    ref_acc += 1
+    return out, (rw_acc, rw_att, ref_acc, ref_att)
+
+
+def update_covariances_ref(y, state, hyper, rng, counters=None):
+    """``counters`` is accepted so ``run_sampler`` can call this; it is not updated."""
+    out = state.copy()
+    counts = out.counts()
+    dim = out.dim
+    for j in range(out.m):
+        if counts[j]:
+            points = y[out.alloc == j]
+            resid = points - out.mus[j] if hyper.covariance_update == "centered" else points
+            scale = resid.T @ resid + hyper.v0
+            scale = 0.5 * (scale + scale.T)
+            df = hyper.nu0 + counts[j]
+        else:
+            scale = hyper.v0
+            df = hyper.nu0
+        try:
+            out.sigmas[j] = sample_invwishart(rng, scale, df)
+        except np.linalg.LinAlgError:
+            out.sigmas[j] = sample_invwishart(rng, scale + 1e-10 * np.eye(dim), df)
+    return out
+
+
+def repulsion_log_ratio_ref(gamma, w_num, w_den):
+    if gamma == 0.0:
+        return 0.0
+    num = pairwise_log_gap_sum_ref(np.asarray(w_num, dtype=float)[:-1])
+    if num == -np.inf:
+        return -np.inf
+    den = pairwise_log_gap_sum_ref(np.asarray(w_den, dtype=float)[:-1])
+    if den == -np.inf:
+        return np.inf
+    return 2.0 * gamma * (num - den)
+
+
+def birth_log_accept_ref(state, hyper, w_new, mu_new, forced):
+    m, dim = state.m, state.dim
+    counts = state.counts()
+    m_na = m - int((counts > 0).sum())
+    g, z, a0 = state.gamma, state.zeta, hyper.alpha0
+    sdir, ge = selberg.SdirParams, ensemble.GeParams
+
+    la = np.log(hyper.lam) - np.log(m)
+    la += sdir_log_norm_const_ref(sdir(a0, g, m)) - sdir_log_norm_const_ref(sdir(a0, g, m + 1))
+    rep = repulsion_log_ratio_ref(g, w_new, state.weights)
+    if rep == -np.inf:
+        return -np.inf
+    la += rep
+    la += dim * (ge_log_norm_const_ref(ge(z, m)) - ge_log_norm_const_ref(ge(z, m + 1)))
+    cross = np.abs(state.mus - mu_new[None, :])
+    if np.any(cross == 0.0):
+        return -np.inf
+    la += z * float(np.log(cross).sum())
+    la += np.log1p(-hyper.q_birth)
+    if not forced:
+        la -= np.log(hyper.q_birth)
+    la -= np.log(m_na + 1.0)
+    if hyper.birth_death == "reversible":
+        la += np.log(m + 1.0)
+    conc_total = m * a0 + counts.sum()
+    la += gammaln(a0) + gammaln(conc_total) - gammaln(conc_total + a0)
+    la += 0.5 * dim * (LOG_2PI - np.log(z))
+    return float(la)
+
+
+def death_log_accept_ref(state, hyper, j, w_hat):
+    m, dim = state.m, state.dim
+    if m == 1:
+        return -np.inf
+    counts = state.counts()
+    if counts[j]:
+        raise ValueError("death move targets a non-allocated component")
+    m_na = m - int((counts > 0).sum())
+    g, z, a0 = state.gamma, state.zeta, hyper.alpha0
+    sdir, ge = selberg.SdirParams, ensemble.GeParams
+
+    la = np.log(m - 1.0) - np.log(hyper.lam)
+    la += sdir_log_norm_const_ref(sdir(a0, g, m)) - sdir_log_norm_const_ref(sdir(a0, g, m - 1))
+    rep = repulsion_log_ratio_ref(g, w_hat, state.weights)
+    if rep == -np.inf:
+        return -np.inf
+    la += rep
+    la += dim * (ge_log_norm_const_ref(ge(z, m)) - ge_log_norm_const_ref(ge(z, m - 1)))
+    cross = np.abs(np.delete(state.mus, j, axis=0) - state.mus[j][None, :])
+    with np.errstate(divide="ignore"):
+        la -= z * float(np.log(cross).sum())
+    if m_na > 1:
+        la += np.log(hyper.q_birth)
+    la -= np.log1p(-hyper.q_birth)
+    la += np.log(m_na)
+    if hyper.birth_death == "reversible":
+        la -= np.log(m)
+    conc_total = m * a0 + counts.sum()
+    la += gammaln(conc_total) - gammaln(a0) - gammaln(conc_total - a0)
+    la -= 0.5 * dim * (LOG_2PI - np.log(z))
+    return float(la)
+
+
+def birth_death_step_ref(y, state, hyper, rng):
+    counts = state.counts()
+    m_na = state.m - int((counts > 0).sum())
+    forced = m_na == 0
+    alpha_post = hyper.alpha0 + counts
+    if forced or rng.random() < hyper.q_birth:
+        if hyper.birth_death == "reversible":
+            slot = int(rng.integers(state.m + 1))
+        else:
+            slot = state.m
+        w_new = rng.dirichlet(np.insert(alpha_post, slot, hyper.alpha0))
+        mu_new = rng.normal(0.0, 1.0 / np.sqrt(state.zeta), size=state.dim)
+        sigma_new = sample_invwishart(rng, hyper.v0, hyper.nu0)
+        la = birth_log_accept_ref(state, hyper, w_new, mu_new, forced)
+        if np.log(rng.random()) < la:
+            alloc = state.alloc.copy()
+            alloc[alloc >= slot] += 1
+            state = MixtureState(
+                m=state.m + 1, weights=w_new,
+                mus=np.insert(state.mus, slot, mu_new, axis=0),
+                sigmas=np.insert(state.sigmas, slot, sigma_new, axis=0),
+                alloc=alloc, gamma=state.gamma, zeta=state.zeta,
+            )
+            return state, "birth", True
+        return state.copy(), "birth", False
+
+    candidates = np.flatnonzero(counts == 0)
+    j = int(candidates[rng.integers(candidates.size)])
+    w_hat = rng.dirichlet(np.delete(alpha_post, j))
+    la = death_log_accept_ref(state, hyper, j, w_hat)
+    if np.log(rng.random()) < la:
+        alloc = state.alloc.copy()
+        alloc[alloc > j] -= 1
+        state = MixtureState(
+            m=state.m - 1, weights=w_hat,
+            mus=np.delete(state.mus, j, axis=0),
+            sigmas=np.delete(state.sigmas, j, axis=0),
+            alloc=alloc, gamma=state.gamma, zeta=state.zeta,
+        )
+        return state, "death", True
+    return state.copy(), "death", False
+
+
+def reference_sweep_patches():
+    """(module, name, reference) triples that turn ``run_sampler`` into the
+    reference chain: every step and constant the fast sweep changed is
+    swapped for its per-component, uncached version, in each namespace the
+    sweep reaches it through."""
+    return [
+        (sampler, "update_allocations", update_allocations_ref),
+        (sampler, "update_means", update_means_ref),
+        (sampler, "update_covariances", update_covariances_ref),
+        (sampler, "birth_death_step", birth_death_step_ref),
+        (sampler, "pairwise_log_gap_sum", pairwise_log_gap_sum_ref),
+        (selberg, "pairwise_log_gap_sum", pairwise_log_gap_sum_ref),
+        (ensemble, "pairwise_log_gap_sum", pairwise_log_gap_sum_ref),
+        (sampler, "sdir_log_norm_const", sdir_log_norm_const_ref),
+        (selberg, "sdir_log_norm_const", sdir_log_norm_const_ref),
+        (sampler, "ge_log_norm_const", ge_log_norm_const_ref),
+        (ensemble, "ge_log_norm_const", ge_log_norm_const_ref),
+    ]

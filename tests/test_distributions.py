@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import dirichlet_log_pdf
 from selmix.distributions import (
     LOG_2PI,
-    dirichlet_log_pdf,
     gamma_log_pdf,
     gaussian_log_pdf,
     invwishart_log_pdf,

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import batch_means_se, ensemble_constant_quad_m2
-from selmix.ensemble import GeParams, ge_log_density, ge_log_norm_const, sample_ge, sample_ge_mh
+from helpers import batch_means_se, ensemble_constant_quad_m2, sample_ge_mh
+from selmix.ensemble import GeParams, ge_log_density, ge_log_norm_const, sample_ge
 
 
 class TestNormalizingConstant:

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import helpers as H
+from selmix import __version__
 from selmix.analysis import PosteriorTrace
-from selmix.cli import cli_dispatch
+from selmix.cli import cli_dispatch, hyperparams_from_dict
 from selmix.io import (
     read_dataset,
     read_json,
@@ -20,6 +21,7 @@ from selmix.io import (
     write_matrix_csv,
     write_trace,
 )
+from selmix.sampler import SamplerConfig, run_sampler
 
 
 class TestDatasetFiles:
@@ -134,6 +136,49 @@ def benchmark_csv(tmp_path_factory):
     return path
 
 
+# manifest.json of ``tiny_fit_args``, as written before the hyperparameter
+# keys were derived from the dataclass fields
+PINNED_MANIFEST = """{
+  "adapt": true,
+  "alpha0": 1.0,
+  "birth_death": "reversible",
+  "burn_in": 40,
+  "chains": 1,
+  "covariance_update": "centered",
+  "data": @DATA@,
+  "gamma_fixed": 1.0,
+  "gamma_rate": 2.0,
+  "gamma_shape": 3.0,
+  "lam": 3.0,
+  "n_samples": 30,
+  "nu0": 2.0,
+  "q_birth": 0.5,
+  "record_weights": false,
+  "rho": 1.0,
+  "rng": "numpy.random.PCG64",
+  "seed": 3,
+  "step_gamma": 0.25,
+  "step_mu": 0.25,
+  "thin": 1,
+  "v0": [
+    [
+      1.0,
+      0.0
+    ],
+    [
+      0.0,
+      1.0
+    ]
+  ],
+  "version": @VERSION@,
+  "zeta_fixed": 0.5,
+  "zeta_mode": "fixed",
+  "zeta_rate": 2.0,
+  "zeta_shape": 3.0
+}
+"""
+
+
 def tiny_fit_args(data, out_dir, extra=()):
     return [
         "fit", "--data", str(data), "--out-dir", str(out_dir),
@@ -172,6 +217,28 @@ class TestCli:
         assert manifest["covariance_update"] == "centered"
         assert manifest["gamma_fixed"] == 1.0
         assert manifest["chains"] == 1
+
+    def test_fit_summary_reports_refresh_rate_and_ridge_retries(self, benchmark_csv, tmp_path):
+        out_dir = tmp_path / "fit"
+        assert cli_dispatch(tiny_fit_args(benchmark_csv, out_dir, extra=["--chains", "2"])) == 0
+        summary = read_json(out_dir / "summary.json")
+        hyper = hyperparams_from_dict(read_json(out_dir / "manifest.json"))
+        y = read_dataset(benchmark_csv)
+        for i, chain in summary["chains"].items():
+            _, diag = run_sampler(y, SamplerConfig(hyper=hyper, seed=3 ^ int(i)))
+            assert diag.attempts["means_refresh"] > 0
+            assert chain["means_refresh_rate"] == diag.rate("means_refresh")
+            assert chain["covariance_ridge_retries"] == diag.covariance_ridge_retries == 0
+            assert set(chain["acceptance_rates"]) == {
+                "means", "weights", "gamma", "zeta", "birth", "death"}
+
+    def test_manifest_bytes_are_pinned(self, benchmark_csv, tmp_path):
+        out_dir = tmp_path / "fit"
+        assert cli_dispatch(tiny_fit_args(benchmark_csv, out_dir)) == 0
+        expected = (PINNED_MANIFEST
+                    .replace("@DATA@", json.dumps(str(benchmark_csv)))
+                    .replace("@VERSION@", json.dumps(__version__)))
+        assert (out_dir / "manifest.json").read_text() == expected
 
     def test_fit_is_reproducible(self, benchmark_csv, tmp_path):
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"

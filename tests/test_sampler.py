@@ -8,8 +8,10 @@ import pytest
 from scipy import stats
 
 import helpers as H
-from selmix.distributions import sample_invwishart
-from selmix.model import Hyperparams, MixtureState
+from selmix.distributions import pairwise_log_gap_sum, sample_invwishart
+from selmix.ensemble import GeParams, ge_log_norm_const
+from selmix.io import write_trace
+from selmix.model import Hyperparams, MixtureState, component_log_pdfs
 from selmix.sampler import (
     SamplerConfig,
     SamplerError,
@@ -33,6 +35,7 @@ from selmix.sampler import (
     weights_log_accept,
     zeta_log_accept,
 )
+from selmix.selberg import SdirParams, sdir_log_norm_const
 
 
 def random_case(rng, zeta_mode="gamma", birth_death="reversible"):
@@ -528,3 +531,194 @@ class TestBookkeepingContrast:
 
     def test_append_tilts_count_prior(self):
         assert self.poisson_tv(self.run_prior_chain("append")) > 0.2
+
+
+def equivalence_case(rng, dim, n, m=None, empty=(), **hyper_kwargs):
+    m = int(rng.integers(2, 6)) if m is None else m
+    hyper = H.random_hyper(rng, dim, **hyper_kwargs)
+    state = H.random_state(rng, m, dim, n, force_empty=[j for j in empty if j < m - 1])
+    y = rng.normal(0.0, 2.0, size=(n, dim))
+    return y, state, hyper
+
+
+def assert_states_equal(a, b):
+    assert a.m == b.m and a.gamma == b.gamma and a.zeta == b.zeta
+    for name in ("weights", "mus", "sigmas", "alloc"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def twin_generators(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+EQUIVALENCE_SHAPES = [(dim, n) for dim in (1, 2, 5) for n in (0, 3, 40)]
+
+
+class TestFastSweepMatchesReference:
+    """The batched sweep steps against per-component copies of the code they
+    replaced (tests/helpers.py): equal arrays, equal counters and the
+    generator left in the same state."""
+
+    @pytest.mark.parametrize("dim,n", EQUIVALENCE_SHAPES)
+    def test_component_log_pdfs_and_allocations(self, dim, n):
+        rng = np.random.default_rng(100 + 10 * dim + n)
+        for trial in range(10):
+            y, state, _ = equivalence_case(rng, dim, n, m=1 + trial % 5, empty=[0, 3])
+            got = component_log_pdfs(y, state)
+            assert got.flags.c_contiguous
+            np.testing.assert_array_equal(got, H.component_log_pdfs_ref(y, state))
+            r1, r2 = twin_generators(trial)
+            before = state.copy()
+            assert_states_equal(update_allocations(y, state, r1),
+                                H.update_allocations_ref(y, state, r2))
+            assert r1.bit_generator.state == r2.bit_generator.state
+            assert_states_equal(state, before)
+
+    @pytest.mark.parametrize("dim,n", EQUIVALENCE_SHAPES)
+    def test_update_means(self, dim, n):
+        rng = np.random.default_rng(200 + 10 * dim + n)
+        for trial in range(10):
+            y, state, hyper = equivalence_case(rng, dim, n, empty=[1])
+            step = float(rng.choice([0.01, 0.25, 4.0]))
+            r1, r2 = twin_generators(trial)
+            before = state.copy()
+            got, got_counts = update_means(y, state, hyper, r1, step)
+            want, want_counts = H.update_means_ref(y, state, hyper, r2, step)
+            assert_states_equal(got, want)
+            assert got_counts == want_counts
+            assert r1.bit_generator.state == r2.bit_generator.state
+            assert_states_equal(state, before)
+
+    @pytest.mark.parametrize("dim,n", EQUIVALENCE_SHAPES)
+    @pytest.mark.parametrize("covariance_update", ["centered", "literal"])
+    def test_update_covariances(self, dim, n, covariance_update):
+        rng = np.random.default_rng(300 + 10 * dim + n)
+        for trial in range(10):
+            y, state, hyper = equivalence_case(rng, dim, n, empty=[0, 2])
+            hyper = dataclasses.replace(hyper, covariance_update=covariance_update)
+            r1, r2 = twin_generators(trial)
+            before = state.copy()
+            counters = {}
+            got = update_covariances(y, state, hyper, r1, counters)
+            assert_states_equal(got, H.update_covariances_ref(y, state, hyper, r2))
+            assert r1.bit_generator.state == r2.bit_generator.state
+            assert counters == {}
+            assert_states_equal(state, before)
+
+    @pytest.mark.parametrize("dim,n", EQUIVALENCE_SHAPES)
+    @pytest.mark.parametrize("bookkeeping", ["reversible", "append"])
+    def test_birth_death_step(self, dim, n, bookkeeping):
+        rng = np.random.default_rng(400 + 10 * dim + n)
+        moves = set()
+        for trial in range(40):
+            y, state, hyper = equivalence_case(rng, dim, n, empty=[1, 4],
+                                               birth_death=bookkeeping)
+            r1, r2 = twin_generators(trial)
+            before = state.copy()
+            got, move, accepted = birth_death_step(y, state, hyper, r1)
+            want, want_move, want_accepted = H.birth_death_step_ref(y, state, hyper, r2)
+            assert (move, accepted) == (want_move, want_accepted)
+            assert_states_equal(got, want)
+            assert r1.bit_generator.state == r2.bit_generator.state
+            assert_states_equal(state, before)
+            moves.add((move, accepted))
+        assert {move for move, _ in moves} == {"birth", "death"}
+        assert {accepted for _, accepted in moves} == {True, False}
+
+    def test_constants_and_gap_sums(self):
+        rng = np.random.default_rng(500)
+        for _ in range(200):
+            m = int(rng.integers(1, 30))
+            a, g, z = rng.uniform(0.05, 5.0, size=3)
+            g = float(rng.choice([0.0, g]))
+            for _repeat in range(2):  # the second call is served from the cache
+                sdir = SdirParams(a, g, m)
+                assert sdir_log_norm_const(sdir) == H.sdir_log_norm_const_ref(sdir)
+                ge = GeParams(z, m)
+                assert ge_log_norm_const(ge) == H.ge_log_norm_const_ref(ge)
+            vals = rng.normal(size=m)
+            if m > 2 and rng.random() < 0.2:
+                vals[1] = vals[0]
+            assert pairwise_log_gap_sum(vals) == H.pairwise_log_gap_sum_ref(vals)
+
+    @pytest.mark.parametrize("bookkeeping", ["reversible", "append"])
+    @pytest.mark.parametrize("zeta_mode", ["fixed", "gamma", "ratio"])
+    def test_full_chain(self, bookkeeping, zeta_mode, tmp_path, monkeypatch):
+        rng = np.random.default_rng(600)
+        dim = {"fixed": 1, "gamma": 2, "ratio": 5}[zeta_mode]
+        y = rng.normal(0.0, 3.0, size=(40, dim))
+        hyper = Hyperparams(zeta_mode=zeta_mode, zeta_fixed=0.5, birth_death=bookkeeping,
+                            burn_in=100, thin=2, n_samples=60)
+        config = SamplerConfig(hyper=hyper, seed=61, record_weights=True)
+        trace, diag = run_sampler(y, config)
+        with monkeypatch.context() as patch:
+            for module, name, reference in H.reference_sweep_patches():
+                patch.setattr(module, name, reference)
+            ref_trace, ref_diag = run_sampler(y, config)
+        write_trace(tmp_path / "fast.ndjson", trace)
+        write_trace(tmp_path / "ref.ndjson", ref_trace)
+        assert (tmp_path / "fast.ndjson").read_bytes() == (tmp_path / "ref.ndjson").read_bytes()
+        assert diag == ref_diag
+        assert diag.attempts["gamma"] > 0 and diag.attempts["birth"] > 0
+
+
+class TestCovarianceFallback:
+    """When a batched factorisation fails, the step rewinds the generator
+    and draws component by component, retrying with the ridge."""
+
+    def test_singular_prior_scale_takes_the_ridge_and_is_counted(self):
+        rng = np.random.default_rng(700)
+        hyper = Hyperparams(v0=np.diag([1.0, 0.0])).resolved(2)
+        for trial in range(10):
+            state = H.random_state(rng, 4, 2, 30, force_empty=[1, 3])
+            y = rng.normal(size=(30, 2))
+            r1, r2 = twin_generators(trial)
+            counters = {}
+            got = update_covariances(y, state, hyper, r1, counters)
+            assert_states_equal(got, H.update_covariances_ref(y, state, hyper, r2))
+            assert r1.bit_generator.state == r2.bit_generator.state
+            assert counters == {"covariance_ridge_retries": 2}
+
+    def test_failure_after_the_draws_rewinds_the_generator(self, monkeypatch):
+        import selmix.sampler as sampler_mod
+
+        batched = sampler_mod._batched_invwishart
+
+        def fail_after_drawing(rng, scales, dfs):
+            batched(rng, scales, dfs)
+            raise np.linalg.LinAlgError("forced")
+
+        monkeypatch.setattr(sampler_mod, "_batched_invwishart", fail_after_drawing)
+        rng = np.random.default_rng(701)
+        for trial in range(10):
+            y, state, hyper = equivalence_case(rng, 2, 25, empty=[0])
+            r1, r2 = twin_generators(trial)
+            counters = {}
+            got = update_covariances(y, state, hyper, r1, counters)
+            assert_states_equal(got, H.update_covariances_ref(y, state, hyper, r2))
+            assert r1.bit_generator.state == r2.bit_generator.state
+            assert counters == {"covariance_ridge_retries": 0}
+
+    def test_chain_reports_ridge_retries(self, monkeypatch):
+        import selmix.sampler as sampler_mod
+
+        def always_fail(rng, scales, dfs):
+            raise np.linalg.LinAlgError("forced")
+
+        draw = sampler_mod.sample_invwishart
+        posterior_calls = []
+
+        def fail_every_first_attempt(rng, scale, df):
+            # posterior draws have df > nu0 = 1; prior and birth draws use nu0
+            if df > 1.0:
+                posterior_calls.append(df)
+                if len(posterior_calls) % 2:
+                    raise np.linalg.LinAlgError("forced")
+            return draw(rng, scale, df)
+
+        monkeypatch.setattr(sampler_mod, "_batched_invwishart", always_fail)
+        monkeypatch.setattr(sampler_mod, "sample_invwishart", fail_every_first_attempt)
+        y = np.random.default_rng(702).normal(size=(20, 1))
+        hyper = Hyperparams(gamma_fixed=1.0, burn_in=5, thin=1, n_samples=5)
+        _, diag = run_sampler(y, SamplerConfig(hyper=hyper, seed=7))
+        assert diag.covariance_ridge_retries == len(posterior_calls) // 2 > 0
