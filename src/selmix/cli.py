@@ -63,15 +63,7 @@ def hyperparams_to_dict(hyper):
 
 
 def hyperparams_from_dict(payload):
-    kwargs = {}
-    for key in HYPER_KEYS:
-        if key in payload and payload[key] is not None:
-            kwargs[key] = payload[key]
-        elif key in payload and key in ("gamma_fixed", "v0", "nu0"):
-            kwargs[key] = None
-    if "v0" in kwargs and kwargs["v0"] is not None:
-        kwargs["v0"] = np.asarray(kwargs["v0"], dtype=float)
-    return Hyperparams(**kwargs)
+    return Hyperparams(**{k: payload[k] for k in HYPER_KEYS if payload.get(k) is not None})
 
 
 def build_parser():
@@ -99,11 +91,13 @@ def build_parser():
     p_fit.add_argument("--lam", type=float)
     p_fit.add_argument("--nu0", type=float)
     p_fit.add_argument("--v0-diag", help="comma-separated diagonal of the scale matrix")
-    p_fit.add_argument("--gamma", type=float, help="fix gamma at this value")
+    p_fit.add_argument("--gamma", type=float, dest="gamma_fixed", metavar="GAMMA",
+                       help="fix gamma at this value")
     p_fit.add_argument("--gamma-shape", type=float)
     p_fit.add_argument("--gamma-rate", type=float)
     p_fit.add_argument("--zeta-mode", choices=["fixed", "gamma", "ratio"])
-    p_fit.add_argument("--zeta", type=float, help="value used when zeta is fixed")
+    p_fit.add_argument("--zeta", type=float, dest="zeta_fixed", metavar="ZETA",
+                       help="value used when zeta is fixed")
     p_fit.add_argument("--zeta-shape", type=float)
     p_fit.add_argument("--zeta-rate", type=float)
     p_fit.add_argument("--rho", type=float)
@@ -115,7 +109,7 @@ def build_parser():
     p_fit.add_argument("--n-samples", type=int)
     p_fit.add_argument("--covariance-update", choices=["centered", "literal"])
     p_fit.add_argument("--birth-death", choices=["reversible", "append"])
-    p_fit.add_argument("--no-adapt", action="store_true", default=None)
+    p_fit.add_argument("--no-adapt", dest="adapt", action="store_false", default=None)
 
     p_an = sub.add_parser("analyze", help="summarize one or more trace files")
     p_an.add_argument("--trace", action="append", required=True)
@@ -173,22 +167,9 @@ def _cmd_simulate(args):
 
 def _fit_config(args):
     payload = dict(read_json(args.config)) if args.config else {}
-    overrides = {
-        "alpha0": args.alpha0, "lam": args.lam, "nu0": args.nu0,
-        "gamma_fixed": args.gamma,
-        "gamma_shape": args.gamma_shape, "gamma_rate": args.gamma_rate,
-        "zeta_mode": args.zeta_mode, "zeta_fixed": args.zeta,
-        "zeta_shape": args.zeta_shape, "zeta_rate": args.zeta_rate,
-        "rho": args.rho, "q_birth": args.q_birth,
-        "step_mu": args.step_mu, "step_gamma": args.step_gamma,
-        "burn_in": args.burn_in, "thin": args.thin, "n_samples": args.n_samples,
-        "covariance_update": args.covariance_update,
-        "birth_death": args.birth_death,
-    }
+    overrides = {key: getattr(args, key) for key in HYPER_KEYS if key != "v0"}
     if args.v0_diag is not None:
         overrides["v0"] = np.diag(_parse_vector(args.v0_diag)).tolist()
-    if args.no_adapt:
-        overrides["adapt"] = False
     for key, value in overrides.items():
         if value is not None:
             payload[key] = value

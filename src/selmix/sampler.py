@@ -1,8 +1,10 @@
 """Trans-dimensional Gibbs/Metropolis sampler for the repulsive mixture.
 
 One sweep visits, in order: allocations, component means, component
-covariances, mixture weights, the repulsion hyperparameters, and a
-birth-death move on non-allocated components.  Every Metropolis step has
+covariances, mixture weights, the repulsion scales, and a birth-death
+move on non-allocated components.  gamma and zeta share one log-normal
+move, ``update_scale`` with ratio ``scale_log_accept``; under the ratio
+mode zeta follows rho * gamma.  Every Metropolis step has
 its log acceptance ratio factored into a pure function of (state, proposal)
 so that each ratio can be verified against the complete joint density; the
 sweep drivers only draw proposals and apply the accept/reject coin.
@@ -11,7 +13,8 @@ Birth inserts the new component at a uniformly chosen slot; death removes a
 uniformly chosen non-allocated component and shifts higher labels down, so
 allocated components never change identity.  Every death path is the exact
 reverse of a birth path (and vice versa), which keeps the move reversible
-even though the weight prior is not exchangeable; an append-only birth
+even though the weight prior is not exchangeable, and the death ratio is
+minus the ratio of that reverse birth; an append-only birth
 would leave middle-slot deaths without a reverse path and visibly distorts
 the prior on the component count.
 
@@ -28,6 +31,7 @@ stronger correctness property.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,9 +51,8 @@ __all__ = [
     "update_means",
     "update_covariances",
     "update_weights",
-    "update_gamma",
-    "update_zeta_full_conditional",
-    "update_gamma_ratio_tied",
+    "update_scale",
+    "scale_log_accept",
     "birth_death_step",
     "initial_state",
     "run_sampler",
@@ -157,50 +160,35 @@ def weights_log_accept(state, w_new):
     return repulsion_log_ratio(state.gamma, w_new, state.weights)
 
 
-def gamma_log_accept(state, hyper, gamma_new):
-    """Log-normal random walk on gamma against weight prior and hyperprior."""
-    if gamma_new <= 0.0:
-        return -np.inf
-    a0 = hyper.alpha0
-    la = weight_prior_log_density(state.weights, a0, gamma_new, state.m)
-    la -= weight_prior_log_density(state.weights, a0, state.gamma, state.m)
-    la += gamma_log_pdf(gamma_new, hyper.gamma_shape, hyper.gamma_rate)
-    la -= gamma_log_pdf(state.gamma, hyper.gamma_shape, hyper.gamma_rate)
-    return float(la + np.log(gamma_new) - np.log(state.gamma))
+def scale_log_accept(state, hyper, gamma_new, zeta_new):
+    """Log-normal random walk on the repulsion scales.
 
-
-def zeta_log_accept(state, hyper, zeta_new):
-    """Log-normal random walk on zeta against the per-dimension ensemble priors."""
-    if zeta_new <= 0.0:
+    A change of zeta is weighed against the per-dimension ensemble priors, a
+    change of gamma against the weight prior and gamma's hyperprior; a zeta
+    move alone also meets zeta's hyperprior when zeta is free.  The Jacobian
+    is that of the walked scale: gamma when it changes, else zeta.
+    """
+    gamma_moves = gamma_new != state.gamma
+    new, old = (gamma_new, state.gamma) if gamma_moves else (zeta_new, state.zeta)
+    if new <= 0.0 or zeta_new <= 0.0:
         return -np.inf
     la = 0.0
-    new_params = GeParams(zeta_new, state.m)
-    old_params = GeParams(state.zeta, state.m)
-    for d in range(state.dim):
-        column = state.mus[:, d]
-        la += ge_log_density(column, new_params) - ge_log_density(column, old_params)
-    la += gamma_log_pdf(zeta_new, hyper.zeta_shape, hyper.zeta_rate)
-    la -= gamma_log_pdf(state.zeta, hyper.zeta_shape, hyper.zeta_rate)
-    return float(la + np.log(zeta_new) - np.log(state.zeta))
-
-
-def tied_gamma_log_accept(state, hyper, gamma_new):
-    """Joint move for the ratio mode: gamma walks, zeta follows rho * gamma."""
-    if gamma_new <= 0.0:
-        return -np.inf
-    zeta_new = hyper.rho * gamma_new
-    la = 0.0
-    new_params = GeParams(zeta_new, state.m)
-    old_params = GeParams(state.zeta, state.m)
-    for d in range(state.dim):
-        column = state.mus[:, d]
-        la += ge_log_density(column, new_params) - ge_log_density(column, old_params)
-    a0 = hyper.alpha0
-    la += weight_prior_log_density(state.weights, a0, gamma_new, state.m)
-    la -= weight_prior_log_density(state.weights, a0, state.gamma, state.m)
-    la += gamma_log_pdf(gamma_new, hyper.gamma_shape, hyper.gamma_rate)
-    la -= gamma_log_pdf(state.gamma, hyper.gamma_shape, hyper.gamma_rate)
-    return float(la + np.log(gamma_new) - np.log(state.gamma))
+    if zeta_new != state.zeta:
+        new_params = GeParams(zeta_new, state.m)
+        old_params = GeParams(state.zeta, state.m)
+        for d in range(state.dim):
+            column = state.mus[:, d]
+            la += ge_log_density(column, new_params) - ge_log_density(column, old_params)
+    if gamma_moves:
+        a0 = hyper.alpha0
+        la += weight_prior_log_density(state.weights, a0, gamma_new, state.m)
+        la -= weight_prior_log_density(state.weights, a0, state.gamma, state.m)
+        la += gamma_log_pdf(gamma_new, hyper.gamma_shape, hyper.gamma_rate)
+        la -= gamma_log_pdf(state.gamma, hyper.gamma_shape, hyper.gamma_rate)
+    elif hyper.zeta_free:
+        la += gamma_log_pdf(zeta_new, hyper.zeta_shape, hyper.zeta_rate)
+        la -= gamma_log_pdf(state.zeta, hyper.zeta_shape, hyper.zeta_rate)
+    return float(la + np.log(new) - np.log(old))
 
 
 def birth_log_accept(state, hyper, w_new, mu_new, forced):
@@ -246,39 +234,41 @@ def birth_log_accept(state, hyper, w_new, mu_new, forced):
 def death_log_accept(state, hyper, j, w_hat):
     """Log acceptance of deleting non-allocated component ``j``.
 
-    Exact reciprocal of ``birth_log_accept`` on matched proposals; death
+    Minus the log acceptance of the birth that undoes it: the reduced state
+    regrowing component ``j`` with the current weights and location.  Death
     from a single-component state is impossible because the component count
     prior has no mass below one.
     """
-    m, dim = state.m, state.dim
-    if m == 1:
+    if state.m == 1:
         return -np.inf
     counts = state.counts()
     if counts[j]:
         raise ValueError("death move targets a non-allocated component")
-    m_na = m - int((counts > 0).sum())
-    g, z, a0 = state.gamma, state.zeta, hyper.alpha0
+    m_na = state.m - int((counts > 0).sum())
+    reduced = _remove_component(state, j, w_hat)
+    return -birth_log_accept(reduced, hyper, state.weights, state.mus[j], forced=(m_na == 1))
 
-    la = np.log(m - 1.0) - np.log(hyper.lam)
-    la += sdir_log_norm_const(SdirParams(a0, g, m)) - sdir_log_norm_const(SdirParams(a0, g, m - 1))
-    rep = repulsion_log_ratio(g, w_hat, state.weights)
-    if rep == -np.inf:
-        return -np.inf
-    la += rep
-    la += dim * (ge_log_norm_const(GeParams(z, m)) - ge_log_norm_const(GeParams(z, m - 1)))
-    cross = np.abs(np.delete(state.mus, j, axis=0) - state.mus[j][None, :])
-    with np.errstate(divide="ignore"):
-        la -= z * float(np.log(cross).sum())
-    if m_na > 1:
-        la += np.log(hyper.q_birth)
-    la -= np.log1p(-hyper.q_birth)
-    la += np.log(m_na)
-    if hyper.birth_death == "reversible":
-        la -= np.log(m)
-    conc_total = m * a0 + counts.sum()
-    la += gammaln(conc_total) - gammaln(a0) - gammaln(conc_total - a0)
-    la -= 0.5 * dim * (LOG_2PI - np.log(z))
-    return float(la)
+
+def _insert_component(state, slot, weights, mu, sigma):
+    """``state`` with a component inserted at ``slot``; labels from ``slot`` up shift by one."""
+    alloc = state.alloc.copy()
+    alloc[alloc >= slot] += 1
+    return dataclasses.replace(
+        state, m=state.m + 1, weights=weights, alloc=alloc,
+        mus=np.insert(state.mus, slot, mu, axis=0),
+        sigmas=np.insert(state.sigmas, slot, sigma, axis=0),
+    )
+
+
+def _remove_component(state, j, weights):
+    """``state`` without component ``j``; labels above ``j`` shift down by one."""
+    alloc = state.alloc.copy()
+    alloc[alloc > j] -= 1
+    return dataclasses.replace(
+        state, m=state.m - 1, weights=weights, alloc=alloc,
+        mus=np.delete(state.mus, j, axis=0),
+        sigmas=np.delete(state.sigmas, j, axis=0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -438,41 +428,22 @@ def update_weights(state, hyper, rng):
     return out, bool(accepted)
 
 
-def update_gamma(state, hyper, rng, step_gamma=None):
-    """Log-normal random-walk update of the weight repulsion parameter."""
-    if state.gamma <= 0.0:
-        raise SamplerError("gamma updates require a positive current value")
+def update_scale(state, hyper, rng, key, step_gamma=None):
+    """Log-normal random-walk update of one repulsion scale, ``key`` being
+    "gamma" or "zeta"; under the ratio mode zeta follows rho * gamma."""
+    if getattr(state, key) <= 0.0:
+        raise SamplerError(f"{key} updates require a positive current value")
     out = state.copy()
     var = hyper.step_gamma if step_gamma is None else step_gamma
-    prop = out.gamma * np.exp(np.sqrt(var) * rng.standard_normal())
-    accepted = np.log(rng.random()) < gamma_log_accept(out, hyper, prop)
+    prop = getattr(out, key) * np.exp(np.sqrt(var) * rng.standard_normal())
+    if key == "zeta":
+        gamma_new, zeta_new = out.gamma, prop
+    else:
+        gamma_new = prop
+        zeta_new = hyper.rho * prop if hyper.zeta_mode == "ratio" else out.zeta
+    accepted = np.log(rng.random()) < scale_log_accept(out, hyper, gamma_new, zeta_new)
     if accepted:
-        out.gamma = prop
-    return out, bool(accepted)
-
-
-def update_zeta_full_conditional(state, hyper, rng, step_gamma=None):
-    """Log-normal random-walk update of the location repulsion parameter."""
-    out = state.copy()
-    var = hyper.step_gamma if step_gamma is None else step_gamma
-    prop = out.zeta * np.exp(np.sqrt(var) * rng.standard_normal())
-    accepted = np.log(rng.random()) < zeta_log_accept(out, hyper, prop)
-    if accepted:
-        out.zeta = prop
-    return out, bool(accepted)
-
-
-def update_gamma_ratio_tied(state, hyper, rng, step_gamma=None):
-    """Ratio mode: one log-normal move drives gamma and zeta = rho * gamma."""
-    if state.gamma <= 0.0:
-        raise SamplerError("gamma updates require a positive current value")
-    out = state.copy()
-    var = hyper.step_gamma if step_gamma is None else step_gamma
-    prop = out.gamma * np.exp(np.sqrt(var) * rng.standard_normal())
-    accepted = np.log(rng.random()) < tied_gamma_log_accept(out, hyper, prop)
-    if accepted:
-        out.gamma = prop
-        out.zeta = hyper.rho * prop
+        out.gamma, out.zeta = gamma_new, zeta_new
     return out, bool(accepted)
 
 
@@ -500,18 +471,7 @@ def birth_death_step(y, state, hyper, rng):
         sigma_new = sample_invwishart(rng, hyper.v0, hyper.nu0)
         la = birth_log_accept(state, hyper, w_new, mu_new, forced)
         if np.log(rng.random()) < la:
-            alloc = state.alloc.copy()
-            alloc[alloc >= slot] += 1
-            state = MixtureState(
-                m=state.m + 1,
-                weights=w_new,
-                mus=np.insert(state.mus, slot, mu_new, axis=0),
-                sigmas=np.insert(state.sigmas, slot, sigma_new, axis=0),
-                alloc=alloc,
-                gamma=state.gamma,
-                zeta=state.zeta,
-            )
-            return state, "birth", True
+            return _insert_component(state, slot, w_new, mu_new, sigma_new), "birth", True
         return state.copy(), "birth", False
 
     candidates = np.flatnonzero(counts == 0)
@@ -519,18 +479,7 @@ def birth_death_step(y, state, hyper, rng):
     w_hat = rng.dirichlet(np.delete(alpha_post, j))
     la = death_log_accept(state, hyper, j, w_hat)
     if np.log(rng.random()) < la:
-        alloc = state.alloc.copy()
-        alloc[alloc > j] -= 1
-        state = MixtureState(
-            m=state.m - 1,
-            weights=w_hat,
-            mus=np.delete(state.mus, j, axis=0),
-            sigmas=np.delete(state.sigmas, j, axis=0),
-            alloc=alloc,
-            gamma=state.gamma,
-            zeta=state.zeta,
-        )
-        return state, "death", True
+        return _remove_component(state, j, w_hat), "death", True
     return state.copy(), "death", False
 
 
@@ -593,9 +542,8 @@ def run_sampler(y, config):
     rng = np.random.default_rng(config.seed)
     state = initial_state(y, hyper, rng)
 
-    ratio_mode = hyper.zeta_mode == "ratio" and hyper.gamma_free
-    gamma_moves = hyper.gamma_free
-    zeta_moves = hyper.zeta_free
+    # the first free scale's acceptances feed the step-size adaptation
+    scale_keys = [key for key in ("gamma", "zeta") if getattr(hyper, f"{key}_free")]
 
     accepts = {k: 0 for k in RATE_KEYS}
     attempts = {k: 0 for k in RATE_KEYS}
@@ -625,26 +573,13 @@ def run_sampler(y, config):
             )
             state = update_covariances(y, state, hyper, rng, fallbacks)
             state, w_acc = update_weights(state, hyper, rng)
-            if ratio_mode:
-                state, g_acc = update_gamma_ratio_tied(state, hyper, rng, step_gamma)
-                accepts["gamma"] += g_acc
-                attempts["gamma"] += 1
-                window["scale"][0] += g_acc
-                window["scale"][1] += 1
-            else:
-                if gamma_moves:
-                    state, g_acc = update_gamma(state, hyper, rng, step_gamma)
-                    accepts["gamma"] += g_acc
-                    attempts["gamma"] += 1
-                    window["scale"][0] += g_acc
+            for key in scale_keys:
+                state, s_acc = update_scale(state, hyper, rng, key, step_gamma)
+                accepts[key] += s_acc
+                attempts[key] += 1
+                if key == scale_keys[0]:
+                    window["scale"][0] += s_acc
                     window["scale"][1] += 1
-                if zeta_moves:
-                    state, z_acc = update_zeta_full_conditional(state, hyper, rng, step_gamma)
-                    accepts["zeta"] += z_acc
-                    attempts["zeta"] += 1
-                    if not gamma_moves:
-                        window["scale"][0] += z_acc
-                        window["scale"][1] += 1
             state, move, bd_acc = birth_death_step(y, state, hyper, rng)
         except SamplerError:
             raise

@@ -18,8 +18,9 @@ from scipy import integrate, stats
 from scipy.special import gammaln, xlogy
 
 from selmix import ensemble, sampler, selberg
-from selmix.distributions import LOG_2PI, gaussian_log_pdf, sample_invwishart
-from selmix.model import Hyperparams, MixtureState, log_complete_joint
+from selmix.distributions import LOG_2PI, gamma_log_pdf, gaussian_log_pdf, sample_invwishart
+from selmix.ensemble import GeParams, ge_log_density
+from selmix.model import Hyperparams, MixtureState, log_complete_joint, weight_prior_log_density
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +376,10 @@ def sample_ge_mh(params, n, rng, burn_in=2000, thin=5, proposal_sd=None):
 # caches closed-form constants.  These are the straightforward versions it
 # replaced: one density, one slice and one inverse-Wishart draw per
 # component, and constants recomputed on every call.  The fast code must
-# match them bit for bit and leave the generator in the same state.
+# match them bit for bit and leave the generator in the same state.  The
+# separate gamma, zeta and tied scale moves, and the death ratio spelled out
+# term by term, are the code that the single scale move and the death ratio
+# taken from the birth ratio replaced.
 # ---------------------------------------------------------------------------
 
 def pairwise_log_gap_sum_ref(values):
@@ -509,6 +513,94 @@ def update_covariances_ref(y, state, hyper, rng, counters=None):
     return out
 
 
+def gamma_log_accept_ref(state, hyper, gamma_new):
+    if gamma_new <= 0.0:
+        return -np.inf
+    a0 = hyper.alpha0
+    la = weight_prior_log_density(state.weights, a0, gamma_new, state.m)
+    la -= weight_prior_log_density(state.weights, a0, state.gamma, state.m)
+    la += gamma_log_pdf(gamma_new, hyper.gamma_shape, hyper.gamma_rate)
+    la -= gamma_log_pdf(state.gamma, hyper.gamma_shape, hyper.gamma_rate)
+    return float(la + np.log(gamma_new) - np.log(state.gamma))
+
+
+def zeta_log_accept_ref(state, hyper, zeta_new):
+    if zeta_new <= 0.0:
+        return -np.inf
+    la = 0.0
+    new_params = GeParams(zeta_new, state.m)
+    old_params = GeParams(state.zeta, state.m)
+    for d in range(state.dim):
+        column = state.mus[:, d]
+        la += ge_log_density(column, new_params) - ge_log_density(column, old_params)
+    la += gamma_log_pdf(zeta_new, hyper.zeta_shape, hyper.zeta_rate)
+    la -= gamma_log_pdf(state.zeta, hyper.zeta_shape, hyper.zeta_rate)
+    return float(la + np.log(zeta_new) - np.log(state.zeta))
+
+
+def tied_gamma_log_accept_ref(state, hyper, gamma_new):
+    if gamma_new <= 0.0:
+        return -np.inf
+    zeta_new = hyper.rho * gamma_new
+    la = 0.0
+    new_params = GeParams(zeta_new, state.m)
+    old_params = GeParams(state.zeta, state.m)
+    for d in range(state.dim):
+        column = state.mus[:, d]
+        la += ge_log_density(column, new_params) - ge_log_density(column, old_params)
+    a0 = hyper.alpha0
+    la += weight_prior_log_density(state.weights, a0, gamma_new, state.m)
+    la -= weight_prior_log_density(state.weights, a0, state.gamma, state.m)
+    la += gamma_log_pdf(gamma_new, hyper.gamma_shape, hyper.gamma_rate)
+    la -= gamma_log_pdf(state.gamma, hyper.gamma_shape, hyper.gamma_rate)
+    return float(la + np.log(gamma_new) - np.log(state.gamma))
+
+
+def update_gamma_ref(state, hyper, rng, step_gamma=None):
+    if state.gamma <= 0.0:
+        raise sampler.SamplerError("gamma updates require a positive current value")
+    out = state.copy()
+    var = hyper.step_gamma if step_gamma is None else step_gamma
+    prop = out.gamma * np.exp(np.sqrt(var) * rng.standard_normal())
+    accepted = np.log(rng.random()) < gamma_log_accept_ref(out, hyper, prop)
+    if accepted:
+        out.gamma = prop
+    return out, bool(accepted)
+
+
+def update_zeta_full_conditional_ref(state, hyper, rng, step_gamma=None):
+    out = state.copy()
+    var = hyper.step_gamma if step_gamma is None else step_gamma
+    prop = out.zeta * np.exp(np.sqrt(var) * rng.standard_normal())
+    accepted = np.log(rng.random()) < zeta_log_accept_ref(out, hyper, prop)
+    if accepted:
+        out.zeta = prop
+    return out, bool(accepted)
+
+
+def update_gamma_ratio_tied_ref(state, hyper, rng, step_gamma=None):
+    if state.gamma <= 0.0:
+        raise sampler.SamplerError("gamma updates require a positive current value")
+    out = state.copy()
+    var = hyper.step_gamma if step_gamma is None else step_gamma
+    prop = out.gamma * np.exp(np.sqrt(var) * rng.standard_normal())
+    accepted = np.log(rng.random()) < tied_gamma_log_accept_ref(out, hyper, prop)
+    if accepted:
+        out.gamma = prop
+        out.zeta = hyper.rho * prop
+    return out, bool(accepted)
+
+
+def update_scale_ref(state, hyper, rng, key, step_gamma=None):
+    """The separate gamma, zeta and tied updates ``update_scale`` replaced,
+    picked by the walked scale and the zeta mode."""
+    if key == "zeta":
+        return update_zeta_full_conditional_ref(state, hyper, rng, step_gamma)
+    if hyper.zeta_mode == "ratio":
+        return update_gamma_ratio_tied_ref(state, hyper, rng, step_gamma)
+    return update_gamma_ref(state, hyper, rng, step_gamma)
+
+
 def repulsion_log_ratio_ref(gamma, w_num, w_den):
     if gamma == 0.0:
         return 0.0
@@ -636,6 +728,7 @@ def reference_sweep_patches():
         (sampler, "update_allocations", update_allocations_ref),
         (sampler, "update_means", update_means_ref),
         (sampler, "update_covariances", update_covariances_ref),
+        (sampler, "update_scale", update_scale_ref),
         (sampler, "birth_death_step", birth_death_step_ref),
         (sampler, "pairwise_log_gap_sum", pairwise_log_gap_sum_ref),
         (selberg, "pairwise_log_gap_sum", pairwise_log_gap_sum_ref),

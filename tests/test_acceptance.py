@@ -30,13 +30,11 @@ from selmix.sampler import (
     SamplerConfig,
     birth_log_accept,
     death_log_accept,
-    gamma_log_accept,
     mean_refresh_log_accept,
     mean_rw_log_accept,
     run_sampler,
-    tied_gamma_log_accept,
+    scale_log_accept,
     weights_log_accept,
-    zeta_log_accept,
 )
 from selmix.selberg import (
     SdirParams,
@@ -169,20 +167,20 @@ def test_criterion_05_acceptance_ratios_match_joint():
     def check_gamma(rng):
         y, state, hyper = _ratio_case(rng)
         gamma_new = state.gamma * np.exp(0.4 * rng.standard_normal())
-        return (gamma_log_accept(state, hyper, gamma_new),
+        return (scale_log_accept(state, hyper, gamma_new, state.zeta),
                 H.oracle_gamma(y, state, hyper, gamma_new))
 
     def check_zeta(rng):
         y, state, hyper = _ratio_case(rng, zeta_mode="gamma")
         zeta_new = state.zeta * np.exp(0.4 * rng.standard_normal())
-        return (zeta_log_accept(state, hyper, zeta_new),
+        return (scale_log_accept(state, hyper, state.gamma, zeta_new),
                 H.oracle_zeta(y, state, hyper, zeta_new))
 
     def check_tied(rng):
         y, state, hyper = _ratio_case(rng, zeta_mode="ratio")
         state = H.replace_state(state, zeta=hyper.rho * state.gamma)
         gamma_new = state.gamma * np.exp(0.4 * rng.standard_normal())
-        return (tied_gamma_log_accept(state, hyper, gamma_new),
+        return (scale_log_accept(state, hyper, gamma_new, hyper.rho * gamma_new),
                 H.oracle_tied(y, state, hyper, gamma_new))
 
     def check_birth(rng):

@@ -310,6 +310,32 @@ class TestCli:
         assert cli_dispatch(args) == 0
         assert read_json(out_dir / "manifest.json")["birth_death"] == "append"
 
+    def test_every_fit_flag_reaches_its_field(self, benchmark_csv, tmp_path):
+        # zero and false values must survive the flag table and the
+        # payload-to-Hyperparams step
+        fields = {
+            "--alpha0": ("alpha0", 1.5), "--lam": ("lam", 2.5), "--nu0": ("nu0", 4.0),
+            "--gamma": ("gamma_fixed", 0.0), "--gamma-shape": ("gamma_shape", 2.5),
+            "--gamma-rate": ("gamma_rate", 1.5), "--zeta-mode": ("zeta_mode", "gamma"),
+            "--zeta": ("zeta_fixed", 0.7), "--zeta-shape": ("zeta_shape", 2.0),
+            "--zeta-rate": ("zeta_rate", 1.25), "--rho": ("rho", 0.5),
+            "--q-birth": ("q_birth", 0.4), "--step-mu": ("step_mu", 0.3),
+            "--step-gamma": ("step_gamma", 0.2), "--burn-in": ("burn_in", 7),
+            "--thin": ("thin", 2), "--n-samples": ("n_samples", 5),
+            "--covariance-update": ("covariance_update", "literal"),
+            "--birth-death": ("birth_death", "append"),
+        }
+        out_dir = tmp_path / "fit"
+        args = ["fit", "--data", str(benchmark_csv), "--out-dir", str(out_dir),
+                "--no-adapt", "--v0-diag", "2,3"]
+        for flag, (_, value) in fields.items():
+            args += [flag, str(value)]
+        assert cli_dispatch(args) == 0
+        manifest = read_json(out_dir / "manifest.json")
+        assert {key: manifest[key] for key, _ in fields.values()} == dict(fields.values())
+        assert manifest["adapt"] is False
+        assert manifest["v0"] == [[2.0, 0.0], [0.0, 3.0]]
+
     def test_prior_ma_lines(self, capsys):
         assert cli_dispatch(["prior-ma", "--gamma", "0.0", "--m", "3",
                              "--n", "20", "--reps", "200"]) == 0

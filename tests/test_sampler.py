@@ -18,22 +18,18 @@ from selmix.sampler import (
     birth_death_step,
     birth_log_accept,
     death_log_accept,
-    gamma_log_accept,
     initial_state,
     mean_refresh_log_accept,
     mean_rw_log_accept,
     repulsion_log_ratio,
     run_sampler,
-    tied_gamma_log_accept,
+    scale_log_accept,
     update_allocations,
     update_covariances,
-    update_gamma,
-    update_gamma_ratio_tied,
     update_means,
+    update_scale,
     update_weights,
-    update_zeta_full_conditional,
     weights_log_accept,
-    zeta_log_accept,
 )
 from selmix.selberg import SdirParams, sdir_log_norm_const
 
@@ -92,7 +88,7 @@ class TestRatiosAgainstJoint:
         for _ in range(40):
             y, state, hyper = random_case(rng)
             gamma_new = state.gamma * np.exp(0.4 * rng.standard_normal())
-            got = gamma_log_accept(state, hyper, gamma_new)
+            got = scale_log_accept(state, hyper, gamma_new, state.zeta)
             want = H.oracle_gamma(y, state, hyper, gamma_new)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -101,7 +97,7 @@ class TestRatiosAgainstJoint:
         for _ in range(40):
             y, state, hyper = random_case(rng, zeta_mode="gamma")
             zeta_new = state.zeta * np.exp(0.4 * rng.standard_normal())
-            got = zeta_log_accept(state, hyper, zeta_new)
+            got = scale_log_accept(state, hyper, state.gamma, zeta_new)
             want = H.oracle_zeta(y, state, hyper, zeta_new)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -111,7 +107,7 @@ class TestRatiosAgainstJoint:
             y, state, hyper = random_case(rng, zeta_mode="ratio")
             state = H.replace_state(state, zeta=hyper.rho * state.gamma)
             gamma_new = state.gamma * np.exp(0.4 * rng.standard_normal())
-            got = tied_gamma_log_accept(state, hyper, gamma_new)
+            got = scale_log_accept(state, hyper, gamma_new, hyper.rho * gamma_new)
             want = H.oracle_tied(y, state, hyper, gamma_new)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -209,17 +205,17 @@ class TestRatioEdgeCases:
         hyper = H.random_hyper(rng, 1)
         state = H.random_state(rng, 2, 1, 0, gamma=0.0)
         with pytest.raises(SamplerError):
-            update_gamma(state, hyper, rng)
+            update_scale(state, hyper, rng, "gamma")
         with pytest.raises(SamplerError):
-            update_gamma_ratio_tied(state, hyper, rng)
+            update_scale(state, dataclasses.replace(hyper, zeta_mode="ratio"), rng, "gamma")
 
     def test_proposed_gamma_must_stay_positive(self):
         rng = np.random.default_rng(14)
         hyper = H.random_hyper(rng, 1)
         state = H.random_state(rng, 3, 1, 0, gamma=1.0)
-        assert gamma_log_accept(state, hyper, 0.0) == -np.inf
-        assert zeta_log_accept(state, hyper, -1.0) == -np.inf
-        assert tied_gamma_log_accept(state, hyper, 0.0) == -np.inf
+        assert scale_log_accept(state, hyper, 0.0, state.zeta) == -np.inf
+        assert scale_log_accept(state, hyper, state.gamma, -1.0) == -np.inf
+        assert scale_log_accept(state, hyper, 0.0, hyper.rho * 0.0) == -np.inf
 
     def test_zeta_limit_reduces_mean_move_to_likelihood(self):
         # a vanishing ensemble precision makes the prior flat, so the move
@@ -325,7 +321,7 @@ class TestSweepSteps:
         state = H.random_state(rng, 2, 1, 0, gamma=1.0)
         kept = []
         for t in range(30000):
-            state, _ = update_gamma(state, hyper, rng)
+            state, _ = update_scale(state, hyper, rng, "gamma")
             if t % 10 == 9:
                 kept.append(state.gamma)
         marginal = stats.gamma(a=3.0, scale=0.5)
@@ -336,14 +332,14 @@ class TestSweepSteps:
         hyper = H.random_hyper(rng, 2, zeta_mode="ratio")
         state = H.random_state(rng, 3, 2, 0, gamma=1.0, zeta=hyper.rho * 1.0)
         for _ in range(200):
-            state, _ = update_gamma_ratio_tied(state, hyper, rng)
+            state, _ = update_scale(state, hyper, rng, "gamma")
             assert state.zeta == pytest.approx(hyper.rho * state.gamma, rel=1e-12)
 
     def test_zeta_update_moves_only_zeta(self):
         rng = np.random.default_rng(28)
         hyper = H.random_hyper(rng, 2, zeta_mode="gamma")
         state = H.random_state(rng, 3, 2, 0)
-        out, accepted = update_zeta_full_conditional(state, hyper, rng)
+        out, accepted = update_scale(state, hyper, rng, "zeta")
         assert isinstance(accepted, bool)
         np.testing.assert_array_equal(out.mus, state.mus)
         assert out.gamma == state.gamma
@@ -660,6 +656,128 @@ class TestFastSweepMatchesReference:
         assert (tmp_path / "fast.ndjson").read_bytes() == (tmp_path / "ref.ndjson").read_bytes()
         assert diag == ref_diag
         assert diag.attempts["gamma"] > 0 and diag.attempts["birth"] > 0
+
+
+SCALE_KEYS = {"fixed": ("gamma",), "gamma": ("gamma", "zeta"), "ratio": ("gamma",)}
+
+
+def scale_case(rng, dim, n, zeta_mode, gamma_fixed=None):
+    y, state, hyper = equivalence_case(rng, dim, n, empty=[1], zeta_mode=zeta_mode,
+                                       gamma_fixed=gamma_fixed)
+    if gamma_fixed is not None:
+        state = H.replace_state(state, gamma=gamma_fixed)
+    if zeta_mode == "ratio":
+        state = H.replace_state(state, zeta=hyper.rho * state.gamma)
+    return y, state, hyper
+
+
+class TestScaleAndDeathMatchReference:
+    """The single scale move against the separate gamma, zeta and tied moves
+    it replaced, and the death ratio taken from the birth ratio against the
+    term-by-term death ratio (tests/helpers.py)."""
+
+    @pytest.mark.parametrize("dim,n", EQUIVALENCE_SHAPES)
+    @pytest.mark.parametrize("zeta_mode", ["fixed", "gamma", "ratio"])
+    def test_update_scale(self, dim, n, zeta_mode):
+        rng = np.random.default_rng(800 + 10 * dim + n)
+        outcomes = set()
+        for trial in range(30):
+            gamma_fixed = 0.0 if zeta_mode == "gamma" and trial % 3 == 0 else None
+            y, state, hyper = scale_case(rng, dim, n, zeta_mode, gamma_fixed)
+            keys = ("zeta",) if gamma_fixed is not None else SCALE_KEYS[zeta_mode]
+            step = float(rng.choice([0.01, 0.25, 4.0]))
+            for key in keys:
+                r1, r2 = twin_generators(trial)
+                before = state.copy()
+                got, accepted = update_scale(state, hyper, r1, key, step)
+                want, want_accepted = H.update_scale_ref(state, hyper, r2, key, step)
+                assert accepted == want_accepted
+                assert_states_equal(got, want)
+                assert r1.bit_generator.state == r2.bit_generator.state
+                assert_states_equal(state, before)
+                outcomes.add(accepted)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("zeta_mode", ["fixed", "gamma", "ratio"])
+    def test_scale_log_accept_bitwise(self, zeta_mode):
+        rng = np.random.default_rng(900)
+        for trial in range(300):
+            dim, n = EQUIVALENCE_SHAPES[trial % len(EQUIVALENCE_SHAPES)]
+            gamma_fixed = 0.0 if zeta_mode == "gamma" and trial % 4 == 0 else None
+            _, state, hyper = scale_case(rng, dim, n, zeta_mode, gamma_fixed)
+            factor = np.exp(rng.normal(0.0, 2.0))
+            if trial % 10 == 0:
+                factor = -factor if trial % 20 else 0.0
+            if gamma_fixed is None:
+                gamma_new = state.gamma * factor
+                if zeta_mode == "ratio":
+                    got = scale_log_accept(state, hyper, gamma_new, hyper.rho * gamma_new)
+                    assert got == H.tied_gamma_log_accept_ref(state, hyper, gamma_new)
+                else:
+                    got = scale_log_accept(state, hyper, gamma_new, state.zeta)
+                    assert got == H.gamma_log_accept_ref(state, hyper, gamma_new)
+            if zeta_mode == "gamma":
+                zeta_new = state.zeta * factor
+                got = scale_log_accept(state, hyper, state.gamma, zeta_new)
+                assert got == H.zeta_log_accept_ref(state, hyper, zeta_new)
+
+    @pytest.mark.parametrize("gamma", [None, 0.0])
+    @pytest.mark.parametrize("bookkeeping", ["reversible", "append"])
+    def test_death_log_accept(self, bookkeeping, gamma):
+        rng = np.random.default_rng(1000 + (gamma is None))
+        for trial in range(200):
+            dim, n = EQUIVALENCE_SHAPES[trial % len(EQUIVALENCE_SHAPES)]
+            m = int(rng.integers(2, 7))
+            hyper = H.random_hyper(rng, dim, birth_death=bookkeeping)
+            empty = rng.choice(m, size=min(2, m - 1), replace=False).tolist()
+            state = H.random_state(rng, m, dim, n, gamma=gamma, force_empty=empty)
+            victim = int(rng.choice(empty))
+            alpha_post = hyper.alpha0 + state.counts()
+            w_hat = rng.dirichlet(np.delete(alpha_post, victim))
+            got = death_log_accept(state, hyper, victim, w_hat)
+            assert got == pytest.approx(H.death_log_accept_ref(state, hyper, victim, w_hat),
+                                        rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("gamma_fixed", [None, 1.0])
+    def test_first_free_scale_feeds_the_adaptation(self, monkeypatch, gamma_fixed):
+        # gamma always accepts and zeta never does: the step grows only
+        # when the first free scale is the one whose rate adapts it
+        import selmix.sampler as sampler_mod
+
+        def fake_update_scale(state, hyper, rng, key, step_gamma=None):
+            return state.copy(), key == "gamma" or gamma_fixed is not None
+
+        monkeypatch.setattr(sampler_mod, "update_scale", fake_update_scale)
+        hyper = Hyperparams(gamma_fixed=gamma_fixed, zeta_mode="gamma",
+                            burn_in=300, thin=1, n_samples=10)
+        _, diag = run_sampler(np.empty((0, 1)), SamplerConfig(hyper=hyper, seed=8))
+        assert diag.step_gamma_final == hyper.step_gamma * 2.0**3
+        assert diag.attempts["zeta"] == 310
+        assert diag.attempts["gamma"] == (310 if gamma_fixed is None else 0)
+        assert diag.accepts["zeta"] == (0 if gamma_fixed is None else 310)
+
+    def test_death_edge_cases(self):
+        rng = np.random.default_rng(1100)
+        hyper = H.random_hyper(rng, 2)
+        state = H.random_state(rng, 4, 2, 12, gamma=1.0, force_empty=[1])
+
+        def both(state, j, w_hat):
+            return (death_log_accept(state, hyper, j, w_hat),
+                    H.death_log_accept_ref(state, hyper, j, w_hat))
+
+        # a tie among the repelled weights has no prior mass
+        assert both(state, 1, np.array([0.2, 0.2, 0.6])) == (-np.inf, -np.inf)
+        # a victim sharing a coordinate with another mean has no prior mass
+        mus = state.mus.copy()
+        mus[1, 0] = mus[3, 0]
+        tied = H.replace_state(state, mus=mus)
+        assert both(tied, 1, np.array([0.3, 0.2, 0.5])) == (np.inf, np.inf)
+        single = H.random_state(rng, 1, 2, 0, gamma=1.0)
+        assert both(single, 0, np.array([1.0])) == (-np.inf, -np.inf)
+        occupied = int(np.flatnonzero(state.counts() > 0)[0])
+        for death in (death_log_accept, H.death_log_accept_ref):
+            with pytest.raises(ValueError):
+                death(state, hyper, occupied, np.array([0.3, 0.2, 0.5]))
 
 
 class TestCovarianceFallback:
