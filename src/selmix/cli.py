@@ -90,7 +90,8 @@ def build_parser():
     p_fit.add_argument("--alpha0", type=float)
     p_fit.add_argument("--lam", type=float)
     p_fit.add_argument("--nu0", type=float)
-    p_fit.add_argument("--v0-diag", help="comma-separated diagonal of the scale matrix")
+    p_fit.add_argument("--v0-diag", dest="v0", metavar="V0_DIAG",
+                       help="comma-separated diagonal of the scale matrix")
     p_fit.add_argument("--gamma", type=float, dest="gamma_fixed", metavar="GAMMA",
                        help="fix gamma at this value")
     p_fit.add_argument("--gamma-shape", type=float)
@@ -132,15 +133,7 @@ def build_parser():
     p_ez.add_argument("--seed", type=int, default=0)
 
     p_dist = sub.add_parser("dist", help="evaluate distribution quantities")
-    p_dist.add_argument(
-        "quantity",
-        choices=[
-            "sdir-mean", "sdir-variance", "sdir-second-moment",
-            "sdir-marginal-moment", "sdir-product-moment",
-            "sdir-log-const", "sdir-log-pdf", "dispersion",
-            "ge-log-const", "ge-log-pdf", "count-log-pmf",
-        ],
-    )
+    p_dist.add_argument("quantity", choices=list(DIST_QUANTITIES))
     p_dist.add_argument("--alpha", type=float)
     p_dist.add_argument("--gamma", type=float)
     p_dist.add_argument("--m", type=int)
@@ -167,20 +160,10 @@ def _cmd_simulate(args):
 
 def _fit_config(args):
     payload = dict(read_json(args.config)) if args.config else {}
-    overrides = {key: getattr(args, key) for key in HYPER_KEYS if key != "v0"}
-    if args.v0_diag is not None:
-        overrides["v0"] = np.diag(_parse_vector(args.v0_diag)).tolist()
-    for key, value in overrides.items():
+    for key in HYPER_KEYS + ("data", "seed", "chains", "record_weights"):
+        value = getattr(args, key)
         if value is not None:
-            payload[key] = value
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.chains is not None:
-        payload["chains"] = args.chains
-    if args.record_weights:
-        payload["record_weights"] = True
-    if args.data is not None:
-        payload["data"] = args.data
+            payload[key] = np.diag(_parse_vector(value)).tolist() if key == "v0" else value
     payload.setdefault("seed", 0)
     payload.setdefault("chains", 1)
     payload.setdefault("record_weights", False)
@@ -290,45 +273,38 @@ def _cmd_elicit_zeta(args):
     return 0
 
 
-def _require(args, *names):
-    for name in names:
-        if getattr(args, name) is None:
-            raise ValueError(f"dist {args.quantity} requires --{name.replace('_', '-')}")
+def _sdir(args):
+    return SdirParams(args.alpha, args.gamma, args.m)
+
+
+def _ge(args):
+    return GeParams(args.zeta, args.m)
+
+
+SDIR = ("alpha", "gamma", "m")  # the flags every Selberg Dirichlet quantity requires
+
+# quantity -> (the flags it requires, checked in order; its value from the parsed args)
+DIST_QUANTITIES = {
+    "sdir-mean": (SDIR, lambda a: sdir_moments(_sdir(a)).mean),
+    "sdir-variance": (SDIR, lambda a: sdir_moments(_sdir(a)).variance),
+    "sdir-second-moment": (SDIR, lambda a: sdir_moments(_sdir(a)).second_moment),
+    "sdir-marginal-moment": (SDIR, lambda a: sdir_moments(_sdir(a), k=a.k).marginal_k_moment),
+    "sdir-product-moment": (SDIR, lambda a: sdir_moments(_sdir(a), k=a.k).product_moment_k),
+    "sdir-log-const": (SDIR, lambda a: sdir_log_norm_const(_sdir(a))),
+    "sdir-log-pdf": (SDIR + ("w",), lambda a: sdir_log_density(_parse_vector(a.w), _sdir(a))),
+    "dispersion": (SDIR + ("tau",), lambda a: internal_dispersion_expectation(_sdir(a), a.tau)),
+    "ge-log-const": (("zeta", "m"), lambda a: ge_log_norm_const(_ge(a))),
+    "ge-log-pdf": (("zeta", "m", "x"), lambda a: ge_log_density(_parse_vector(a.x), _ge(a))),
+    "count-log-pmf": (("m", "lam"), lambda a: shifted_poisson_log_pmf(a.m, a.lam)),
+}
 
 
 def _cmd_dist(args):
-    q = args.quantity
-    if q.startswith("sdir") or q == "dispersion":
-        _require(args, "alpha", "gamma", "m")
-        params = SdirParams(args.alpha, args.gamma, args.m)
-        if q == "sdir-mean":
-            value = sdir_moments(params).mean
-        elif q == "sdir-variance":
-            value = sdir_moments(params).variance
-        elif q == "sdir-second-moment":
-            value = sdir_moments(params).second_moment
-        elif q == "sdir-marginal-moment":
-            value = sdir_moments(params, k=args.k).marginal_k_moment
-        elif q == "sdir-product-moment":
-            value = sdir_moments(params, k=args.k).product_moment_k
-        elif q == "sdir-log-const":
-            value = sdir_log_norm_const(params)
-        elif q == "sdir-log-pdf":
-            _require(args, "w")
-            value = sdir_log_density(_parse_vector(args.w), params)
-        else:
-            _require(args, "tau")
-            value = internal_dispersion_expectation(params, args.tau)
-    elif q == "ge-log-const":
-        _require(args, "zeta", "m")
-        value = ge_log_norm_const(GeParams(args.zeta, args.m))
-    elif q == "ge-log-pdf":
-        _require(args, "zeta", "m", "x")
-        value = ge_log_density(_parse_vector(args.x), GeParams(args.zeta, args.m))
-    else:
-        _require(args, "m", "lam")
-        value = shifted_poisson_log_pmf(args.m, args.lam)
-    print(f"{value:.12g}")
+    required, value_of = DIST_QUANTITIES[args.quantity]
+    for name in required:
+        if getattr(args, name) is None:
+            raise ValueError(f"dist {args.quantity} requires --{name}")
+    print(f"{value_of(args):.12g}")
     return 0
 
 

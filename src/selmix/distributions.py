@@ -95,22 +95,38 @@ def invwishart_log_pdf(sigma, scale, df):
 
 
 def sample_invwishart(rng, scale, df):
-    """Draw one inverse-Wishart matrix by the Bartlett decomposition.
+    """Draw inverse-Wishart matrices by the Bartlett decomposition.
 
-    Requires df > d - 1; fractional degrees of freedom are fine because the
-    Bartlett diagonal uses chi-square variates with real-valued dof.
+    ``scale`` is one (d, d) matrix with a scalar ``df``, or an (m, d, d)
+    stack with one df per matrix; the result has the shape of ``scale``.
+    Each matrix draws its chi-square and then its normal variates in turn,
+    so a stack gives the same bits as one call per matrix in order; the
+    inverses, factorisations and products are batched.  Requires every
+    df > d - 1; fractional degrees of freedom are fine because the Bartlett
+    diagonal uses chi-square variates with real-valued dof.  Raises
+    LinAlgError when any factorisation fails.
     """
     scale = np.asarray(scale, dtype=float)
-    d = scale.shape[0]
-    if df <= d - 1:
+    d = scale.shape[-1]
+    scales = scale.reshape(-1, d, d)
+    dfs = np.atleast_1d(np.asarray(df, dtype=float))
+    if (dfs <= d - 1).any():
         raise ValueError("degrees of freedom must exceed dim - 1")
-    chol_prec = np.linalg.cholesky(np.linalg.inv(scale))
-    bart = np.zeros((d, d))
-    diag_df = df - np.arange(d)
-    bart[np.diag_indices(d)] = np.sqrt(rng.chisquare(diag_df))
-    if d > 1:
-        bart[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
+    chol_prec = np.linalg.cholesky(np.linalg.inv(scales))
+    n_off = d * (d - 1) // 2
+    # scalar chi-square calls draw the same variates as one call per matrix
+    chi2 = []
+    normals = []
+    for row_dfs in (dfs[:, None] - np.arange(d)).tolist():
+        chi2.extend([rng.chisquare(row_df) for row_df in row_dfs])
+        if n_off:
+            normals.append(rng.standard_normal(n_off))
+    bart = np.zeros(scales.shape)
+    diag = np.arange(d)
+    bart[:, diag, diag] = np.sqrt(chi2).reshape(-1, d)
+    if n_off:
+        rows, cols = np.tril_indices(d, -1)
+        bart[:, rows, cols] = normals
     root = chol_prec @ bart
-    wishart = root @ root.T
-    sigma = np.linalg.inv(wishart)
-    return 0.5 * (sigma + sigma.T)
+    sigma = np.linalg.inv(root @ root.transpose(0, 2, 1))
+    return (0.5 * (sigma + sigma.transpose(0, 2, 1))).reshape(scale.shape)

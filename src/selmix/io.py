@@ -26,6 +26,8 @@ __all__ = [
     "read_json",
 ]
 
+TRACE_KEYS = ("m", "m_a", "alloc", "gamma", "zeta")
+
 
 def read_dataset(path):
     """Load a numeric CSV with one header row into an (n, d) array.
@@ -106,16 +108,24 @@ def read_trace(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: bad JSON on line {line_no}: {exc}") from None
+            if have_weights is None:
+                have_weights = "weights" in rec
+            for key in TRACE_KEYS + (("weights",) if have_weights else ()):
+                if key not in rec:
+                    raise ValueError(f"{path}: line {line_no}: missing key {key!r}")
             labels = np.asarray(rec["alloc"], dtype=np.int64) - 1
             if labels.size and (labels.min() < 0 or labels.max() >= rec["m"]):
                 raise ValueError(f"{path}: line {line_no}: labels outside 1..m")
+            if alloc and labels.size != alloc[0].size:
+                raise ValueError(
+                    f"{path}: line {line_no}: alloc has {labels.size} labels, "
+                    f"the first record has {alloc[0].size}"
+                )
             m.append(int(rec["m"]))
             m_a.append(int(rec["m_a"]))
             alloc.append(labels)
             gamma.append(float(rec["gamma"]))
             zeta.append(float(rec["zeta"]))
-            if have_weights is None:
-                have_weights = "weights" in rec
             if have_weights:
                 weights.append(np.asarray(rec["weights"], dtype=float))
     if not m:

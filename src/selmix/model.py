@@ -180,6 +180,17 @@ class Hyperparams:
             raise ValueError("q_birth must lie strictly between 0 and 1")
         if self.gamma_fixed is not None and self.gamma_fixed < 0.0:
             raise ValueError("a fixed gamma must be non-negative")
+        # only the hyperprior parameters in use are checked
+        in_use = []
+        if self.gamma_free:
+            in_use += ["gamma_shape", "gamma_rate"]
+        if self.zeta_free:
+            in_use += ["zeta_shape", "zeta_rate"]
+        if self.zeta_mode == "ratio":
+            in_use.append("rho")
+        for name in in_use:
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive")
         if self.step_mu <= 0.0 or self.step_gamma <= 0.0:
             raise ValueError("proposal variances must be positive")
         if self.burn_in < 0 or self.thin < 1 or self.n_samples < 1:

@@ -347,10 +347,9 @@ def update_covariances(y, state, hyper, rng, counters=None):
     ``counters`` is a dict, the number of such retries is added to its
     ``"covariance_ridge_retries"`` entry.
 
-    The draws are ``sample_invwishart``'s, bit for bit and in its order of
-    random variates, with the factorisations and products made once over
-    all components.  When one of them fails, the generator is rewound and
-    the components are drawn one at a time, with the ridge retry.
+    All components are drawn by one stacked ``sample_invwishart`` call.  When
+    one of its factorisations fails, the generator is rewound and the
+    components are drawn one at a time, with the ridge retry.
     """
     out = state.copy()
     counts = out.counts()
@@ -371,7 +370,7 @@ def update_covariances(y, state, hyper, rng, counters=None):
 
     saved = rng.bit_generator.state
     try:
-        out.sigmas = _batched_invwishart(rng, scales, dfs)
+        out.sigmas = sample_invwishart(rng, scales, dfs)
     except np.linalg.LinAlgError:
         rng.bit_generator.state = saved
         retries = 0
@@ -386,35 +385,6 @@ def update_covariances(y, state, hyper, rng, counters=None):
                 counters.get("covariance_ridge_retries", 0) + retries
             )
     return out
-
-
-def _batched_invwishart(rng, scales, dfs):
-    """``sample_invwishart(rng, scales[j], dfs[j])`` for every j, as one stack.
-
-    Each component still draws its chi-square and normal variates in turn;
-    inverses, Cholesky factors and products are batched, which gives the
-    same bits as the per-matrix calls.  Raises LinAlgError when any
-    factorisation fails.
-    """
-    m, dim = dfs.shape[0], scales.shape[1]
-    chol_prec = np.linalg.cholesky(np.linalg.inv(scales))
-    n_off = dim * (dim - 1) // 2
-    # scalar chi-square calls draw the same variates as one call per row
-    chi2 = []
-    normals = []
-    for row_dfs in (dfs[:, None] - np.arange(dim)).tolist():
-        chi2.extend([rng.chisquare(df) for df in row_dfs])
-        if n_off:
-            normals.append(rng.standard_normal(n_off))
-    bart = np.zeros((m, dim, dim))
-    diag = np.arange(dim)
-    bart[:, diag, diag] = np.sqrt(chi2).reshape(m, dim)
-    if n_off:
-        rows, cols = np.tril_indices(dim, -1)
-        bart[:, rows, cols] = normals
-    root = chol_prec @ bart
-    sigma = np.linalg.inv(root @ root.transpose(0, 2, 1))
-    return 0.5 * (sigma + sigma.transpose(0, 2, 1))
 
 
 def update_weights(state, hyper, rng):
@@ -526,6 +496,18 @@ def initial_state(y, hyper, rng):
     )
 
 
+def _adapted(step, accepted, attempted):
+    """``step`` halved (not below 1e-6) when the acceptance rate fell below
+    20%, doubled (not above 1e6) when it rose above 40%, else unchanged."""
+    if attempted:
+        rate = accepted / attempted
+        if rate < 0.2:
+            return max(step * 0.5, 1e-6)
+        if rate > 0.4:
+            return min(step * 2.0, 1e6)
+    return step
+
+
 def run_sampler(y, config):
     """Run the full chain and return (trace, diagnostics).
 
@@ -545,15 +527,14 @@ def run_sampler(y, config):
     # the first free scale's acceptances feed the step-size adaptation
     scale_keys = [key for key in ("gamma", "zeta") if getattr(hyper, f"{key}_free")]
 
-    accepts = {k: 0 for k in RATE_KEYS}
-    attempts = {k: 0 for k in RATE_KEYS}
-    accepts["means_refresh"] = 0
-    attempts["means_refresh"] = 0
+    accepts = dict.fromkeys(RATE_KEYS + ("means_refresh",), 0)
+    attempts = dict(accepts)
     fallbacks = {"covariance_ridge_retries": 0}
 
     step_mu = hyper.step_mu
     step_gamma = hyper.step_gamma
-    window = {"means": [0, 0], "scale": [0, 0]}
+    # the counts at the last adaptation; the window is the change since then
+    seen_accepts, seen_attempts = dict(accepts), dict(attempts)
 
     burn, thin, n_keep = hyper.burn_in, hyper.thin, hyper.n_samples
     total = burn + thin * n_keep
@@ -577,9 +558,6 @@ def run_sampler(y, config):
                 state, s_acc = update_scale(state, hyper, rng, key, step_gamma)
                 accepts[key] += s_acc
                 attempts[key] += 1
-                if key == scale_keys[0]:
-                    window["scale"][0] += s_acc
-                    window["scale"][1] += 1
             state, move, bd_acc = birth_death_step(y, state, hyper, rng)
         except SamplerError:
             raise
@@ -594,25 +572,14 @@ def run_sampler(y, config):
         attempts["weights"] += 1
         accepts[move] += bd_acc
         attempts[move] += 1
-        window["means"][0] += rw_acc
-        window["means"][1] += rw_att
 
         if hyper.adapt and t < burn and (t + 1) % 100 == 0:
-            acc_n, att_n = window["means"]
-            if att_n:
-                rate = acc_n / att_n
-                if rate < 0.2:
-                    step_mu = max(step_mu * 0.5, 1e-6)
-                elif rate > 0.4:
-                    step_mu = min(step_mu * 2.0, 1e6)
-            acc_n, att_n = window["scale"]
-            if att_n:
-                rate = acc_n / att_n
-                if rate < 0.2:
-                    step_gamma = max(step_gamma * 0.5, 1e-6)
-                elif rate > 0.4:
-                    step_gamma = min(step_gamma * 2.0, 1e6)
-            window = {"means": [0, 0], "scale": [0, 0]}
+            window = {k: (accepts[k] - seen_accepts[k], attempts[k] - seen_attempts[k])
+                      for k in accepts}
+            step_mu = _adapted(step_mu, *window["means"])
+            if scale_keys:
+                step_gamma = _adapted(step_gamma, *window[scale_keys[0]])
+            seen_accepts, seen_attempts = dict(accepts), dict(attempts)
 
         if t >= burn and (t - burn) % thin == thin - 1:
             m_out[kept] = state.m

@@ -169,17 +169,11 @@ def sdir_log_density(w, params):
 
     Returns -inf wherever the density vanishes: tied repelled coordinates
     with gamma > 0, or zero weights with alpha > 1.  Zero weights with
-    alpha < 1 sit on an integrable singularity and return +inf.
+    alpha < 1 sit on an integrable singularity and return +inf.  The kernel
+    is the generalized family's with every concentration equal to alpha.
     """
-    w = validate_weights(w, params.m)
-    if params.gamma > 0.0:
-        repulsion = 2.0 * params.gamma * pairwise_log_gap_sum(w[:-1])
-        if repulsion == -np.inf:
-            return -np.inf
-    else:
-        repulsion = 0.0
-    kernel = xlogy(params.alpha - 1.0, w).sum()
-    return float(kernel + repulsion - sdir_log_norm_const(params))
+    gsdir = GsdirParams(np.full(int(params.m), params.alpha), params.gamma)
+    return gsdir_log_density_unnorm(w, gsdir) - sdir_log_norm_const(params)
 
 
 def mehta_log_integral(alpha, beta, gamma, m):

@@ -18,7 +18,7 @@ from scipy import integrate, stats
 from scipy.special import gammaln, xlogy
 
 from selmix import ensemble, sampler, selberg
-from selmix.distributions import LOG_2PI, gamma_log_pdf, gaussian_log_pdf, sample_invwishart
+from selmix.distributions import LOG_2PI, gamma_log_pdf, gaussian_log_pdf
 from selmix.ensemble import GeParams, ge_log_density
 from selmix.model import Hyperparams, MixtureState, log_complete_joint, weight_prior_log_density
 
@@ -379,8 +379,39 @@ def sample_ge_mh(params, n, rng, burn_in=2000, thin=5, proposal_sd=None):
 # match them bit for bit and leave the generator in the same state.  The
 # separate gamma, zeta and tied scale moves, and the death ratio spelled out
 # term by term, are the code that the single scale move and the death ratio
-# taken from the birth ratio replaced.
+# taken from the birth ratio replaced.  The single-matrix Bartlett draw and
+# the Selberg density with its own kernel are the code that the stacked
+# draw and the density taken from the generalized kernel replaced.
 # ---------------------------------------------------------------------------
+
+def sample_invwishart_ref(rng, scale, df):
+    scale = np.asarray(scale, dtype=float)
+    d = scale.shape[0]
+    if df <= d - 1:
+        raise ValueError("degrees of freedom must exceed dim - 1")
+    chol_prec = np.linalg.cholesky(np.linalg.inv(scale))
+    bart = np.zeros((d, d))
+    diag_df = df - np.arange(d)
+    bart[np.diag_indices(d)] = np.sqrt(rng.chisquare(diag_df))
+    if d > 1:
+        bart[np.tril_indices(d, -1)] = rng.standard_normal(d * (d - 1) // 2)
+    root = chol_prec @ bart
+    wishart = root @ root.T
+    sigma = np.linalg.inv(wishart)
+    return 0.5 * (sigma + sigma.T)
+
+
+def sdir_log_density_ref(w, params):
+    w = selberg.validate_weights(w, params.m)
+    if params.gamma > 0.0:
+        repulsion = 2.0 * params.gamma * selberg.pairwise_log_gap_sum(w[:-1])
+        if repulsion == -np.inf:
+            return -np.inf
+    else:
+        repulsion = 0.0
+    kernel = xlogy(params.alpha - 1.0, w).sum()
+    return float(kernel + repulsion - selberg.sdir_log_norm_const(params))
+
 
 def pairwise_log_gap_sum_ref(values):
     vals = np.asarray(values, dtype=float)
@@ -507,9 +538,9 @@ def update_covariances_ref(y, state, hyper, rng, counters=None):
             scale = hyper.v0
             df = hyper.nu0
         try:
-            out.sigmas[j] = sample_invwishart(rng, scale, df)
+            out.sigmas[j] = sample_invwishart_ref(rng, scale, df)
         except np.linalg.LinAlgError:
-            out.sigmas[j] = sample_invwishart(rng, scale + 1e-10 * np.eye(dim), df)
+            out.sigmas[j] = sample_invwishart_ref(rng, scale + 1e-10 * np.eye(dim), df)
     return out
 
 
@@ -688,7 +719,7 @@ def birth_death_step_ref(y, state, hyper, rng):
             slot = state.m
         w_new = rng.dirichlet(np.insert(alpha_post, slot, hyper.alpha0))
         mu_new = rng.normal(0.0, 1.0 / np.sqrt(state.zeta), size=state.dim)
-        sigma_new = sample_invwishart(rng, hyper.v0, hyper.nu0)
+        sigma_new = sample_invwishart_ref(rng, hyper.v0, hyper.nu0)
         la = birth_log_accept_ref(state, hyper, w_new, mu_new, forced)
         if np.log(rng.random()) < la:
             alloc = state.alloc.copy()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import dirichlet_log_pdf
+from helpers import dirichlet_log_pdf, sample_invwishart_ref
 from selmix.distributions import (
     LOG_2PI,
     gamma_log_pdf,
@@ -101,3 +101,32 @@ class TestInverseWishartSampler:
         a = sample_invwishart(np.random.default_rng(5), scale, 4.0)
         b = sample_invwishart(np.random.default_rng(5), scale, 4.0)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_stack_equals_single_draws_in_order(self, d):
+        r = np.random.default_rng(40 + d)
+        for m in range(1, 7):
+            a = r.normal(size=(m, d, d))
+            scales = a @ a.transpose(0, 2, 1) + 0.5 * np.eye(d)
+            dfs = d - 1 + r.uniform(0.05, 6.0, size=m)
+            stacked_rng, single_rng, ref_rng = (np.random.default_rng(m) for _ in range(3))
+            stacked = sample_invwishart(stacked_rng, scales, dfs)
+            singles = [sample_invwishart(single_rng, s, df) for s, df in zip(scales, dfs)]
+            refs = [sample_invwishart_ref(ref_rng, s, df) for s, df in zip(scales, dfs)]
+            assert stacked.shape == (m, d, d) and singles[0].shape == (d, d)
+            np.testing.assert_array_equal(stacked, np.stack(singles))
+            np.testing.assert_array_equal(stacked, np.stack(refs))
+            assert stacked_rng.bit_generator.state == single_rng.bit_generator.state
+            assert stacked_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_too_few_degrees_of_freedom_anywhere_in_the_stack(self, d):
+        scales = np.tile(np.eye(d), (3, 1, 1))
+        for bad in (d - 1.0, d - 1.5):
+            for j in range(3):
+                dfs = np.full(3, d + 2.0)
+                dfs[j] = bad
+                with pytest.raises(ValueError):
+                    sample_invwishart(np.random.default_rng(0), scales, dfs)
+            with pytest.raises(ValueError):
+                sample_invwishart(np.random.default_rng(0), np.eye(d), bad)

@@ -11,6 +11,7 @@ import helpers as H
 from selmix import __version__
 from selmix.analysis import PosteriorTrace
 from selmix.cli import cli_dispatch, hyperparams_from_dict
+from selmix.ensemble import GeParams, ge_log_density, ge_log_norm_const
 from selmix.io import (
     read_dataset,
     read_json,
@@ -21,7 +22,15 @@ from selmix.io import (
     write_matrix_csv,
     write_trace,
 )
+from selmix.model import shifted_poisson_log_pmf
 from selmix.sampler import SamplerConfig, run_sampler
+from selmix.selberg import (
+    SdirParams,
+    internal_dispersion_expectation,
+    sdir_log_density,
+    sdir_log_norm_const,
+    sdir_moments,
+)
 
 
 class TestDatasetFiles:
@@ -102,6 +111,32 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match="line 2"):
             read_trace(path)
 
+    def write_records(self, path, *records):
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        return path
+
+    RECORD = {"m": 2, "m_a": 1, "alloc": [1, 1], "gamma": 1.0, "zeta": 1.0}
+
+    def test_missing_key_reports_file_line_and_key(self, tmp_path):
+        for key in self.RECORD:
+            broken = {k: v for k, v in self.RECORD.items() if k != key}
+            path = self.write_records(tmp_path / "missing.ndjson",
+                                      self.RECORD, self.RECORD, broken)
+            with pytest.raises(ValueError, match=f"missing.ndjson: line 3: missing key '{key}'"):
+                read_trace(path)
+
+    def test_alloc_length_change_reports_file_and_line(self, tmp_path):
+        longer = dict(self.RECORD, alloc=[1, 2, 1])
+        path = self.write_records(tmp_path / "ragged.ndjson", self.RECORD, longer)
+        with pytest.raises(ValueError, match="ragged.ndjson: line 2: alloc has 3 labels"):
+            read_trace(path)
+
+    def test_weights_dropped_after_line_one_reports_file_and_line(self, tmp_path):
+        first = dict(self.RECORD, weights=[0.5, 0.5])
+        path = self.write_records(tmp_path / "weights.ndjson", first, first, self.RECORD)
+        with pytest.raises(ValueError, match="weights.ndjson: line 3: missing key 'weights'"):
+            read_trace(path)
+
 
 class TestMatrixAndJson:
     def test_matrix_round_trip(self, tmp_path):
@@ -177,6 +212,9 @@ PINNED_MANIFEST = """{
   "zeta_shape": 3.0
 }
 """
+
+
+SDIR_ARGS = {"alpha": "1.5", "gamma": "0.7", "m": "4"}
 
 
 def tiny_fit_args(data, out_dir, extra=()):
@@ -366,6 +404,60 @@ class TestCli:
                              "--m", "3", "--w", "0.5,0.3,0.2"])
         assert code == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(np.log(2.0), rel=1e-10)
+
+    @pytest.mark.parametrize("quantity,required,optional,value", [
+        ("sdir-mean", SDIR_ARGS, {}, lambda p: sdir_moments(p).mean),
+        ("sdir-variance", SDIR_ARGS, {}, lambda p: sdir_moments(p).variance),
+        ("sdir-second-moment", SDIR_ARGS, {}, lambda p: sdir_moments(p).second_moment),
+        ("sdir-marginal-moment", SDIR_ARGS, {"k": "3"},
+         lambda p: sdir_moments(p, k=3).marginal_k_moment),
+        ("sdir-product-moment", SDIR_ARGS, {"k": "2"},
+         lambda p: sdir_moments(p, k=2).product_moment_k),
+        ("sdir-log-const", SDIR_ARGS, {}, lambda p: sdir_log_norm_const(p)),
+        ("sdir-log-pdf", {**SDIR_ARGS, "w": "0.1,0.2,0.3,0.4"}, {},
+         lambda p: sdir_log_density(np.array([0.1, 0.2, 0.3, 0.4]), p)),
+        ("dispersion", {**SDIR_ARGS, "tau": "0.5"}, {},
+         lambda p: internal_dispersion_expectation(p, 0.5)),
+        ("ge-log-const", {"zeta": "0.3", "m": "4"}, {},
+         lambda p: ge_log_norm_const(GeParams(0.3, 4))),
+        ("ge-log-pdf", {"zeta": "0.3", "m": "4", "x": "0.1,-0.5,1.2,2.0"}, {},
+         lambda p: ge_log_density(np.array([0.1, -0.5, 1.2, 2.0]), GeParams(0.3, 4))),
+        ("count-log-pmf", {"m": "4", "lam": "2.5"}, {}, lambda p: shifted_poisson_log_pmf(4, 2.5)),
+    ])
+    def test_every_dist_quantity(self, capsys, quantity, required, optional, value):
+        def argv(given):
+            return ["dist", quantity] + [arg for name, text in given.items()
+                                         for arg in (f"--{name}", text)]
+
+        assert cli_dispatch(argv({**required, **optional})) == 0
+        assert capsys.readouterr().out == f"{value(SdirParams(1.5, 0.7, 4)):.12g}\n"
+        for left_out in required:
+            given = {k: v for k, v in required.items() if k != left_out}
+            assert cli_dispatch(argv(given)) == 1
+            err = capsys.readouterr().err
+            assert err == f"selmix: error: dist {quantity} requires --{left_out}\n"
+        # flags are checked in order, so with none given the first is named
+        assert cli_dispatch(argv({})) == 1
+        first = next(iter(required))
+        assert capsys.readouterr().err == f"selmix: error: dist {quantity} requires --{first}\n"
+
+    @pytest.mark.parametrize("flag,field,modes", [
+        ("--gamma-shape", "gamma_shape", []), ("--gamma-rate", "gamma_rate", []),
+        ("--zeta-shape", "zeta_shape", ["--zeta-mode", "gamma"]),
+        ("--zeta-rate", "zeta_rate", ["--zeta-mode", "gamma"]),
+        ("--rho", "rho", ["--zeta-mode", "ratio"]),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_nonpositive_hyperprior_names_the_field(self, benchmark_csv, tmp_path, capsys,
+                                                    flag, field, modes, value):
+        args = ["fit", "--data", str(benchmark_csv), "--out-dir", str(tmp_path / "fit"),
+                "--burn-in", "2", "--n-samples", "2", *modes, f"{flag}={value}"]
+        assert cli_dispatch(args) == 1
+        assert capsys.readouterr().err == f"selmix: error: {field} must be positive\n"
+
+    def test_unused_hyperprior_is_not_checked(self, benchmark_csv, tmp_path):
+        args = tiny_fit_args(benchmark_csv, tmp_path / "fit", ["--gamma-rate", "0"])
+        assert cli_dispatch(args) == 0
 
     def test_exit_codes(self, tmp_path, capsys):
         assert cli_dispatch(["bogus-command"]) == 2

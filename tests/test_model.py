@@ -200,6 +200,23 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(thin=0)
 
+    @pytest.mark.parametrize("field,modes", [
+        ("gamma_shape", {}), ("gamma_rate", {}),
+        ("zeta_shape", {"zeta_mode": "gamma"}), ("zeta_rate", {"zeta_mode": "gamma"}),
+        ("rho", {"zeta_mode": "ratio"}),
+    ])
+    @pytest.mark.parametrize("value", [0.0, -1.5, float("nan")])
+    def test_hyperprior_in_use_must_be_positive(self, field, modes, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+            Hyperparams(**modes, **{field: value})
+
+    def test_hyperprior_not_in_use_is_unchecked(self):
+        Hyperparams(gamma_fixed=1.0, gamma_shape=0.0, gamma_rate=0.0)
+        for mode in ("fixed", "ratio"):
+            Hyperparams(zeta_mode=mode, zeta_shape=-1.0, zeta_rate=0.0)
+        for mode in ("fixed", "gamma"):
+            Hyperparams(zeta_mode=mode, rho=0.0)
+
 
 class TestBenchmark:
     def test_shapes_and_determinism(self):

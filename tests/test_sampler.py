@@ -658,6 +658,43 @@ class TestFastSweepMatchesReference:
         assert diag.attempts["gamma"] > 0 and diag.attempts["birth"] > 0
 
 
+class TestRatiosArePure:
+    """Every acceptance ratio leaves the state it is given unchanged, so the
+    ratios the sweep calls are the ones checked against the joint."""
+
+    @pytest.mark.parametrize("dim,n", EQUIVALENCE_SHAPES)
+    @pytest.mark.parametrize("bookkeeping", ["reversible", "append"])
+    def test_ratios_leave_the_state_unchanged(self, dim, n, bookkeeping):
+        rng = np.random.default_rng(1200 + 10 * dim + n)
+        for trial in range(10):
+            y, state, hyper = equivalence_case(rng, dim, n, m=int(rng.integers(2, 6)),
+                                               empty=[0], zeta_mode="gamma",
+                                               birth_death=bookkeeping)
+            counts = state.counts()
+            alpha_post = hyper.alpha0 + counts
+            d = int(rng.integers(dim))
+            sd = np.sqrt(2.0 * state.m + 1.0 / state.zeta)
+            slot = int(rng.integers(state.m + 1))
+            ratios = [
+                lambda: mean_refresh_log_accept(state, 0, d, sd * rng.standard_normal(), sd),
+                lambda: weights_log_accept(state, rng.dirichlet(alpha_post)),
+                lambda: scale_log_accept(state, hyper, 1.3 * state.gamma, state.zeta),
+                lambda: scale_log_accept(state, hyper, state.gamma, 0.7 * state.zeta),
+                lambda: birth_log_accept(
+                    state, hyper, rng.dirichlet(np.insert(alpha_post, slot, hyper.alpha0)),
+                    rng.normal(size=dim), forced=bool(trial % 2)),
+                lambda: death_log_accept(state, hyper, 0, rng.dirichlet(alpha_post[1:])),
+            ]
+            for j in np.flatnonzero(counts):
+                mu_new = state.mus[j, d] + rng.normal()
+                ratios.append(lambda j=j, mu_new=mu_new: mean_rw_log_accept(
+                    state, j, d, mu_new, y[state.alloc == j]))
+            before = state.copy()
+            for ratio in ratios:
+                ratio()
+                assert_states_equal(state, before)
+
+
 SCALE_KEYS = {"fixed": ("gamma",), "gamma": ("gamma", "zeta"), "ratio": ("gamma",)}
 
 
@@ -800,13 +837,15 @@ class TestCovarianceFallback:
     def test_failure_after_the_draws_rewinds_the_generator(self, monkeypatch):
         import selmix.sampler as sampler_mod
 
-        batched = sampler_mod._batched_invwishart
+        draw = sampler_mod.sample_invwishart
 
-        def fail_after_drawing(rng, scales, dfs):
-            batched(rng, scales, dfs)
-            raise np.linalg.LinAlgError("forced")
+        def fail_after_drawing(rng, scale, df):
+            sigma = draw(rng, scale, df)
+            if np.ndim(scale) == 3:
+                raise np.linalg.LinAlgError("forced")
+            return sigma
 
-        monkeypatch.setattr(sampler_mod, "_batched_invwishart", fail_after_drawing)
+        monkeypatch.setattr(sampler_mod, "sample_invwishart", fail_after_drawing)
         rng = np.random.default_rng(701)
         for trial in range(10):
             y, state, hyper = equivalence_case(rng, 2, 25, empty=[0])
@@ -820,13 +859,12 @@ class TestCovarianceFallback:
     def test_chain_reports_ridge_retries(self, monkeypatch):
         import selmix.sampler as sampler_mod
 
-        def always_fail(rng, scales, dfs):
-            raise np.linalg.LinAlgError("forced")
-
         draw = sampler_mod.sample_invwishart
         posterior_calls = []
 
         def fail_every_first_attempt(rng, scale, df):
+            if np.ndim(scale) == 3:
+                raise np.linalg.LinAlgError("forced")
             # posterior draws have df > nu0 = 1; prior and birth draws use nu0
             if df > 1.0:
                 posterior_calls.append(df)
@@ -834,7 +872,6 @@ class TestCovarianceFallback:
                     raise np.linalg.LinAlgError("forced")
             return draw(rng, scale, df)
 
-        monkeypatch.setattr(sampler_mod, "_batched_invwishart", always_fail)
         monkeypatch.setattr(sampler_mod, "sample_invwishart", fail_every_first_attempt)
         y = np.random.default_rng(702).normal(size=(20, 1))
         hyper = Hyperparams(gamma_fixed=1.0, burn_in=5, thin=1, n_samples=5)

@@ -1,11 +1,13 @@
 """Selberg Dirichlet distribution: constants, moments, densities, sampling."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import gammaln
 
-from helpers import batch_means_se, selberg_constant_quad_m3
+from helpers import batch_means_se, sdir_log_density_ref, selberg_constant_quad_m3
 from selmix.selberg import (
     GsdirParams,
     SdirParams,
@@ -195,6 +197,39 @@ class TestDensity:
         got = gsdir_log_density_unnorm(w, GsdirParams(alphas, 0.5))
         want = ((alphas - 1.0) * np.log(w)).sum() + 1.0 * np.log(abs(0.4 - 0.35))
         assert got == pytest.approx(want, rel=1e-12)
+
+
+    def test_density_equals_its_own_kernel_bitwise(self):
+        # the density taken from the generalized kernel against the one
+        # written out with its own kernel, on ties, zero weights and m = 1
+        rng = np.random.default_rng(2024)
+        outcomes = set()
+        for trial in range(20000):
+            m = int(rng.integers(1, 8))
+            alpha = float(rng.choice([0.5, 1.0, 2.0, rng.uniform(0.05, 5.0)]))
+            gamma = float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+            w = rng.dirichlet(np.ones(m))
+            kind = trial % 5
+            if kind == 1 and m > 2:
+                w[1] = w[0]
+            elif kind == 2 and m > 1:
+                w[int(rng.integers(m))] = 0.0
+            elif kind == 3 and m > 1:
+                w[0] += 0.1
+            w = w / w.sum() if kind != 3 else w
+            params = SdirParams(alpha, gamma, m)
+            try:
+                want = sdir_log_density_ref(w, params)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    sdir_log_density(w, params)
+                outcomes.add("error")
+                continue
+            got = sdir_log_density(w, params)
+            assert type(got) is float
+            assert np.array_equal(got, want, equal_nan=True), (w, params)
+            outcomes.add(got if np.isinf(got) else "finite")
+        assert outcomes == {"error", "finite", np.inf, -np.inf}
 
 
 class TestValidation:
