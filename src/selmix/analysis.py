@@ -10,10 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dgemm
-
-from .ensemble import GeParams, sample_ge
-from .selberg import SdirParams, sample_sdir
 
 __all__ = [
     "PosteriorTrace",
@@ -95,10 +91,12 @@ def posterior_similarity(trace):
     share a component; the diagonal is exactly 1.
 
     The integer co-counts C = sum_t Z_t Z_t^T (Z_t the one-hot allocation
-    matrix of draw t) are accumulated in place by one BLAS product per block
-    of draws.  Every partial sum is an integer below 2**53, so C is exact and
-    ``C / T`` is the correctly rounded frequency.  Labels must be
-    non-negative integers.
+    matrix of draw t) come from one matrix product per block of draws.  The
+    first block's product becomes C; each later block adds its product in
+    chunks of ``_block_width(n)`` rows, so C is the only (n, n) array and a
+    chunk is no larger than a block.  Every partial sum is an integer below
+    2**53, so C is exact and ``C / T`` is the correctly rounded frequency.
+    Labels must be non-negative integers.
     """
     if trace.n_samples < 1:
         raise ValueError("trace must contain at least one sample")
@@ -106,12 +104,15 @@ def posterior_similarity(trace):
     if alloc.size and alloc.min() < 0:
         raise ValueError("allocation labels must be non-negative")
     n = trace.n_obs
-    counts = np.zeros((n, n), order="F")
-    for _, z, _ in _indicator_blocks(alloc):
-        counts = dgemm(1.0, z, z, beta=1.0, c=counts, trans_b=True, overwrite_c=True)
+    step = _block_width(n)
+    blocks = _indicator_blocks(alloc)
+    _, z, _ = next(blocks)
+    counts = z @ z.T
+    for _, z, _ in blocks:
+        for start in range(0, n, step):
+            counts[start:start + step] += z[start:start + step] @ z.T
     counts /= trace.n_samples
-    # C-ordered view of the same (symmetric) matrix, so rows are contiguous
-    return counts.T
+    return counts
 
 
 # row-wise work on (T, n) labels or an (n, n) matrix goes through blocks of
@@ -204,6 +205,16 @@ def binder_estimate(trace, sim):
     return trace.alloc[first[np.argmin(pairs - sums)]].copy()
 
 
+def _block_width(n):
+    """Columns of a one-hot block of n observations, max(64, n // 8).
+
+    Wide enough that each product with the block does that many flops per
+    entry of the (n, n) matrix it streams, and for n > 512 at most an eighth
+    of that matrix's memory.
+    """
+    return max(64, n // 8)
+
+
 def _indicator_blocks(labels):
     """Yield (rows, Z, cols) over blocks of consecutive rows of ``labels``.
 
@@ -211,14 +222,12 @@ def _indicator_blocks(labels):
     ``labels[r].max() + 1`` columns of the Fortran-ordered one-hot matrix
     Z (n, columns); ``cols[r', i]`` is the column of observation i for the
     r'-th row of the block.  A block holds rows until Z reaches
-    max(64, n // 8) columns (always at least one row): wide enough that each
-    BLAS product does that many flops per entry of the (n, n) matrix it
-    streams, and for n > 512 at most an eighth of that matrix's memory.
+    ``_block_width(n)`` columns (always at least one row).
     """
     n = labels.shape[1]
     widths = labels.max(axis=1, initial=-1) + 1
     ends = np.cumsum(widths)
-    max_cols = max(64, n // 8)
+    max_cols = _block_width(n)
     start = 0
     while start < labels.shape[0]:
         base = ends[start] - widths[start]
@@ -247,9 +256,7 @@ def _block_sums(partitions, sim, scale=None):
     for rows, z, cols in _indicator_blocks(partitions):
         # summing each observation's block size over i gives sum_k n_k^2
         squared_sizes[rows] = z.sum(axis=0)[cols].sum(axis=1)
-        # sim @ z through the same BLAS as posterior_similarity (sim.T is the
-        # Fortran-ordered view of a C-ordered sim), so one set of buffers serves
-        picked = dgemm(1.0, sim.T, z, trans_a=True)[np.arange(n), cols]
+        picked = (sim @ z)[np.arange(n), cols]
         if scale is not None:
             picked = np.rint(picked * scale)
         sums[rows] = picked.sum(axis=1)
@@ -275,6 +282,8 @@ def prior_ma_simulation(alpha0, gamma, m, n, reps, rng, burn_in=1000, thin=5):
     hit.  Returns a probability vector of length m + 1 indexed by the
     count (entry 0 is always zero).
     """
+    from .selberg import SdirParams, sample_sdir
+
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
     weights = sample_sdir(SdirParams(alpha0, gamma, m), reps, rng, burn_in=burn_in, thin=thin)
@@ -355,6 +364,8 @@ def elicit_zeta(y, k, zeta_grid, rng, reps=200):
     shrinks as zeta grows, so degenerate single-cluster data selects the
     largest grid value.
     """
+    from .ensemble import GeParams, sample_ge
+
     zeta_grid = [float(z) for z in zeta_grid]
     if not zeta_grid or any(z <= 0.0 for z in zeta_grid):
         raise ValueError("zeta grid must hold positive values")

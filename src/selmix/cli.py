@@ -6,6 +6,11 @@ argument errors.  ``fit`` writes a manifest capturing the configuration,
 seed and package version; re-running with ``--config manifest.json``
 reproduces the outputs bit for bit.  Multi-chain runs derive the seed of
 chain i as seed XOR i.
+
+Each subcommand imports the modules it runs.  Only ``fit`` loads the
+sampler; ``simulate``, ``prior-ma``, ``elicit-zeta`` and ``dist`` load the
+model or the closed-form modules they evaluate, and with them scipy.
+``analyze``, ``--version`` and ``--help`` run on numpy alone.
 """
 
 from __future__ import annotations
@@ -17,44 +22,24 @@ from pathlib import Path
 
 import numpy as np
 
+import selmix
+
 from . import __version__
-from .analysis import (
-    PosteriorTrace,
-    binder_estimate,
-    binder_loss,
-    distinct_partitions,
-    elicit_zeta,
-    posterior_similarity,
-    prior_ma_simulation,
-)
-from .ensemble import GeParams, ge_log_density, ge_log_norm_const
-from .io import (
-    read_dataset,
-    read_json,
-    read_trace,
-    write_dataset,
-    write_json,
-    write_matrix_csv,
-    write_trace,
-)
-from .model import Hyperparams, shifted_poisson_log_pmf, simulate_benchmark
-from .sampler import SamplerConfig, run_sampler
-from .selberg import (
-    SdirParams,
-    internal_dispersion_expectation,
-    sdir_log_density,
-    sdir_log_norm_const,
-    sdir_moments,
-)
+from .io import read_json, write_json
 
 RNG_NAME = "numpy.random.PCG64"
 
-HYPER_KEYS = tuple(field.name for field in dataclasses.fields(Hyperparams))
+
+def _hyper_keys():
+    """The ``Hyperparams`` field names, in declaration order."""
+    from .model import Hyperparams
+
+    return tuple(field.name for field in dataclasses.fields(Hyperparams))
 
 
 def hyperparams_to_dict(hyper):
     out = {}
-    for key in HYPER_KEYS:
+    for key in _hyper_keys():
         value = getattr(hyper, key)
         if isinstance(value, np.ndarray):
             value = value.tolist()
@@ -63,7 +48,9 @@ def hyperparams_to_dict(hyper):
 
 
 def hyperparams_from_dict(payload):
-    return Hyperparams(**{k: payload[k] for k in HYPER_KEYS if payload.get(k) is not None})
+    from .model import Hyperparams
+
+    return Hyperparams(**{k: payload[k] for k in _hyper_keys() if payload.get(k) is not None})
 
 
 def build_parser():
@@ -151,6 +138,9 @@ def _parse_vector(text):
 
 
 def _cmd_simulate(args):
+    from .io import write_dataset
+    from .model import simulate_benchmark
+
     y, labels = simulate_benchmark(args.seed, n_obs=args.n)
     write_dataset(args.out, y)
     if args.labels_out:
@@ -160,7 +150,7 @@ def _cmd_simulate(args):
 
 def _fit_config(args):
     payload = dict(read_json(args.config)) if args.config else {}
-    for key in HYPER_KEYS + ("data", "seed", "chains", "record_weights"):
+    for key in _hyper_keys() + ("data", "seed", "chains", "record_weights"):
         value = getattr(args, key)
         if value is not None:
             payload[key] = np.diag(_parse_vector(value)).tolist() if key == "v0" else value
@@ -173,6 +163,9 @@ def _fit_config(args):
 
 
 def _cmd_fit(args):
+    from .io import read_dataset, write_trace
+    from .sampler import SamplerConfig, run_sampler
+
     payload = _fit_config(args)
     hyper = hyperparams_from_dict(payload)
     y = read_dataset(payload["data"])
@@ -222,6 +215,15 @@ def _cmd_fit(args):
 
 
 def _cmd_analyze(args):
+    from .analysis import (
+        PosteriorTrace,
+        binder_estimate,
+        binder_loss,
+        distinct_partitions,
+        posterior_similarity,
+    )
+    from .io import read_trace, write_matrix_csv
+
     merged = PosteriorTrace.concat(read_trace(p) for p in args.trace)
     if merged.n_obs == 0:
         raise ValueError("cannot analyze traces with zero observations")
@@ -252,6 +254,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_prior_ma(args):
+    from .analysis import prior_ma_simulation
+
     rng = np.random.default_rng(args.seed)
     probs = prior_ma_simulation(args.alpha0, args.gamma, args.m, args.n, args.reps, rng)
     lines = [f"{k},{repr(float(p))}" for k, p in enumerate(probs)]
@@ -265,6 +269,9 @@ def _cmd_prior_ma(args):
 
 
 def _cmd_elicit_zeta(args):
+    from .analysis import elicit_zeta
+    from .io import read_dataset
+
     y = read_dataset(args.data)
     rng = np.random.default_rng(args.seed)
     grid = [float(z) for z in args.grid.split(",")]
@@ -274,28 +281,35 @@ def _cmd_elicit_zeta(args):
 
 
 def _sdir(args):
-    return SdirParams(args.alpha, args.gamma, args.m)
+    return selmix.SdirParams(args.alpha, args.gamma, args.m)
 
 
 def _ge(args):
-    return GeParams(args.zeta, args.m)
+    return selmix.GeParams(args.zeta, args.m)
 
 
 SDIR = ("alpha", "gamma", "m")  # the flags every Selberg Dirichlet quantity requires
 
-# quantity -> (the flags it requires, checked in order; its value from the parsed args)
+# quantity -> (the flags it requires, checked in order; its value from the parsed
+# args).  Values go through the package's lazy exports, so the modules behind them
+# load only when a quantity is evaluated.
 DIST_QUANTITIES = {
-    "sdir-mean": (SDIR, lambda a: sdir_moments(_sdir(a)).mean),
-    "sdir-variance": (SDIR, lambda a: sdir_moments(_sdir(a)).variance),
-    "sdir-second-moment": (SDIR, lambda a: sdir_moments(_sdir(a)).second_moment),
-    "sdir-marginal-moment": (SDIR, lambda a: sdir_moments(_sdir(a), k=a.k).marginal_k_moment),
-    "sdir-product-moment": (SDIR, lambda a: sdir_moments(_sdir(a), k=a.k).product_moment_k),
-    "sdir-log-const": (SDIR, lambda a: sdir_log_norm_const(_sdir(a))),
-    "sdir-log-pdf": (SDIR + ("w",), lambda a: sdir_log_density(_parse_vector(a.w), _sdir(a))),
-    "dispersion": (SDIR + ("tau",), lambda a: internal_dispersion_expectation(_sdir(a), a.tau)),
-    "ge-log-const": (("zeta", "m"), lambda a: ge_log_norm_const(_ge(a))),
-    "ge-log-pdf": (("zeta", "m", "x"), lambda a: ge_log_density(_parse_vector(a.x), _ge(a))),
-    "count-log-pmf": (("m", "lam"), lambda a: shifted_poisson_log_pmf(a.m, a.lam)),
+    "sdir-mean": (SDIR, lambda a: selmix.sdir_moments(_sdir(a)).mean),
+    "sdir-variance": (SDIR, lambda a: selmix.sdir_moments(_sdir(a)).variance),
+    "sdir-second-moment": (SDIR, lambda a: selmix.sdir_moments(_sdir(a)).second_moment),
+    "sdir-marginal-moment": (
+        SDIR, lambda a: selmix.sdir_moments(_sdir(a), k=a.k).marginal_k_moment),
+    "sdir-product-moment": (
+        SDIR, lambda a: selmix.sdir_moments(_sdir(a), k=a.k).product_moment_k),
+    "sdir-log-const": (SDIR, lambda a: selmix.sdir_log_norm_const(_sdir(a))),
+    "sdir-log-pdf": (
+        SDIR + ("w",), lambda a: selmix.sdir_log_density(_parse_vector(a.w), _sdir(a))),
+    "dispersion": (
+        SDIR + ("tau",), lambda a: selmix.internal_dispersion_expectation(_sdir(a), a.tau)),
+    "ge-log-const": (("zeta", "m"), lambda a: selmix.ge_log_norm_const(_ge(a))),
+    "ge-log-pdf": (
+        ("zeta", "m", "x"), lambda a: selmix.ge_log_density(_parse_vector(a.x), _ge(a))),
+    "count-log-pmf": (("m", "lam"), lambda a: selmix.shifted_poisson_log_pmf(a.m, a.lam)),
 }
 
 

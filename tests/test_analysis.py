@@ -94,9 +94,13 @@ class TestSimilarity:
             posterior_similarity(trace)
 
     def test_matches_loop_oracle_exactly(self):
-        # up to 200 draws of up to 9 labels: several one-hot blocks per call
+        # up to 200 draws of up to 9 labels: several one-hot blocks per call;
+        # at n = 301 and 1025 about 320 columns make several blocks, each later
+        # one added in row chunks whose last one is shorter
         rng = np.random.default_rng(21)
-        for trace in random_traces(rng, 40, [1, 2, 3, 7, 10, 64, 200], (1, 40), (1, 10)):
+        traces = [*random_traces(rng, 40, [1, 2, 3, 7, 10, 64, 200], (1, 40), (1, 10)),
+                  *(make_trace(rng.integers(0, 20, size=(16, n))) for n in (301, 1025))]
+        for trace in traces:
             np.testing.assert_array_equal(
                 posterior_similarity(trace), H.posterior_similarity_loop(trace))
 
@@ -184,22 +188,27 @@ class TestBinderEstimate:
     def test_matches_scan_oracle(self):
         # T a power of two keeps every loss of the float scan exact, so exact
         # ties occur and both must resolve them to the earliest draw
+        # (16 draws of up to 20 labels at n = 301 and 1025 span several blocks)
         rng = np.random.default_rng(24)
-        for n_range in [(1, 8), (30, 80)]:
-            for trace in random_traces(rng, 100, [1, 2, 4, 8, 16, 32, 128], n_range, (1, 5)):
-                sim = posterior_similarity(trace)
-                np.testing.assert_array_equal(
-                    binder_estimate(trace, sim), H.binder_estimate_scan(trace, sim))
+        traces = [trace for n_range in [(1, 8), (30, 80)]
+                  for trace in random_traces(rng, 100, [1, 2, 4, 8, 16, 32, 128], n_range, (1, 5))]
+        traces += [make_trace(rng.integers(0, 20, size=(16, n))) for n in (301, 1025)]
+        for trace in traces:
+            sim = posterior_similarity(trace)
+            np.testing.assert_array_equal(
+                binder_estimate(trace, sim), H.binder_estimate_scan(trace, sim))
 
     def test_matches_exact_oracle(self):
         # for other T the float scan can split an exact tie the wrong way
         # (it does at n=32, T=5), so the reference is the integer loss
+        # (7 draws of up to 20 labels at n = 301 and 1025 span several blocks)
         rng = np.random.default_rng(25)
-        for n_range in [(1, 8), (30, 80)]:
-            for trace in random_traces(rng, 200, [3, 5, 6, 7, 9, 11, 12, 13, 77], n_range, (1, 5)):
-                np.testing.assert_array_equal(
-                    binder_estimate(trace, posterior_similarity(trace)),
-                    H.binder_estimate_exact(trace))
+        traces = [trace for n_range in [(1, 8), (30, 80)]
+                  for trace in random_traces(rng, 200, [3, 5, 6, 7, 9, 11, 12, 13, 77], n_range, (1, 5))]
+        traces += [make_trace(rng.integers(0, 20, size=(7, n))) for n in (301, 1025)]
+        for trace in traces:
+            np.testing.assert_array_equal(
+                binder_estimate(trace, posterior_similarity(trace)), H.binder_estimate_exact(trace))
 
     def test_exact_tie_goes_to_earliest_draw(self):
         # swapping observations 1 and 2 maps [0,0,1] to [0,1,0] and fixes
