@@ -274,19 +274,19 @@ def _is_multiple_of(sim, denominator):
     return True
 
 
-def prior_ma_simulation(alpha0, gamma, m, n, reps, rng, burn_in=1000, thin=5):
+def prior_ma_simulation(alpha0, gamma, m, n, reps, rng):
     """Distribution of the allocated-component count under the prior.
 
-    Repeatedly draws a weight vector from the Selberg Dirichlet, assigns
-    ``n`` observations categorically, and counts the distinct components
-    hit.  Returns a probability vector of length m + 1 indexed by the
-    count (entry 0 is always zero).
+    Draws ``reps`` independent weight vectors exactly from the Selberg
+    Dirichlet, assigns ``n`` observations categorically under each, and
+    counts the distinct components hit.  Returns a probability vector of
+    length m + 1 indexed by the count (entry 0 is always zero).
     """
     from .selberg import SdirParams, sample_sdir
 
     if n < 1 or reps < 1:
         raise ValueError("n and reps must be >= 1")
-    weights = sample_sdir(SdirParams(alpha0, gamma, m), reps, rng, burn_in=burn_in, thin=thin)
+    weights = sample_sdir(SdirParams(alpha0, gamma, m), reps, rng)
     counts = rng.multinomial(n, weights)
     hit = (counts > 0).sum(axis=1)
     probs = np.bincount(hit, minlength=m + 1).astype(float) / reps

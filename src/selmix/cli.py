@@ -5,7 +5,9 @@ status is 0 on success, 1 on runtime failure (message on stderr) and 2 on
 argument errors.  ``fit`` writes a manifest capturing the configuration,
 seed and package version; re-running with ``--config manifest.json``
 reproduces the outputs bit for bit.  Multi-chain runs derive the seed of
-chain i as seed XOR i.
+chain i as seed XOR i, so runs with nearby seeds can share chains:
+``fit --seed 2 --chains 2`` and ``--seed 3 --chains 2`` run the same pair
+(seeds 2 and 3, in swapped order).
 
 Each subcommand imports the modules it runs.  Only ``fit`` loads the
 sampler; ``simulate``, ``prior-ma``, ``elicit-zeta`` and ``dist`` load the

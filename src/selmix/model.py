@@ -135,12 +135,12 @@ class Hyperparams:
     (default) inserts newborn components at a uniformly chosen slot so every
     death is the exact reverse of some birth; it recovers the Poi1(lam) prior
     on the component count exactly.  "append" always places the newborn at the
-    last slot and drops the slot-choice acceptance factor; that kernel is not
-    reversible on labeled states (a death in a middle slot has no reverse
-    birth) and visibly tilts the count prior toward small M, but its
-    conservative upward mobility produces markedly sparser posteriors on the
-    number of clusters, which is the behaviour the repulsion studies in the
-    test-suite benchmark rely on.
+    last slot and drops the slot-choice acceptance factor.  It is not a
+    posterior sampler: it is not reversible on labeled states (a death in a
+    middle slot has no reverse birth), and with data a Geweke simulation
+    found mean M of 2.17 and 2.13 against a prior mean of 4.  Its sparser
+    posteriors on the number of clusters are a property of the kernel, not
+    of the weight prior; the test-suite repulsion studies pin them down.
     """
 
     alpha0: float = 1.0

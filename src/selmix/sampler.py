@@ -18,15 +18,14 @@ minus the ratio of that reverse birth; an append-only birth
 would leave middle-slot deaths without a reverse path and visibly distorts
 the prior on the component count.
 
-The append-only variant remains available as ``birth_death = "append"``.
-It is the bookkeeping written out by the usual derivation of the birth and
-death acceptance ratios, it satisfies the same pairwise reciprocity
-identity, and its conservative upward mobility yields markedly sparser
-posteriors on the number of clusters; but because it is not reversible on
-labeled states it does not leave the prior on M invariant (with no data the
-sampled M distribution is visibly tilted toward small counts).  The
-reversible bookkeeping is the default because exact prior recovery is the
-stronger correctness property.
+The append-only variant, ``birth_death = "append"``, is not a posterior
+sampler.  It is the bookkeeping of the usual derivation of the birth and
+death ratios and satisfies the same pairwise reciprocity identity, but it
+is not reversible on labeled states and leaves neither the prior nor the
+posterior invariant: in a successive-conditional (Geweke) simulation with
+data, its mean M was 2.17 and 2.13 against a prior mean of 4.  Its sparser
+posteriors on the number of clusters come from the kernel, not from the
+weight prior.
 """
 
 from __future__ import annotations

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 SIMPLEX_TOL = 1e-12
+_SVD_BLOCK_ENTRIES = 1 << 20  # matrix entries per stacked SVD in sample_sdir
 
 
 @dataclass(frozen=True)
@@ -158,7 +159,12 @@ def sdir_log_norm_const(params):
 
 @lru_cache(maxsize=1024)
 def _sdir_log_norm_const(a, g, m):
-    total = gammaln(a) - gammaln(m * a + g * (m - 1) * (m - 2))
+    return _add_selberg_product(gammaln(a) - gammaln(m * a + g * (m - 1) * (m - 2)), a, g, m)
+
+
+def _add_selberg_product(total, a, g, m):
+    """Add the log Selberg product over j = 1..m-1 to ``total``, one factor at
+    a time, so each caller keeps the rounding of its own head term."""
     for j in range(1, m):
         total += gammaln(a + (j - 1) * g) + gammaln(1.0 + j * g) - gammaln(1.0 + g)
     return float(total)
@@ -190,10 +196,8 @@ def mehta_log_integral(alpha, beta, gamma, m):
         raise ValueError("gamma must be non-negative")
     if int(m) != m or m < 1:
         raise ValueError("m must be an integer >= 1")
-    total = gammaln(beta) - gammaln(alpha * (m - 1) + beta + (m - 1) * (m - 2) * gamma)
-    for j in range(1, m):
-        total += gammaln(alpha + (j - 1) * gamma) + gammaln(1.0 + j * gamma) - gammaln(1.0 + gamma)
-    return float(total)
+    head = gammaln(beta) - gammaln(alpha * (m - 1) + beta + (m - 1) * (m - 2) * gamma)
+    return _add_selberg_product(head, alpha, gamma, m)
 
 
 def sdir_moments(params, k=1):
@@ -254,54 +258,39 @@ def gsdir_log_density_unnorm(w, params):
     return float(xlogy(params.alphas - 1.0, w).sum() + repulsion)
 
 
-def _batch_repelled_log_gaps(wmat):
-    """Exclude-last pairwise log-gap sums for every row of ``wmat``."""
-    core = wmat[:, :-1]
-    k = core.shape[1]
-    total = np.zeros(wmat.shape[0])
-    if k < 2:
-        return total
-    with np.errstate(divide="ignore"):
-        for i in range(k - 1):
-            for j in range(i + 1, k):
-                total += np.log(np.abs(core[:, i] - core[:, j]))
-    return total
-
-
 def sample_sdir(params, n, rng, burn_in=1000, thin=5):
-    """Draw ``n`` weight vectors by independence Metropolis-Hastings.
+    """Draw ``n`` independent weight vectors exactly; returns an (n, m) array.
 
-    Proposals come from the symmetric Dirichlet(alpha); the acceptance ratio
-    is the repulsion factor ratio, so at gamma = 0 the proposals are the
-    target and exact i.i.d. draws are returned directly.  Draws are recorded
-    every ``thin`` sweeps after ``burn_in`` warm-up sweeps.
-
-    Returns an (n, m) array; rows never contain tied repelled coordinates
-    when gamma > 0.
+    With k = M - 1, let B be lower bidiagonal with chi(2*alpha + 2*gamma*(k-1-i))
+    entries on the diagonal, i = 0..k-1, and chi(2*gamma*(k-1)), ..., chi(2*gamma)
+    below it (Dumitriu & Edelman, "Matrix models for beta ensembles", J. Math.
+    Phys. 43, 2002).  Its halved squared singular values x_1..x_k, in random
+    order, follow the beta-Laguerre ensemble with beta = 2*gamma, density
+    prop. to prod x_i^(alpha-1) e^(-x_i) |Delta(x)|^(2*gamma).  With x_M ~
+    Gamma(alpha), w = x / sum(x) is Selberg Dirichlet (exclude-last) and
+    independent of sum(x) ~ Gamma(M*alpha + gamma*(M-1)*(M-2)).  gamma = 0 or
+    M <= 2 draws the Dirichlet(alpha).  ``burn_in`` and ``thin`` are no-ops.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if burn_in < 0 or thin < 1:
         raise ValueError("burn_in must be >= 0 and thin >= 1")
-    alpha_vec = np.full(params.m, params.alpha)
-    if params.gamma == 0.0:
-        return rng.dirichlet(alpha_vec, size=n)
+    a, g, m = params.alpha, params.gamma, params.m
+    if g == 0.0 or m <= 2:
+        return rng.dirichlet(np.full(m, a), size=n)
 
-    total = burn_in + n * thin
-    proposals = rng.dirichlet(alpha_vec, size=total)
-    log_gaps = _batch_repelled_log_gaps(proposals).tolist()
-    log_u = np.log(rng.random(total)).tolist()
-    two_gamma = 2.0 * params.gamma
-
-    out = np.empty((n, params.m))
-    cur_idx = -1
-    cur_gap = -np.inf
-    kept = 0
-    for t in range(total):
-        if log_u[t] < two_gamma * (log_gaps[t] - cur_gap):
-            cur_idx = t
-            cur_gap = log_gaps[t]
-        if t >= burn_in and (t - burn_in) % thin == thin - 1:
-            out[kept] = proposals[cur_idx]
-            kept += 1
-    return out
+    k = m - 1
+    steps = g * np.arange(k - 1, -1, -1)
+    diag = np.sqrt(rng.chisquare(2.0 * (a + steps), size=(n, k)))
+    sub = np.sqrt(rng.chisquare(2.0 * steps[:-1], size=(n, k - 1)))
+    x = np.empty((n, k))
+    idx = np.arange(k)
+    rows = max(1, _SVD_BLOCK_ENTRIES // (k * k))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        bidiag = np.zeros((stop - start, k, k))
+        bidiag[:, idx, idx] = diag[start:stop]
+        bidiag[:, idx[1:], idx[:-1]] = sub[start:stop]
+        x[start:stop] = 0.5 * np.linalg.svd(bidiag, compute_uv=False) ** 2
+    x = np.column_stack([rng.permuted(x, axis=1), rng.standard_gamma(a, size=n)])
+    return x / x.sum(axis=1, keepdims=True)

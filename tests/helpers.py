@@ -432,6 +432,13 @@ def sdir_log_norm_const_ref(params):
     return float(total)
 
 
+def mehta_log_integral_ref(alpha, beta, gamma, m):
+    total = gammaln(beta) - gammaln(alpha * (m - 1) + beta + (m - 1) * (m - 2) * gamma)
+    for j in range(1, m):
+        total += gammaln(alpha + (j - 1) * gamma) + gammaln(1.0 + j * gamma) - gammaln(1.0 + gamma)
+    return float(total)
+
+
 def ge_log_norm_const_ref(params):
     z, m = params.zeta, params.m
     total = (-0.5 * m - 0.25 * z * m * (m - 1)) * np.log(z) + 0.5 * m * LOG_2PI

@@ -1,4 +1,6 @@
-"""Start-up budget: ``analyze``, ``--version`` and ``--help`` run on numpy alone.
+"""Start-up budget: ``analyze``, ``--version`` and ``--help`` run on numpy alone,
+and ``prior-ma`` loads the Selberg module without the sampler, the model or
+the ensemble.
 
 Each command runs in a fresh interpreter that then lists the modules it
 loaded.  ``fit`` runs the same way, as a control that the listing sees the
@@ -75,3 +77,12 @@ def test_analyze_loads_numpy_only(fitted):
     assert code == 0
     assert loaded == []
     assert {p.name for p in (root / "an").iterdir()} == {"psm.csv", "binder.csv", "summary.json"}
+
+
+def test_prior_ma_loads_neither_sampler_model_nor_ensemble(tmp_path):
+    argv = ["prior-ma", "--gamma", "3", "--m", "8", "--reps", "200"]
+    printed, code, loaded = run_child(argv, tmp_path)
+    assert code == 0
+    assert len(printed.splitlines()) == 9
+    assert "selmix.selberg" in loaded
+    assert not {"selmix.sampler", "selmix.model", "selmix.ensemble"} & set(loaded)

@@ -9,7 +9,7 @@ import pytest
 
 import helpers as H
 from selmix import __version__
-from selmix.analysis import PosteriorTrace
+from selmix.analysis import PosteriorTrace, prior_ma_simulation
 from selmix.cli import cli_dispatch, hyperparams_from_dict
 from selmix.ensemble import GeParams, ge_log_density, ge_log_norm_const
 from selmix.io import (
@@ -381,6 +381,12 @@ class TestCli:
         assert len(lines) == 4
         probs = [float(line.split(",")[1]) for line in lines]
         assert sum(probs) == pytest.approx(1.0, abs=1e-12)
+
+    def test_prior_ma_prints_the_simulation(self, capsys):
+        assert cli_dispatch(["prior-ma", "--gamma", "3", "--m", "8", "--seed", "4"]) == 0
+        probs = prior_ma_simulation(1.0, 3.0, 8, 100, 10000, np.random.default_rng(4))
+        want = "".join(f"{k},{repr(float(p))}\n" for k, p in enumerate(probs))
+        assert capsys.readouterr().out == want
 
     def test_elicit_zeta_prints_choice(self, benchmark_csv, capsys):
         code = cli_dispatch(["elicit-zeta", "--data", str(benchmark_csv),

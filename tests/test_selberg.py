@@ -7,7 +7,14 @@ import pytest
 from scipy import stats
 from scipy.special import gammaln
 
-from helpers import batch_means_se, sdir_log_density_ref, selberg_constant_quad_m3
+from helpers import (
+    batch_means_se,
+    mehta_log_integral_ref,
+    sdir_log_density_ref,
+    sdir_log_norm_const_ref,
+    selberg_constant_quad_m3,
+)
+from selmix import selberg
 from selmix.selberg import (
     GsdirParams,
     SdirParams,
@@ -82,6 +89,30 @@ class TestMehtaIntegral:
         want = selberg_constant_quad_m3(
             alpha, gamma, weight=lambda w1, w2, w3: w3 ** (beta - alpha))
         assert np.exp(mehta_log_integral(alpha, beta, gamma, 3)) == pytest.approx(want, rel=1e-7)
+
+
+class TestSharedProduct:
+    """Both constants add the same Selberg product to their own head term;
+    each stays bitwise equal to its standalone loop."""
+
+    ALPHAS = (0.05, 0.5, 1.0, 2.0, 7.3)
+    GAMMAS = (0.0, 0.25, 1.0, 3.0)
+    MS = (1, 2, 3, 4, 5, 8, 12, 60)
+
+    def test_sdir_constant_is_bitwise_unchanged(self):
+        for alpha in self.ALPHAS:
+            for gamma in self.GAMMAS:
+                for m in self.MS:
+                    params = SdirParams(alpha, gamma, m)
+                    assert sdir_log_norm_const(params) == sdir_log_norm_const_ref(params), params
+
+    def test_mehta_integral_is_bitwise_unchanged(self):
+        for alpha in self.ALPHAS:
+            for beta in (0.3, 1.0, 4.5):
+                for gamma in self.GAMMAS:
+                    for m in self.MS:
+                        args = (alpha, beta, gamma, m)
+                        assert mehta_log_integral(*args) == mehta_log_integral_ref(*args), args
 
 
 class TestMoments:
@@ -294,3 +325,73 @@ class TestSampling:
         a = sample_sdir(params, 200, np.random.default_rng(9), burn_in=50, thin=2)
         b = sample_sdir(params, 200, np.random.default_rng(9), burn_in=50, thin=2)
         np.testing.assert_array_equal(a, b)
+
+
+def iid_z(x, expected):
+    """Z-score of the sample mean of independent draws against ``expected``."""
+    return (x.mean() - expected) / (x.std(ddof=1) / np.sqrt(x.size))
+
+
+class TestExactSampling:
+    """The beta-Laguerre draw: independent rows with the closed-form law.
+
+    Draw counts and bounds were fixed before the first run: 40,000 draws
+    per (alpha, gamma, M) and |z| < 4.5 on 135 scores.
+    """
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
+    def test_moments_and_dispersion(self, alpha, gamma):
+        rng = np.random.default_rng(20261018)
+        for m in (3, 4, 6, 9, 12):
+            params = SdirParams(alpha, gamma, m)
+            draws = sample_sdir(params, 40000, rng)
+            mom = sdir_moments(params)
+            last = draws[:, -1]
+            core = draws[:, :-1]
+            i, j = np.triu_indices(m - 1, 1)
+            dispersion = np.exp(np.log(np.abs(core[:, i] - core[:, j])).sum(axis=1))
+            scores = (
+                iid_z(last, mom.mean),
+                iid_z((last - mom.mean) ** 2, mom.variance),
+                iid_z(dispersion, internal_dispersion_expectation(params, 1.0)),
+            )
+            assert max(abs(z) for z in scores) < 4.5, (m, scores)
+
+    @pytest.mark.parametrize("alpha,gamma,m", [(1.0, 3.0, 8), (0.5, 1.0, 12), (2.0, 0.5, 5)])
+    def test_last_coordinate_is_beta(self, alpha, gamma, m):
+        draws = sample_sdir(SdirParams(alpha, gamma, m), 10000, np.random.default_rng(5))
+        e = eta(alpha, gamma, m)
+        assert stats.kstest(draws[:, -1], stats.beta(alpha, e - alpha).cdf).pvalue > 1e-3
+
+    def test_draws_are_distinct_under_strong_repulsion(self):
+        draws = sample_sdir(SdirParams(1.0, 3.0, 8), 10000, np.random.default_rng(5))
+        assert np.unique(draws, axis=0).shape[0] == 10000
+
+    def test_small_alpha_rows_stay_on_simplex(self):
+        draws = sample_sdir(SdirParams(0.05, 3.0, 8), 100000, np.random.default_rng(6))
+        assert draws.min() >= 0.0
+        assert np.abs(draws.sum(axis=1) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("gamma,m", [(0.0, 4), (2.0, 1), (2.0, 2)])
+    def test_dirichlet_cases_draw_the_dirichlet(self, gamma, m):
+        got = sample_sdir(SdirParams(1.5, gamma, m), 300, np.random.default_rng(8))
+        want = np.random.default_rng(8).dirichlet(np.full(m, 1.5), size=300)
+        np.testing.assert_array_equal(got, want)
+
+    def test_draws_do_not_depend_on_the_svd_block_size(self, monkeypatch):
+        params = SdirParams(0.7, 1.5, 6)
+        whole = sample_sdir(params, 1000, np.random.default_rng(2))
+        monkeypatch.setattr(selberg, "_SVD_BLOCK_ENTRIES", 7 * 25)
+        blocked = sample_sdir(params, 1000, np.random.default_rng(2))
+        np.testing.assert_array_equal(blocked, whole)
+
+    def test_burn_in_and_thin_do_not_change_draws(self):
+        params = SdirParams(1.0, 1.0, 5)
+        a = sample_sdir(params, 100, np.random.default_rng(4))
+        b = sample_sdir(params, 100, np.random.default_rng(4), burn_in=0, thin=7)
+        np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError):
+            sample_sdir(params, 100, np.random.default_rng(4), burn_in=-1)
+        with pytest.raises(ValueError):
+            sample_sdir(params, 100, np.random.default_rng(4), thin=0)
