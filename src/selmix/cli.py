@@ -97,7 +97,6 @@ def build_parser():
     p_fit.add_argument("--burn-in", type=int)
     p_fit.add_argument("--thin", type=int)
     p_fit.add_argument("--n-samples", type=int)
-    p_fit.add_argument("--covariance-update", choices=["centered", "literal"])
     p_fit.add_argument("--birth-death", choices=["reversible", "append"])
     p_fit.add_argument("--no-adapt", dest="adapt", action="store_false", default=None)
 
@@ -152,7 +151,15 @@ def _cmd_simulate(args):
 
 def _fit_config(args):
     payload = dict(read_json(args.config)) if args.config else {}
-    for key in _hyper_keys() + ("data", "seed", "chains", "record_weights"):
+    # manifests written before the uncentered covariance update was removed
+    # carry its selector; the centered value is what every fit now does
+    if payload.pop("covariance_update", "centered") != "centered":
+        raise ValueError("config key 'covariance_update' must be 'centered', the only update")
+    run_keys = ("data", "seed", "chains", "record_weights")
+    unknown = sorted(set(payload) - set(_hyper_keys() + run_keys + ("version", "rng")))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    for key in _hyper_keys() + run_keys:
         value = getattr(args, key)
         if value is not None:
             payload[key] = np.diag(_parse_vector(value)).tolist() if key == "v0" else value
@@ -188,7 +195,6 @@ def _cmd_fit(args):
         summary["chains"][str(i)] = {
             "acceptance_rates": diag.acceptance_rates(),
             "means_refresh_rate": diag.rate("means_refresh"),
-            "covariance_ridge_retries": diag.covariance_ridge_retries,
             "step_mu_final": diag.step_mu_final,
             "step_gamma_final": diag.step_gamma_final,
             "mean_m": float(trace.m.mean()),

@@ -97,10 +97,10 @@ def invwishart_log_pdf(sigma, scale, df):
 def sample_invwishart(rng, scale, df):
     """Draw inverse-Wishart matrices by the Bartlett decomposition.
 
-    ``scale`` is one (d, d) matrix with a scalar ``df``, or an (m, d, d)
-    stack with one df per matrix; the result has the shape of ``scale``.
-    Each matrix draws its chi-square and then its normal variates in turn,
-    so a stack gives the same bits as one call per matrix in order; the
+    ``scale`` is one (d, d) matrix or an (m, d, d) stack, and ``df`` one
+    value or one per matrix; the result has the shape of ``scale``.  Each
+    matrix draws its d chi-squares and then its normal variates in turn, so
+    a stack gives the same bits as one call per matrix in order; the
     inverses, factorisations and products are batched.  Requires every
     df > d - 1; fractional degrees of freedom are fine because the Bartlett
     diagonal uses chi-square variates with real-valued dof.  Raises
@@ -109,24 +109,22 @@ def sample_invwishart(rng, scale, df):
     scale = np.asarray(scale, dtype=float)
     d = scale.shape[-1]
     scales = scale.reshape(-1, d, d)
-    dfs = np.atleast_1d(np.asarray(df, dtype=float))
+    dfs = np.empty(len(scales))
+    dfs[:] = df
     if (dfs <= d - 1).any():
         raise ValueError("degrees of freedom must exceed dim - 1")
     chol_prec = np.linalg.cholesky(np.linalg.inv(scales))
     n_off = d * (d - 1) // 2
-    # scalar chi-square calls draw the same variates as one call per matrix
-    chi2 = []
-    normals = []
-    for row_dfs in (dfs[:, None] - np.arange(d)).tolist():
-        chi2.extend([rng.chisquare(row_df) for row_df in row_dfs])
-        if n_off:
-            normals.append(rng.standard_normal(n_off))
+    chi2 = np.empty((dfs.size, d))
+    normals = np.empty((dfs.size, n_off))
+    for i, row_dfs in enumerate((dfs[:, None] - np.arange(d)).tolist()):
+        chi2[i] = rng.chisquare(row_dfs)
+        normals[i] = rng.standard_normal(n_off)
     bart = np.zeros(scales.shape)
     diag = np.arange(d)
-    bart[:, diag, diag] = np.sqrt(chi2).reshape(-1, d)
-    if n_off:
-        rows, cols = np.tril_indices(d, -1)
-        bart[:, rows, cols] = normals
+    bart[:, diag, diag] = np.sqrt(chi2)
+    rows, cols = np.tril_indices(d, -1)
+    bart[:, rows, cols] = normals
     root = chol_prec @ bart
     sigma = np.linalg.inv(root @ root.transpose(0, 2, 1))
     return (0.5 * (sigma + sigma.transpose(0, 2, 1))).reshape(scale.shape)

@@ -127,9 +127,13 @@ class Hyperparams:
     Gamma(gamma_shape, gamma_rate) hyperprior.  zeta_mode selects between
     "fixed" (value ``zeta_fixed``), "gamma" (its own Gamma hyperprior) and
     "ratio" (zeta tied to rho * gamma).  ``step_mu`` and ``step_gamma`` are
-    proposal variances; ``covariance_update`` chooses between the centered
-    posterior scale matrix (default, the full conditional) and the literal
-    uncentered variant kept for comparison.
+    proposal variances.
+
+    Each covariance has an inverse-Wishart(v0, nu0) prior; ``resolved``
+    fills in v0 = I and nu0 = d and requires v0 symmetric positive definite
+    and nu0 >= d - 1/2.  The smallest Bartlett chi-square then has at least
+    1/2 degree of freedom: below that its variates underflow to zero often
+    enough that chains die in the covariance step.
 
     ``birth_death`` selects the trans-dimensional bookkeeping.  "reversible"
     (default) inserts newborn components at a uniformly chosen slot so every
@@ -161,7 +165,6 @@ class Hyperparams:
     burn_in: int = 5000
     thin: int = 10
     n_samples: int = 5000
-    covariance_update: str = "centered"
     birth_death: str = "reversible"
     adapt: bool = True
 
@@ -172,8 +175,6 @@ class Hyperparams:
             raise ValueError("lam must be positive")
         if self.zeta_mode not in ("fixed", "gamma", "ratio"):
             raise ValueError("zeta_mode must be 'fixed', 'gamma' or 'ratio'")
-        if self.covariance_update not in ("centered", "literal"):
-            raise ValueError("covariance_update must be 'centered' or 'literal'")
         if self.birth_death not in ("reversible", "append"):
             raise ValueError("birth_death must be 'reversible' or 'append'")
         if not 0.0 < self.q_birth < 1.0:
@@ -211,9 +212,15 @@ class Hyperparams:
         v0 = np.eye(dim) if self.v0 is None else np.asarray(self.v0, dtype=float)
         if v0.shape != (dim, dim):
             raise ValueError(f"v0 must be a {dim}x{dim} matrix")
+        if not np.array_equal(v0, v0.T):
+            raise ValueError("v0 must be symmetric")
+        try:
+            np.linalg.cholesky(v0)
+        except np.linalg.LinAlgError:
+            raise ValueError("v0 must be positive definite") from None
         nu0 = float(dim) if self.nu0 is None else float(self.nu0)
-        if nu0 <= dim - 1:
-            raise ValueError("nu0 must exceed dim - 1")
+        if not nu0 >= dim - 0.5:
+            raise ValueError(f"nu0 must be at least dim - 1/2 = {dim - 0.5}")
         return dataclasses.replace(self, v0=v0, nu0=nu0)
 
 

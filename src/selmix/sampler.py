@@ -73,14 +73,12 @@ class SamplerConfig:
 
 @dataclass
 class StepDiagnostics:
-    """Acceptance bookkeeping, the final (possibly adapted) step sizes, and
-    the number of covariance draws that needed the diagonal ridge."""
+    """Acceptance bookkeeping and the final (possibly adapted) step sizes."""
 
     accepts: dict
     attempts: dict
     step_mu_final: float
     step_gamma_final: float
-    covariance_ridge_retries: int = 0
 
     def rate(self, key):
         """Acceptance rate of one counter; 0.0 when it was never attempted."""
@@ -336,53 +334,25 @@ def update_means(y, state, hyper, rng, step_mu=None):
     return out, (rw_acc, rw_att, ref_acc, ref_att)
 
 
-def update_covariances(y, state, hyper, rng, counters=None):
-    """Gibbs draw of every covariance from its inverse-Wishart conditional.
+def update_covariances(y, state, hyper, rng):
+    """Gibbs draw of every covariance from its inverse-Wishart full conditional.
 
-    Allocated components use the posterior scale (centered residual scatter
-    plus v0 by default; the literal variant skips the centering) with
-    nu0 + n_j degrees of freedom; non-allocated components draw from the
-    prior.  A failed Cholesky retries once with a tiny diagonal ridge; when
-    ``counters`` is a dict, the number of such retries is added to its
-    ``"covariance_ridge_retries"`` entry.
-
-    All components are drawn by one stacked ``sample_invwishart`` call.  When
-    one of its factorisations fails, the generator is rewound and the
-    components are drawn one at a time, with the ridge retry.
+    An allocated component draws from IW(v0 + S_j, nu0 + n_j), S_j being the
+    scatter of its n_j points about its mean; a non-allocated component draws
+    from the prior IW(v0, nu0).  One stacked ``sample_invwishart`` call draws
+    them all; a failed factorisation raises LinAlgError, which ``run_sampler``
+    reports as a SamplerError naming the sweep.
     """
     out = state.copy()
     counts = out.counts()
     groups = _grouped_points(y, out.alloc, counts)
-    m, dim = out.m, out.dim
-    scales = np.empty((m, dim, dim))
-    dfs = np.empty(m)
-    for j in range(m):
-        if counts[j]:
-            points = groups[j]
-            resid = points - out.mus[j] if hyper.covariance_update == "centered" else points
-            scale = resid.T @ resid + hyper.v0
-            scales[j] = 0.5 * (scale + scale.T)
-            dfs[j] = hyper.nu0 + counts[j]
-        else:
-            scales[j] = hyper.v0
-            dfs[j] = hyper.nu0
-
-    saved = rng.bit_generator.state
-    try:
-        out.sigmas = sample_invwishart(rng, scales, dfs)
-    except np.linalg.LinAlgError:
-        rng.bit_generator.state = saved
-        retries = 0
-        for j in range(m):
-            try:
-                out.sigmas[j] = sample_invwishart(rng, scales[j], dfs[j])
-            except np.linalg.LinAlgError:
-                out.sigmas[j] = sample_invwishart(rng, scales[j] + 1e-10 * np.eye(dim), dfs[j])
-                retries += 1
-        if counters is not None:
-            counters["covariance_ridge_retries"] = (
-                counters.get("covariance_ridge_retries", 0) + retries
-            )
+    scales = np.empty((out.m, out.dim, out.dim))
+    scales[:] = hyper.v0
+    for j in np.flatnonzero(counts):
+        resid = groups[j] - out.mus[j]
+        scale = resid.T @ resid + hyper.v0
+        scales[j] = 0.5 * (scale + scale.T)
+    out.sigmas = sample_invwishart(rng, scales, hyper.nu0 + counts)
     return out
 
 
@@ -482,7 +452,7 @@ def initial_state(y, hyper, rng):
         mus = np.empty((m0, dim))
         for d in range(dim):
             mus[:, d] = sample_ge(GeParams(zeta0, m0), 1, rng)[0]
-        sigmas = np.stack([sample_invwishart(rng, hyper.v0, hyper.nu0) for _ in range(m0)])
+        sigmas = sample_invwishart(rng, np.tile(hyper.v0, (m0, 1, 1)), hyper.nu0)
 
     alpha_post = hyper.alpha0 + np.bincount(alloc, minlength=m0)
     while True:
@@ -528,7 +498,6 @@ def run_sampler(y, config):
 
     accepts = dict.fromkeys(RATE_KEYS + ("means_refresh",), 0)
     attempts = dict(accepts)
-    fallbacks = {"covariance_ridge_retries": 0}
 
     step_mu = hyper.step_mu
     step_gamma = hyper.step_gamma
@@ -551,7 +520,7 @@ def run_sampler(y, config):
             state, (rw_acc, rw_att, ref_acc, ref_att) = update_means(
                 y, state, hyper, rng, step_mu
             )
-            state = update_covariances(y, state, hyper, rng, fallbacks)
+            state = update_covariances(y, state, hyper, rng)
             state, w_acc = update_weights(state, hyper, rng)
             for key in scale_keys:
                 state, s_acc = update_scale(state, hyper, rng, key, step_gamma)
@@ -597,6 +566,5 @@ def run_sampler(y, config):
     diag = StepDiagnostics(
         accepts=accepts, attempts=attempts,
         step_mu_final=step_mu, step_gamma_final=step_gamma,
-        covariance_ridge_retries=fallbacks["covariance_ridge_retries"],
     )
     return trace, diag

@@ -258,7 +258,7 @@ def gsdir_log_density_unnorm(w, params):
     return float(xlogy(params.alphas - 1.0, w).sum() + repulsion)
 
 
-def sample_sdir(params, n, rng, burn_in=1000, thin=5):
+def sample_sdir(params, n, rng):
     """Draw ``n`` independent weight vectors exactly; returns an (n, m) array.
 
     With k = M - 1, let B be lower bidiagonal with chi(2*alpha + 2*gamma*(k-1-i))
@@ -269,12 +269,10 @@ def sample_sdir(params, n, rng, burn_in=1000, thin=5):
     prop. to prod x_i^(alpha-1) e^(-x_i) |Delta(x)|^(2*gamma).  With x_M ~
     Gamma(alpha), w = x / sum(x) is Selberg Dirichlet (exclude-last) and
     independent of sum(x) ~ Gamma(M*alpha + gamma*(M-1)*(M-2)).  gamma = 0 or
-    M <= 2 draws the Dirichlet(alpha).  ``burn_in`` and ``thin`` are no-ops.
+    M <= 2 draws the Dirichlet(alpha).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if burn_in < 0 or thin < 1:
-        raise ValueError("burn_in must be >= 0 and thin >= 1")
     a, g, m = params.alpha, params.gamma, params.m
     if g == 0.0 or m <= 2:
         return rng.dirichlet(np.full(m, a), size=n)

@@ -381,7 +381,8 @@ def sample_ge_mh(params, n, rng, burn_in=2000, thin=5, proposal_sd=None):
 # term by term, are the code that the single scale move and the death ratio
 # taken from the birth ratio replaced.  The single-matrix Bartlett draw and
 # the Selberg density with its own kernel are the code that the stacked
-# draw and the density taken from the generalized kernel replaced.
+# draw and the density taken from the generalized kernel replaced; the
+# no-data start draws its prior covariances one at a time.
 # ---------------------------------------------------------------------------
 
 def sample_invwishart_ref(rng, scale, df):
@@ -529,26 +530,45 @@ def update_means_ref(y, state, hyper, rng, step_mu=None):
     return out, (rw_acc, rw_att, ref_acc, ref_att)
 
 
-def update_covariances_ref(y, state, hyper, rng, counters=None):
-    """``counters`` is accepted so ``run_sampler`` can call this; it is not updated."""
+def update_covariances_ref(y, state, hyper, rng):
     out = state.copy()
     counts = out.counts()
-    dim = out.dim
     for j in range(out.m):
         if counts[j]:
-            points = y[out.alloc == j]
-            resid = points - out.mus[j] if hyper.covariance_update == "centered" else points
+            resid = y[out.alloc == j] - out.mus[j]
             scale = resid.T @ resid + hyper.v0
             scale = 0.5 * (scale + scale.T)
             df = hyper.nu0 + counts[j]
         else:
             scale = hyper.v0
             df = hyper.nu0
-        try:
-            out.sigmas[j] = sample_invwishart_ref(rng, scale, df)
-        except np.linalg.LinAlgError:
-            out.sigmas[j] = sample_invwishart_ref(rng, scale + 1e-10 * np.eye(dim), df)
+        out.sigmas[j] = sample_invwishart_ref(rng, scale, df)
     return out
+
+
+def initial_state_ref(y, hyper, rng):
+    """The start without data (``y`` has no rows)."""
+    dim = y.shape[1]
+    gamma0 = hyper.gamma_fixed if not hyper.gamma_free else hyper.gamma_shape / hyper.gamma_rate
+    if hyper.zeta_mode == "fixed":
+        zeta0 = hyper.zeta_fixed
+    elif hyper.zeta_mode == "gamma":
+        zeta0 = hyper.zeta_shape / hyper.zeta_rate
+    else:
+        zeta0 = hyper.rho * gamma0
+    m0 = 1 + int(rng.poisson(hyper.lam))
+    mus = np.empty((m0, dim))
+    for d in range(dim):
+        mus[:, d] = ensemble.sample_ge(GeParams(zeta0, m0), 1, rng)[0]
+    sigmas = np.stack([sample_invwishart_ref(rng, hyper.v0, hyper.nu0) for _ in range(m0)])
+    while True:
+        weights = rng.dirichlet(np.full(m0, hyper.alpha0))
+        if gamma0 == 0.0 or pairwise_log_gap_sum_ref(weights[:-1]) > -np.inf:
+            break
+    return MixtureState(
+        m=m0, weights=weights, mus=mus, sigmas=sigmas, alloc=np.empty(0, dtype=np.int64),
+        gamma=float(gamma0), zeta=float(zeta0),
+    )
 
 
 def gamma_log_accept_ref(state, hyper, gamma_new):

@@ -120,6 +120,14 @@ class TestInverseWishartSampler:
             assert stacked_rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_one_df_serves_the_whole_stack(self, d):
+        scales = np.tile(np.eye(d), (4, 1, 1))
+        one_rng, each_rng = np.random.default_rng(d), np.random.default_rng(d)
+        np.testing.assert_array_equal(sample_invwishart(one_rng, scales, d + 0.5),
+                                      sample_invwishart(each_rng, scales, np.full(4, d + 0.5)))
+        assert one_rng.bit_generator.state == each_rng.bit_generator.state
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
     def test_too_few_degrees_of_freedom_anywhere_in_the_stack(self, d):
         scales = np.tile(np.eye(d), (3, 1, 1))
         for bad in (d - 1.0, d - 1.5):

@@ -172,14 +172,14 @@ def benchmark_csv(tmp_path_factory):
 
 
 # manifest.json of ``tiny_fit_args``, as written before the hyperparameter
-# keys were derived from the dataclass fields
+# keys were derived from the dataclass fields, less the retired
+# "covariance_update" key (see ``test_parent_manifest_replays``)
 PINNED_MANIFEST = """{
   "adapt": true,
   "alpha0": 1.0,
   "birth_death": "reversible",
   "burn_in": 40,
   "chains": 1,
-  "covariance_update": "centered",
   "data": @DATA@,
   "gamma_fixed": 1.0,
   "gamma_rate": 2.0,
@@ -252,11 +252,11 @@ class TestCli:
         manifest = read_json(out_dir / "manifest.json")
         assert manifest["rng"] == "numpy.random.PCG64"
         assert manifest["birth_death"] == "reversible"
-        assert manifest["covariance_update"] == "centered"
+        assert "covariance_update" not in manifest
         assert manifest["gamma_fixed"] == 1.0
         assert manifest["chains"] == 1
 
-    def test_fit_summary_reports_refresh_rate_and_ridge_retries(self, benchmark_csv, tmp_path):
+    def test_fit_summary_reports_refresh_rate(self, benchmark_csv, tmp_path):
         out_dir = tmp_path / "fit"
         assert cli_dispatch(tiny_fit_args(benchmark_csv, out_dir, extra=["--chains", "2"])) == 0
         summary = read_json(out_dir / "summary.json")
@@ -266,7 +266,7 @@ class TestCli:
             _, diag = run_sampler(y, SamplerConfig(hyper=hyper, seed=3 ^ int(i)))
             assert diag.attempts["means_refresh"] > 0
             assert chain["means_refresh_rate"] == diag.rate("means_refresh")
-            assert chain["covariance_ridge_retries"] == diag.covariance_ridge_retries == 0
+            assert "covariance_ridge_retries" not in chain
             assert set(chain["acceptance_rates"]) == {
                 "means", "weights", "gamma", "zeta", "birth", "death"}
 
@@ -294,6 +294,39 @@ class TestCli:
         assert code == 0
         assert (dir_a / "trace_chain0.ndjson").read_bytes() == \
                (dir_b / "trace_chain0.ndjson").read_bytes()
+
+    def test_parent_manifest_replays(self, benchmark_csv, tmp_path):
+        # a manifest written while "covariance_update" was a hyperparameter
+        # carries it; its one surviving value replays the same trace
+        dir_a = tmp_path / "a"
+        assert cli_dispatch(tiny_fit_args(benchmark_csv, dir_a)) == 0
+        parent = tmp_path / "parent.json"
+        parent.write_text(PINNED_MANIFEST
+                          .replace('  "data"', '  "covariance_update": "centered",\n  "data"')
+                          .replace("@DATA@", json.dumps(str(benchmark_csv)))
+                          .replace("@VERSION@", json.dumps(__version__)))
+        dir_b = tmp_path / "b"
+        assert cli_dispatch(["fit", "--config", str(parent), "--out-dir", str(dir_b)]) == 0
+        assert (dir_a / "trace_chain0.ndjson").read_bytes() == \
+               (dir_b / "trace_chain0.ndjson").read_bytes()
+
+    @pytest.mark.parametrize("entry,named", [
+        ({"lamda": 9.0}, "lamda"),
+        ({"covariance_update": "literal"}, "covariance_update"),
+    ])
+    def test_config_rejects_unknown_keys_and_values(self, benchmark_csv, tmp_path, capsys,
+                                                    entry, named):
+        config = tmp_path / "config.json"
+        write_json(config, {"data": str(benchmark_csv), **entry})
+        out_dir = tmp_path / "fit"
+        assert cli_dispatch(["fit", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        assert named in capsys.readouterr().err
+        assert not (out_dir / "trace_chain0.ndjson").exists()
+
+    def test_covariance_update_flag_is_gone(self, benchmark_csv, tmp_path):
+        args = tiny_fit_args(benchmark_csv, tmp_path / "fit",
+                             extra=["--covariance-update", "centered"])
+        assert cli_dispatch(args) == 2
 
     def test_multiple_chains_and_analyze(self, benchmark_csv, tmp_path):
         fit_dir = tmp_path / "fit"
@@ -360,7 +393,6 @@ class TestCli:
             "--q-birth": ("q_birth", 0.4), "--step-mu": ("step_mu", 0.3),
             "--step-gamma": ("step_gamma", 0.2), "--burn-in": ("burn_in", 7),
             "--thin": ("thin", 2), "--n-samples": ("n_samples", 5),
-            "--covariance-update": ("covariance_update", "literal"),
             "--birth-death": ("birth_death", "append"),
         }
         out_dir = tmp_path / "fit"

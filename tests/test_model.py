@@ -184,13 +184,26 @@ class TestHyperparams:
         with pytest.raises(ValueError):
             Hyperparams(v0=np.eye(3)).resolved(2)
 
+    @pytest.mark.parametrize("v0", [
+        [[1.0, 0.0], [0.0, 0.0]],   # singular
+        [[1.0, 2.0], [2.0, 1.0]],   # symmetric, indefinite
+        [[2.0, 0.5], [0.0, 2.0]],   # positive definite lower triangle, asymmetric
+    ])
+    def test_resolved_requires_symmetric_positive_definite_v0(self, v0):
+        with pytest.raises(ValueError, match="v0"):
+            Hyperparams(v0=np.array(v0)).resolved(2)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_resolved_bounds_nu0_at_half_a_degree_of_freedom(self, dim):
+        assert Hyperparams(nu0=dim - 0.5).resolved(dim).nu0 == dim - 0.5
+        with pytest.raises(ValueError, match="nu0"):
+            Hyperparams(nu0=np.nextafter(dim - 0.5, 0.0)).resolved(dim)
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             Hyperparams(alpha0=0.0)
         with pytest.raises(ValueError):
             Hyperparams(zeta_mode="bogus")
-        with pytest.raises(ValueError):
-            Hyperparams(covariance_update="bogus")
         with pytest.raises(ValueError):
             Hyperparams(birth_death="bogus")
         with pytest.raises(ValueError):

@@ -288,22 +288,6 @@ class TestSweepSteps:
         want = scale / (hyper.nu0 + n - 2 - 1)
         assert np.allclose(draws, want, rtol=0.05)
 
-    def test_literal_covariance_update_inflates_offset_clusters(self):
-        rng = np.random.default_rng(24)
-        y = rng.multivariate_normal([5.0, 5.0], np.eye(2), size=200)
-        state = MixtureState(
-            m=1, weights=np.array([1.0]), mus=np.array([[5.0, 5.0]]),
-            sigmas=np.eye(2)[None, :, :], alloc=np.zeros(200, dtype=np.int64),
-            gamma=1.0, zeta=0.1,
-        )
-        centered = Hyperparams(gamma_fixed=1.0).resolved(2)
-        literal = dataclasses.replace(centered, covariance_update="literal")
-        c_draw = np.mean([update_covariances(y, state, centered, rng).sigmas[0]
-                          for _ in range(100)], axis=0)
-        l_draw = np.mean([update_covariances(y, state, literal, rng).sigmas[0]
-                          for _ in range(100)], axis=0)
-        assert np.trace(l_draw) > 5.0 * np.trace(c_draw)
-
     def test_weights_always_accept_without_repulsion(self):
         rng = np.random.default_rng(25)
         hyper = H.random_hyper(rng, 2)
@@ -586,20 +570,29 @@ class TestFastSweepMatchesReference:
             assert_states_equal(state, before)
 
     @pytest.mark.parametrize("dim,n", EQUIVALENCE_SHAPES)
-    @pytest.mark.parametrize("covariance_update", ["centered", "literal"])
-    def test_update_covariances(self, dim, n, covariance_update):
+    @pytest.mark.parametrize("scatter", ["centered"])  # about each component's mean
+    def test_update_covariances(self, dim, n, scatter):
         rng = np.random.default_rng(300 + 10 * dim + n)
         for trial in range(10):
             y, state, hyper = equivalence_case(rng, dim, n, empty=[0, 2])
-            hyper = dataclasses.replace(hyper, covariance_update=covariance_update)
             r1, r2 = twin_generators(trial)
             before = state.copy()
-            counters = {}
-            got = update_covariances(y, state, hyper, r1, counters)
+            got = update_covariances(y, state, hyper, r1)
             assert_states_equal(got, H.update_covariances_ref(y, state, hyper, r2))
             assert r1.bit_generator.state == r2.bit_generator.state
-            assert counters == {}
             assert_states_equal(state, before)
+
+    @pytest.mark.parametrize("dim", [1, 2, 5])
+    def test_initial_state_without_data(self, dim):
+        rng = np.random.default_rng(350 + dim)
+        for trial in range(10):
+            zeta_mode = ("fixed", "gamma", "ratio")[trial % 3]
+            hyper = H.random_hyper(rng, dim, zeta_mode=zeta_mode)
+            hyper = dataclasses.replace(hyper, nu0=dim - 0.5 + float(rng.uniform(0.0, 4.0)))
+            r1, r2 = twin_generators(trial)
+            y = np.empty((0, dim))
+            assert_states_equal(initial_state(y, hyper, r1), H.initial_state_ref(y, hyper, r2))
+            assert r1.bit_generator.state == r2.bit_generator.state
 
     @pytest.mark.parametrize("dim,n", EQUIVALENCE_SHAPES)
     @pytest.mark.parametrize("bookkeeping", ["reversible", "append"])
@@ -817,63 +810,25 @@ class TestScaleAndDeathMatchReference:
                 death(state, hyper, occupied, np.array([0.3, 0.2, 0.5]))
 
 
-class TestCovarianceFallback:
-    """When a batched factorisation fails, the step rewinds the generator
-    and draws component by component, retrying with the ridge."""
+class TestCovarianceFailure:
+    """A failed covariance draw stops the chain, naming the sweep it failed in."""
 
-    def test_singular_prior_scale_takes_the_ridge_and_is_counted(self):
-        rng = np.random.default_rng(700)
-        hyper = Hyperparams(v0=np.diag([1.0, 0.0])).resolved(2)
-        for trial in range(10):
-            state = H.random_state(rng, 4, 2, 30, force_empty=[1, 3])
-            y = rng.normal(size=(30, 2))
-            r1, r2 = twin_generators(trial)
-            counters = {}
-            got = update_covariances(y, state, hyper, r1, counters)
-            assert_states_equal(got, H.update_covariances_ref(y, state, hyper, r2))
-            assert r1.bit_generator.state == r2.bit_generator.state
-            assert counters == {"covariance_ridge_retries": 2}
-
-    def test_failure_after_the_draws_rewinds_the_generator(self, monkeypatch):
+    def test_failed_stacked_draw_names_the_sweep(self, monkeypatch):
         import selmix.sampler as sampler_mod
 
         draw = sampler_mod.sample_invwishart
+        stacked_calls = []
 
-        def fail_after_drawing(rng, scale, df):
-            sigma = draw(rng, scale, df)
+        def fail_on_third_stacked_draw(rng, scale, df):
             if np.ndim(scale) == 3:
-                raise np.linalg.LinAlgError("forced")
-            return sigma
-
-        monkeypatch.setattr(sampler_mod, "sample_invwishart", fail_after_drawing)
-        rng = np.random.default_rng(701)
-        for trial in range(10):
-            y, state, hyper = equivalence_case(rng, 2, 25, empty=[0])
-            r1, r2 = twin_generators(trial)
-            counters = {}
-            got = update_covariances(y, state, hyper, r1, counters)
-            assert_states_equal(got, H.update_covariances_ref(y, state, hyper, r2))
-            assert r1.bit_generator.state == r2.bit_generator.state
-            assert counters == {"covariance_ridge_retries": 0}
-
-    def test_chain_reports_ridge_retries(self, monkeypatch):
-        import selmix.sampler as sampler_mod
-
-        draw = sampler_mod.sample_invwishart
-        posterior_calls = []
-
-        def fail_every_first_attempt(rng, scale, df):
-            if np.ndim(scale) == 3:
-                raise np.linalg.LinAlgError("forced")
-            # posterior draws have df > nu0 = 1; prior and birth draws use nu0
-            if df > 1.0:
-                posterior_calls.append(df)
-                if len(posterior_calls) % 2:
+                stacked_calls.append(df)
+                if len(stacked_calls) == 3:
                     raise np.linalg.LinAlgError("forced")
             return draw(rng, scale, df)
 
-        monkeypatch.setattr(sampler_mod, "sample_invwishart", fail_every_first_attempt)
+        monkeypatch.setattr(sampler_mod, "sample_invwishart", fail_on_third_stacked_draw)
         y = np.random.default_rng(702).normal(size=(20, 1))
         hyper = Hyperparams(gamma_fixed=1.0, burn_in=5, thin=1, n_samples=5)
-        _, diag = run_sampler(y, SamplerConfig(hyper=hyper, seed=7))
-        assert diag.covariance_ridge_retries == len(posterior_calls) // 2 > 0
+        with pytest.raises(SamplerError, match=r"^sweep 2 failed: forced$") as info:
+            run_sampler(y, SamplerConfig(hyper=hyper, seed=7))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

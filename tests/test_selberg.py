@@ -294,7 +294,7 @@ class TestSampling:
     def test_last_coordinate_moments(self, alpha, gamma, m):
         params = SdirParams(alpha, gamma, m)
         rng = np.random.default_rng(202)
-        draws = sample_sdir(params, 20000, rng, burn_in=500, thin=3)
+        draws = sample_sdir(params, 20000, rng)
         mom = sdir_moments(params)
         x = draws[:, -1]
         z_mean = (x.mean() - mom.mean) / batch_means_se(x)
@@ -306,7 +306,7 @@ class TestSampling:
     def test_repelled_coordinates_share_their_mean(self):
         params = SdirParams(1.0, 1.0, 4)
         rng = np.random.default_rng(77)
-        draws = sample_sdir(params, 20000, rng, burn_in=500, thin=3)
+        draws = sample_sdir(params, 20000, rng)
         e = eta(1.0, 1.0, 4)
         shared = (1.0 - 1.0 / e) / 3.0
         for d in range(3):
@@ -316,14 +316,14 @@ class TestSampling:
     def test_rows_live_on_simplex(self):
         params = SdirParams(1.0, 2.0, 3)
         rng = np.random.default_rng(3)
-        draws = sample_sdir(params, 500, rng, burn_in=100, thin=2)
+        draws = sample_sdir(params, 500, rng)
         assert np.allclose(draws.sum(axis=1), 1.0, atol=1e-9)
         assert draws.min() >= 0.0
 
     def test_deterministic_given_seed(self):
         params = SdirParams(1.0, 1.0, 3)
-        a = sample_sdir(params, 200, np.random.default_rng(9), burn_in=50, thin=2)
-        b = sample_sdir(params, 200, np.random.default_rng(9), burn_in=50, thin=2)
+        a = sample_sdir(params, 200, np.random.default_rng(9))
+        b = sample_sdir(params, 200, np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
 
@@ -385,13 +385,3 @@ class TestExactSampling:
         monkeypatch.setattr(selberg, "_SVD_BLOCK_ENTRIES", 7 * 25)
         blocked = sample_sdir(params, 1000, np.random.default_rng(2))
         np.testing.assert_array_equal(blocked, whole)
-
-    def test_burn_in_and_thin_do_not_change_draws(self):
-        params = SdirParams(1.0, 1.0, 5)
-        a = sample_sdir(params, 100, np.random.default_rng(4))
-        b = sample_sdir(params, 100, np.random.default_rng(4), burn_in=0, thin=7)
-        np.testing.assert_array_equal(a, b)
-        with pytest.raises(ValueError):
-            sample_sdir(params, 100, np.random.default_rng(4), burn_in=-1)
-        with pytest.raises(ValueError):
-            sample_sdir(params, 100, np.random.default_rng(4), thin=0)
