@@ -1,6 +1,10 @@
 """Posterior summaries: similarity matrices, point-estimate partitions,
 prior cluster-count simulation, and repulsion-scale elicitation.
 
+Importing the module loads numpy alone, so ``analyze`` loads no scipy.
+``prior_ma_simulation`` imports the Selberg sampler when called, and
+``elicit_zeta`` imports scipy's k-means and the ensemble sampler.
+
 Partition summaries are label-invariant: they depend only on which
 observations share a component, never on the component indices themselves.
 """
@@ -20,7 +24,6 @@ __all__ = [
     "binder_loss",
     "binder_estimate",
     "prior_ma_simulation",
-    "kmeans",
     "center_gap_by_dimension",
     "elicit_zeta",
 ]
@@ -170,12 +173,14 @@ def binder_loss(alloc, sim):
 
     ``sim`` is a symmetric (n, n) similarity matrix.  Computed as
     sum_{i<j} s_ij^2 + sum_{i<j, same block} (1 - 2 s_ij), with the block
-    sums taken from ``sim @ Z`` for the one-hot partition matrix Z.
+    sums taken from ``sim @ Z`` for the one-hot partition matrix Z.  The
+    squares are summed by ``einsum``, not BLAS, so the result does not
+    depend on the BLAS thread count.
     """
     sim = np.asarray(sim, dtype=float)
     partition = canonical_labels(np.asarray(alloc).ravel())[None, :]
     diag = np.diagonal(sim)
-    squares = 0.5 * (np.vdot(sim, sim) - np.vdot(diag, diag))
+    squares = 0.5 * (np.einsum("ij,ij->", sim, sim) - np.einsum("i,i->", diag, diag))
     pairs, sums = _block_sums(partition, sim)
     return float(squares + pairs[0] - sums[0] + diag.sum())
 
@@ -293,56 +298,6 @@ def prior_ma_simulation(alpha0, gamma, m, n, reps, rng):
     return probs
 
 
-def kmeans(y, k, rng, n_restarts=10, tol=1e-8, max_iter=300):
-    """Lloyd's algorithm with k-means++ seeding and multiple restarts.
-
-    Returns (centers, labels, inertia) for the best restart by within-
-    cluster sum of squares.
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.shape[0]
-    if k < 1 or k > n:
-        raise ValueError("k must lie in 1..n")
-    best = None
-    for _ in range(n_restarts):
-        centers = _kmeans_pp_init(y, k, rng)
-        for _ in range(max_iter):
-            dists = ((y[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-            labels = dists.argmin(axis=1)
-            new_centers = centers.copy()
-            for j in range(k):
-                mask = labels == j
-                if mask.any():
-                    new_centers[j] = y[mask].mean(axis=0)
-                else:
-                    new_centers[j] = y[rng.integers(n)]
-            shift = np.abs(new_centers - centers).max()
-            centers = new_centers
-            if shift < tol:
-                break
-        dists = ((y[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = dists.argmin(axis=1)
-        inertia = float(dists[np.arange(n), labels].sum())
-        if best is None or inertia < best[2]:
-            best = (centers, labels, inertia)
-    return best
-
-
-def _kmeans_pp_init(y, k, rng):
-    n = y.shape[0]
-    centers = np.empty((k, y.shape[1]))
-    centers[0] = y[rng.integers(n)]
-    closest = ((y - centers[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
-        total = closest.sum()
-        if total <= 0.0:
-            centers[j] = y[rng.integers(n)]
-        else:
-            centers[j] = y[rng.choice(n, p=closest / total)]
-        closest = np.minimum(closest, ((y - centers[j]) ** 2).sum(axis=1))
-    return centers
-
-
 def center_gap_by_dimension(centers):
     """Mean absolute pairwise center distance, one entry per dimension."""
     centers = np.asarray(centers, dtype=float)
@@ -357,27 +312,30 @@ def center_gap_by_dimension(centers):
 def elicit_zeta(y, k, zeta_grid, rng, reps=200):
     """Pick the grid zeta whose ensemble matches the data's cluster spread.
 
-    Runs k-means on the data, computes the mean absolute pairwise center
-    distance averaged over dimensions, simulates the same gap statistic
-    under the location ensemble for each candidate zeta, and returns the
-    candidate with the smallest absolute discrepancy.  The ensemble gap
-    shrinks as zeta grows, so degenerate single-cluster data selects the
-    largest grid value.
+    Runs scipy's k-means (best of 10 restarts from k distinct observations),
+    takes the mean absolute pairwise center distance averaged over
+    dimensions, computes the same statistic for ``reps`` location-ensemble
+    draws at each candidate zeta, and returns the first candidate with the
+    smallest absolute discrepancy.  The ensemble gap shrinks as zeta grows,
+    so degenerate single-cluster data selects the largest grid value.
     """
+    from scipy.cluster.vq import kmeans
+
     from .ensemble import GeParams, sample_ge
 
     zeta_grid = [float(z) for z in zeta_grid]
     if not zeta_grid or any(z <= 0.0 for z in zeta_grid):
         raise ValueError("zeta grid must hold positive values")
-    centers, _, _ = kmeans(np.asarray(y, dtype=float), k, rng)
-    target = float(center_gap_by_dimension(centers).mean())
-    iu = np.triu_indices(k, 1)
-    best_z, best_gap = None, np.inf
-    for z in zeta_grid:
+    if not 2 <= k <= len(y):
+        raise ValueError("k must lie in 2..n")
+    centers, _ = kmeans(np.asarray(y, dtype=float), k, iter=10, rng=rng)
+    # scipy drops a centre that ends with no observations (repeated points
+    # can do that); a single centre left means the data show no spread
+    target = float(center_gap_by_dimension(centers).mean()) if len(centers) > 1 else 0.0
+
+    def discrepancy(z):
+        # the k locations of each draw are k centres, one draw per dimension
         draws = sample_ge(GeParams(z, k), reps, rng)
-        gaps = np.abs(draws[:, :, None] - draws[:, None, :])[:, iu[0], iu[1]]
-        stat = float(gaps.mean())
-        if abs(stat - target) < best_gap:
-            best_gap = abs(stat - target)
-            best_z = z
-    return best_z
+        return abs(float(center_gap_by_dimension(draws.T).mean()) - target)
+
+    return min(zeta_grid, key=discrepancy)

@@ -171,6 +171,13 @@ def _fit_config(args):
     return payload
 
 
+def _ma_histogram(m_allocated):
+    """Draws per allocated-component count.  The keys are ints, so the
+    sorted keys of ``write_json`` come out in numeric order (1, 2, 10)."""
+    values, counts = np.unique(m_allocated, return_counts=True)
+    return {int(v): int(c) for v, c in zip(values, counts)}
+
+
 def _cmd_fit(args):
     from .io import read_dataset, write_trace
     from .sampler import SamplerConfig, run_sampler
@@ -185,7 +192,7 @@ def _cmd_fit(args):
     if chains < 1:
         raise ValueError("chains must be >= 1")
     summary = {"chains": {}, "seed": seed, "n_chains": chains}
-    ma_hist = {}
+    m_allocated = []
     for i in range(chains):
         config = SamplerConfig(
             hyper=hyper, seed=seed ^ i, record_weights=bool(payload["record_weights"])
@@ -200,11 +207,10 @@ def _cmd_fit(args):
             "mean_m": float(trace.m.mean()),
             "mean_m_a": float(trace.m_allocated.mean()),
         }
-        for value, count in zip(*np.unique(trace.m_allocated, return_counts=True)):
-            ma_hist[int(value)] = ma_hist.get(int(value), 0) + int(count)
+        m_allocated.append(trace.m_allocated)
     # flat copy of chain-0 rates so a single-chain summary is directly consumable
     summary["acceptance_rates"] = summary["chains"]["0"]["acceptance_rates"]
-    summary["ma_histogram"] = ma_hist
+    summary["ma_histogram"] = _ma_histogram(np.concatenate(m_allocated))
 
     manifest = hyperparams_to_dict(hyper.resolved(y.shape[1]))
     manifest.update(
@@ -241,15 +247,11 @@ def _cmd_analyze(args):
     write_matrix_csv(out_dir / "psm.csv", sim, denominator=merged.n_samples)
     partition = binder_estimate(merged, sim)
     write_matrix_csv(out_dir / "binder.csv", (partition + 1).reshape(1, -1))
-    hist = {
-        str(int(v)): int(c)
-        for v, c in zip(*np.unique(merged.m_allocated, return_counts=True))
-    }
     write_json(
         out_dir / "summary.json",
         {
             "n_samples": int(merged.n_samples),
-            "ma_histogram": hist,
+            "ma_histogram": _ma_histogram(merged.m_allocated),
             "mean_m": float(merged.m.mean()),
             "mean_m_a": float(merged.m_allocated.mean()),
             "mean_gamma": float(merged.gamma.mean()),

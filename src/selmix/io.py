@@ -21,7 +21,6 @@ __all__ = [
     "write_trace",
     "read_trace",
     "write_matrix_csv",
-    "read_matrix_csv",
     "write_json",
     "read_json",
 ]
@@ -166,11 +165,6 @@ def write_matrix_csv(path, mat, denominator=None):
             ):
                 raise ValueError(f"{path}: entries are not multiples of 1/{denominator} in [0, 1]")
             fh.write(",".join(cells[counts.astype(np.intp)]) + "\r\n")
-
-
-def read_matrix_csv(path):
-    with open(path, newline="") as fh:
-        return np.asarray([[float(c) for c in row] for row in csv.reader(fh)])
 
 
 def write_json(path, payload):

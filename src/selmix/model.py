@@ -99,25 +99,6 @@ class MixtureState:
             zeta=self.zeta,
         )
 
-    def validate(self):
-        """Raise ValueError on any broken structural invariant."""
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.weights.shape != (self.m,):
-            raise ValueError("weights length must equal m")
-        if abs(self.weights.sum() - 1.0) > 1e-12 or np.any(self.weights < 0.0):
-            raise ValueError("weights must lie on the simplex")
-        if self.mus.shape != (self.m, self.dim):
-            raise ValueError("mus must have shape (m, d)")
-        if self.sigmas.shape != (self.m, self.dim, self.dim):
-            raise ValueError("sigmas must have shape (m, d, d)")
-        for sig in self.sigmas:
-            np.linalg.cholesky(sig)
-        if self.alloc.size and (self.alloc.min() < 0 or self.alloc.max() >= self.m):
-            raise ValueError("alloc entries must lie in 0..m-1")
-        if not (self.gamma >= 0.0 and self.zeta > 0.0):
-            raise ValueError("gamma must be >= 0 and zeta > 0")
-
 
 @dataclass
 class Hyperparams:
@@ -129,11 +110,14 @@ class Hyperparams:
     "ratio" (zeta tied to rho * gamma).  ``step_mu`` and ``step_gamma`` are
     proposal variances.
 
+    Every number in use must be finite and in range; each ValueError names
+    its field.
+
     Each covariance has an inverse-Wishart(v0, nu0) prior; ``resolved``
-    fills in v0 = I and nu0 = d and requires v0 symmetric positive definite
-    and nu0 >= d - 1/2.  The smallest Bartlett chi-square then has at least
-    1/2 degree of freedom: below that its variates underflow to zero often
-    enough that chains die in the covariance step.
+    fills in v0 = I and nu0 = d and requires both finite, v0 symmetric
+    positive definite and nu0 >= d - 1/2.  The smallest Bartlett chi-square
+    then has at least 1/2 degree of freedom: below that its variates
+    underflow to zero often enough that chains die in the covariance step.
 
     ``birth_death`` selects the trans-dimensional bookkeeping.  "reversible"
     (default) inserts newborn components at a uniformly chosen slot so every
@@ -169,31 +153,30 @@ class Hyperparams:
     adapt: bool = True
 
     def __post_init__(self):
-        if not self.alpha0 > 0.0:
-            raise ValueError("alpha0 must be positive")
-        if not self.lam > 0.0:
-            raise ValueError("lam must be positive")
         if self.zeta_mode not in ("fixed", "gamma", "ratio"):
             raise ValueError("zeta_mode must be 'fixed', 'gamma' or 'ratio'")
         if self.birth_death not in ("reversible", "append"):
             raise ValueError("birth_death must be 'reversible' or 'append'")
-        if not 0.0 < self.q_birth < 1.0:
-            raise ValueError("q_birth must lie strictly between 0 and 1")
-        if self.gamma_fixed is not None and self.gamma_fixed < 0.0:
-            raise ValueError("a fixed gamma must be non-negative")
-        # only the hyperprior parameters in use are checked
-        in_use = []
+        # every number in use must be finite and in range (NaN fails the
+        # range check); a hyperprior that is not in use is not checked
+        positive = ["alpha0", "lam", "step_mu", "step_gamma"]
         if self.gamma_free:
-            in_use += ["gamma_shape", "gamma_rate"]
-        if self.zeta_free:
-            in_use += ["zeta_shape", "zeta_rate"]
-        if self.zeta_mode == "ratio":
-            in_use.append("rho")
-        for name in in_use:
+            positive += ["gamma_shape", "gamma_rate"]
+        elif self.zeta_mode == "ratio":
+            positive.append("gamma_fixed")
+        positive += {
+            "fixed": ["zeta_fixed"], "gamma": ["zeta_shape", "zeta_rate"], "ratio": ["rho"],
+        }[self.zeta_mode]
+        for name in positive:
+            _require_finite(name, getattr(self, name))
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
-        if self.step_mu <= 0.0 or self.step_gamma <= 0.0:
-            raise ValueError("proposal variances must be positive")
+        if self.gamma_fixed is not None:
+            _require_finite("gamma_fixed", self.gamma_fixed)
+            if not self.gamma_fixed >= 0.0:
+                raise ValueError("gamma_fixed must be non-negative")
+        if not 0.0 < self.q_birth < 1.0:
+            raise ValueError("q_birth must lie strictly between 0 and 1")
         if self.burn_in < 0 or self.thin < 1 or self.n_samples < 1:
             raise ValueError("invalid run lengths")
         if self.v0 is not None:
@@ -212,6 +195,8 @@ class Hyperparams:
         v0 = np.eye(dim) if self.v0 is None else np.asarray(self.v0, dtype=float)
         if v0.shape != (dim, dim):
             raise ValueError(f"v0 must be a {dim}x{dim} matrix")
+        if not np.isfinite(v0).all():
+            raise ValueError("v0 must be finite")
         if not np.array_equal(v0, v0.T):
             raise ValueError("v0 must be symmetric")
         try:
@@ -219,9 +204,16 @@ class Hyperparams:
         except np.linalg.LinAlgError:
             raise ValueError("v0 must be positive definite") from None
         nu0 = float(dim) if self.nu0 is None else float(self.nu0)
+        _require_finite("nu0", nu0)
         if not nu0 >= dim - 0.5:
             raise ValueError(f"nu0 must be at least dim - 1/2 = {dim - 0.5}")
         return dataclasses.replace(self, v0=v0, nu0=nu0)
+
+
+def _require_finite(name, value):
+    """Raise a ValueError naming ``name`` when ``value`` is +-inf."""
+    if np.isinf(value):
+        raise ValueError(f"{name} must be finite")
 
 
 def shifted_poisson_log_pmf(m, lam):

@@ -297,7 +297,7 @@ def update_allocations(y, state, rng):
     return out
 
 
-def update_means(y, state, hyper, rng, step_mu=None):
+def update_means(y, state, hyper, rng, step_mu):
     """Coordinate-wise Metropolis pass over all component means.
 
     Allocated components take Gaussian random-walk proposals with variance
@@ -307,8 +307,7 @@ def update_means(y, state, hyper, rng, step_mu=None):
     (rw_accepts, rw_attempts, refresh_accepts, refresh_attempts).
     """
     out = state.copy()
-    var = hyper.step_mu if step_mu is None else step_mu
-    rw_sd = np.sqrt(var)
+    rw_sd = np.sqrt(step_mu)
     refresh_sd = np.sqrt(2.0 * out.m + 1.0 / out.zeta)
     counts = out.counts()
     groups = _grouped_points(y, out.alloc, counts)
@@ -367,14 +366,13 @@ def update_weights(state, hyper, rng):
     return out, bool(accepted)
 
 
-def update_scale(state, hyper, rng, key, step_gamma=None):
+def update_scale(state, hyper, rng, key, step_gamma):
     """Log-normal random-walk update of one repulsion scale, ``key`` being
     "gamma" or "zeta"; under the ratio mode zeta follows rho * gamma."""
     if getattr(state, key) <= 0.0:
         raise SamplerError(f"{key} updates require a positive current value")
     out = state.copy()
-    var = hyper.step_gamma if step_gamma is None else step_gamma
-    prop = getattr(out, key) * np.exp(np.sqrt(var) * rng.standard_normal())
+    prop = getattr(out, key) * np.exp(np.sqrt(step_gamma) * rng.standard_normal())
     if key == "zeta":
         gamma_new, zeta_new = out.gamma, prop
     else:
@@ -436,8 +434,6 @@ def initial_state(y, hyper, rng):
         zeta0 = hyper.zeta_shape / hyper.zeta_rate
     else:
         zeta0 = hyper.rho * gamma0
-    if zeta0 <= 0.0:
-        raise SamplerError("initial zeta must be positive")
 
     if n:
         m0 = max(2, int(round(hyper.lam)))
@@ -449,9 +445,7 @@ def initial_state(y, hyper, rng):
     else:
         m0 = 1 + int(rng.poisson(hyper.lam))
         alloc = np.empty(0, dtype=np.int64)
-        mus = np.empty((m0, dim))
-        for d in range(dim):
-            mus[:, d] = sample_ge(GeParams(zeta0, m0), 1, rng)[0]
+        mus = sample_ge(GeParams(zeta0, m0), dim, rng).T
         sigmas = sample_invwishart(rng, np.tile(hyper.v0, (m0, 1, 1)), hyper.nu0)
 
     alpha_post = hyper.alpha0 + np.bincount(alloc, minlength=m0)

@@ -11,16 +11,27 @@ rather than a tautology.
 
 import csv
 import dataclasses
+import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 from scipy import integrate, stats
 from scipy.special import gammaln, xlogy
 
+import selmix
 from selmix import ensemble, sampler, selberg
 from selmix.distributions import LOG_2PI, gamma_log_pdf, gaussian_log_pdf
 from selmix.ensemble import GeParams, ge_log_density
 from selmix.model import Hyperparams, MixtureState, log_complete_joint, weight_prior_log_density
+
+
+def child_env(**overrides):
+    """The environment for a child interpreter that imports this checkout's
+    selmix: its src directory leads PYTHONPATH, whatever is installed."""
+    src = str(Path(selmix.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +152,28 @@ def random_state(rng, m, dim, n, gamma=None, zeta=None, force_empty=None):
         alloc = np.empty(0, dtype=np.int64)
     state = MixtureState(m=m, weights=weights, mus=mus, sigmas=sigmas,
                          alloc=alloc, gamma=gamma, zeta=zeta)
-    state.validate()
+    validate_state(state)
     return state
+
+
+def validate_state(state):
+    """Raise ValueError on any broken structural invariant of a MixtureState."""
+    if state.m < 1:
+        raise ValueError("m must be >= 1")
+    if state.weights.shape != (state.m,):
+        raise ValueError("weights length must equal m")
+    if abs(state.weights.sum() - 1.0) > 1e-12 or np.any(state.weights < 0.0):
+        raise ValueError("weights must lie on the simplex")
+    if state.mus.shape != (state.m, state.dim):
+        raise ValueError("mus must have shape (m, d)")
+    if state.sigmas.shape != (state.m, state.dim, state.dim):
+        raise ValueError("sigmas must have shape (m, d, d)")
+    for sig in state.sigmas:
+        np.linalg.cholesky(sig)
+    if state.alloc.size and (state.alloc.min() < 0 or state.alloc.max() >= state.m):
+        raise ValueError("alloc entries must lie in 0..m-1")
+    if not (state.gamma >= 0.0 and state.zeta > 0.0):
+        raise ValueError("gamma must be >= 0 and zeta > 0")
 
 
 def replace_state(state, **kwargs):
@@ -502,10 +533,9 @@ def mean_refresh_log_accept_ref(state, j, d, mu_new, proposal_sd):
     return float(la + 0.5 * (mu_new * mu_new - old * old) / proposal_sd**2)
 
 
-def update_means_ref(y, state, hyper, rng, step_mu=None):
+def update_means_ref(y, state, hyper, rng, step_mu):
     out = state.copy()
-    var = hyper.step_mu if step_mu is None else step_mu
-    rw_sd = np.sqrt(var)
+    rw_sd = np.sqrt(step_mu)
     refresh_sd = np.sqrt(2.0 * out.m + 1.0 / out.zeta)
     counts = out.counts()
     rw_acc = rw_att = ref_acc = ref_att = 0
@@ -614,34 +644,31 @@ def tied_gamma_log_accept_ref(state, hyper, gamma_new):
     return float(la + np.log(gamma_new) - np.log(state.gamma))
 
 
-def update_gamma_ref(state, hyper, rng, step_gamma=None):
+def update_gamma_ref(state, hyper, rng, step_gamma):
     if state.gamma <= 0.0:
         raise sampler.SamplerError("gamma updates require a positive current value")
     out = state.copy()
-    var = hyper.step_gamma if step_gamma is None else step_gamma
-    prop = out.gamma * np.exp(np.sqrt(var) * rng.standard_normal())
+    prop = out.gamma * np.exp(np.sqrt(step_gamma) * rng.standard_normal())
     accepted = np.log(rng.random()) < gamma_log_accept_ref(out, hyper, prop)
     if accepted:
         out.gamma = prop
     return out, bool(accepted)
 
 
-def update_zeta_full_conditional_ref(state, hyper, rng, step_gamma=None):
+def update_zeta_full_conditional_ref(state, hyper, rng, step_gamma):
     out = state.copy()
-    var = hyper.step_gamma if step_gamma is None else step_gamma
-    prop = out.zeta * np.exp(np.sqrt(var) * rng.standard_normal())
+    prop = out.zeta * np.exp(np.sqrt(step_gamma) * rng.standard_normal())
     accepted = np.log(rng.random()) < zeta_log_accept_ref(out, hyper, prop)
     if accepted:
         out.zeta = prop
     return out, bool(accepted)
 
 
-def update_gamma_ratio_tied_ref(state, hyper, rng, step_gamma=None):
+def update_gamma_ratio_tied_ref(state, hyper, rng, step_gamma):
     if state.gamma <= 0.0:
         raise sampler.SamplerError("gamma updates require a positive current value")
     out = state.copy()
-    var = hyper.step_gamma if step_gamma is None else step_gamma
-    prop = out.gamma * np.exp(np.sqrt(var) * rng.standard_normal())
+    prop = out.gamma * np.exp(np.sqrt(step_gamma) * rng.standard_normal())
     accepted = np.log(rng.random()) < tied_gamma_log_accept_ref(out, hyper, prop)
     if accepted:
         out.gamma = prop
@@ -649,7 +676,7 @@ def update_gamma_ratio_tied_ref(state, hyper, rng, step_gamma=None):
     return out, bool(accepted)
 
 
-def update_scale_ref(state, hyper, rng, key, step_gamma=None):
+def update_scale_ref(state, hyper, rng, key, step_gamma):
     """The separate gamma, zeta and tied updates ``update_scale`` replaced,
     picked by the walked scale and the zeta mode."""
     if key == "zeta":

@@ -1,5 +1,8 @@
 """Posterior summaries: similarity matrices, point partitions, prior
-cluster-count simulation, k-means, and repulsion-scale elicitation."""
+cluster-count simulation, and repulsion-scale elicitation."""
+
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,11 +17,22 @@ from selmix.analysis import (
     count_allocated,
     distinct_partitions,
     elicit_zeta,
-    kmeans,
     posterior_similarity,
     prior_ma_simulation,
 )
 from selmix.model import simulate_benchmark
+
+# binder_loss on a seeded trace of 10 draws over n = 3000, printed as repr
+BINDER_CHILD = """
+import numpy as np
+from selmix.analysis import PosteriorTrace, binder_estimate, binder_loss, posterior_similarity
+rng = np.random.default_rng(30)
+alloc = rng.integers(0, 6, size=(10, 3000))
+trace = PosteriorTrace(m=np.full(10, 6), m_allocated=np.full(10, 6), alloc=alloc,
+                       gamma=np.zeros(10), zeta=np.ones(10))
+sim = posterior_similarity(trace)
+print(repr(binder_loss(binder_estimate(trace, sim), sim)))
+"""
 
 
 def make_trace(alloc_rows, weights=None):
@@ -156,6 +170,15 @@ class TestPartitionHelpers:
         want = (1 - 0.8) ** 2 + 0.1 ** 2 + 0.4 ** 2
         assert binder_loss([0, 0, 1], sim) == pytest.approx(want, rel=1e-12)
 
+    def test_binder_loss_is_independent_of_blas_threads(self):
+        printed = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", BINDER_CHILD], capture_output=True,
+                                  text=True, env=H.child_env(OPENBLAS_NUM_THREADS=threads),
+                                  check=True)
+            printed.append(proc.stdout)
+        assert printed[0] == printed[1]
+
     def test_binder_loss_label_invariant(self):
         rng = np.random.default_rng(4)
         sim = rng.uniform(size=(6, 6))
@@ -273,33 +296,6 @@ class TestPriorClusterCount:
         assert means[1] < means[0]
 
 
-class TestKmeans:
-    def test_recovers_separated_blobs(self):
-        rng = np.random.default_rng(9)
-        centers_true = np.array([[-6.0, 0.0], [0.0, 6.0], [6.0, 0.0]])
-        y = np.vstack([rng.normal(c, 0.3, size=(40, 2)) for c in centers_true])
-        centers, labels, inertia = kmeans(y, 3, rng)
-        assert centers.shape == (3, 2)
-        assert labels.shape == (120,)
-        # each true blob maps to exactly one fitted label
-        for k in range(3):
-            blob = labels[40 * k: 40 * (k + 1)]
-            assert np.unique(blob).size == 1
-        order = np.argsort(centers[:, 0])
-        np.testing.assert_allclose(centers[order], centers_true, atol=0.2)
-        assert inertia == pytest.approx(
-            sum(((y[labels == k] - centers[k]) ** 2).sum() for k in range(3)), rel=1e-9)
-
-    def test_deterministic_given_seed(self):
-        rng_data = np.random.default_rng(10)
-        y = rng_data.normal(size=(50, 2))
-        c1, l1, i1 = kmeans(y, 4, np.random.default_rng(11))
-        c2, l2, i2 = kmeans(y, 4, np.random.default_rng(11))
-        np.testing.assert_array_equal(c1, c2)
-        np.testing.assert_array_equal(l1, l2)
-        assert i1 == i2
-
-
 class TestElicitation:
     def test_center_gap_frozen_example(self):
         centers = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 5.0]])
@@ -316,6 +312,17 @@ class TestElicitation:
         z_tight = elicit_zeta(tight, 3, grid, np.random.default_rng(1))
         z_wide = elicit_zeta(wide, 3, grid, np.random.default_rng(1))
         assert z_wide < z_tight
+
+    def test_data_without_spread_selects_the_largest_zeta(self):
+        # every k-means centre but one ends empty and is dropped
+        y = np.zeros((20, 2))
+        assert elicit_zeta(y, 3, [0.01, 0.1, 1.0], np.random.default_rng(2)) == 1.0
+
+    @pytest.mark.parametrize("k", [0, 1, 21])
+    def test_k_must_lie_between_two_and_n(self, k):
+        with pytest.raises(ValueError, match=r"^k must lie in 2\.\.n$"):
+            elicit_zeta(np.random.default_rng(3).normal(size=(20, 2)), k, [0.1],
+                        np.random.default_rng(4))
 
     def test_benchmark_selects_frozen_scale(self):
         y, _ = simulate_benchmark(0)

@@ -15,7 +15,6 @@ from selmix.ensemble import GeParams, ge_log_density, ge_log_norm_const
 from selmix.io import (
     read_dataset,
     read_json,
-    read_matrix_csv,
     read_trace,
     write_dataset,
     write_json,
@@ -143,7 +142,7 @@ class TestMatrixAndJson:
         mat = np.random.default_rng(3).normal(size=(4, 6))
         path = tmp_path / "mat.csv"
         write_matrix_csv(path, mat)
-        np.testing.assert_array_equal(read_matrix_csv(path), mat)
+        np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", ndmin=2), mat)
 
     def test_matrix_on_a_denominator_grid_writes_repr_bytes(self, tmp_path):
         t = 7
@@ -342,10 +341,10 @@ class TestCli:
             "--out-dir", str(an_dir),
         ])
         assert code == 0
-        psm = read_matrix_csv(an_dir / "psm.csv")
+        psm = np.loadtxt(an_dir / "psm.csv", delimiter=",", ndmin=2)
         assert psm.shape == (300, 300)
         assert np.allclose(np.diag(psm), 1.0)
-        partition = read_matrix_csv(an_dir / "binder.csv")
+        partition = np.loadtxt(an_dir / "binder.csv", delimiter=",", ndmin=2)
         assert partition.shape == (1, 300)
         assert partition.min() >= 1
         summary = read_json(an_dir / "summary.json")
@@ -493,6 +492,53 @@ class TestCli:
         assert cli_dispatch(args) == 1
         assert capsys.readouterr().err == f"selmix: error: {field} must be positive\n"
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--gamma=nan"], "gamma_fixed must be non-negative"),
+        (["--gamma=inf"], "gamma_fixed must be finite"),
+        (["--step-mu=nan"], "step_mu must be positive"),
+        (["--step-gamma=nan"], "step_gamma must be positive"),
+        (["--gamma-shape=inf"], "gamma_shape must be finite"),
+        (["--nu0=inf"], "nu0 must be finite"),
+        (["--zeta=0"], "zeta_fixed must be positive"),
+        (["--zeta=-1"], "zeta_fixed must be positive"),
+        (["--zeta=nan"], "zeta_fixed must be positive"),
+        (["--gamma=0", "--zeta-mode=ratio"], "gamma_fixed must be positive"),
+        (["--zeta-mode=gamma", "--zeta-rate=inf"], "zeta_rate must be finite"),
+        (["--lam=inf"], "lam must be finite"),
+    ])
+    def test_unusable_number_names_the_field(self, benchmark_csv, tmp_path, capsys,
+                                             flags, message):
+        args = ["fit", "--data", str(benchmark_csv), "--out-dir", str(tmp_path / "fit"),
+                "--burn-in", "20", "--thin", "1", "--n-samples", "5", *flags]
+        assert cli_dispatch(args) == 1
+        assert capsys.readouterr().err == f"selmix: error: {message}\n"
+
+    def test_ma_histogram_keys_in_numeric_order(self, benchmark_csv, tmp_path, monkeypatch):
+        # chain 0 reaches m_a = 10: sorted as strings, "10" would come before "2"
+        import selmix.sampler as sampler_mod
+
+        def fake_run_sampler(y, config):
+            m_a = {0: [2, 10, 2], 1: [1, 2, 3]}[config.seed]
+            trace = PosteriorTrace(
+                m=np.array(m_a), m_allocated=np.array(m_a),
+                alloc=np.stack([np.arange(y.shape[0]) % k for k in m_a]),
+                gamma=np.ones(3), zeta=np.ones(3),
+            )
+            diag = sampler_mod.StepDiagnostics(accepts={}, attempts={},
+                                               step_mu_final=0.25, step_gamma_final=0.25)
+            return trace, diag
+
+        monkeypatch.setattr(sampler_mod, "run_sampler", fake_run_sampler)
+        fit_dir, an_dir = tmp_path / "fit", tmp_path / "an"
+        assert cli_dispatch(["fit", "--data", str(benchmark_csv), "--out-dir", str(fit_dir),
+                             "--seed", "0", "--chains", "2"]) == 0
+        assert cli_dispatch(["analyze", "--out-dir", str(an_dir),
+                             "--trace", str(fit_dir / "trace_chain0.ndjson"),
+                             "--trace", str(fit_dir / "trace_chain1.ndjson")]) == 0
+        want = [("1", 1), ("2", 3), ("3", 1), ("10", 1)]
+        for out_dir in (fit_dir, an_dir):
+            assert list(read_json(out_dir / "summary.json")["ma_histogram"].items()) == want
+
     def test_unused_hyperprior_is_not_checked(self, benchmark_csv, tmp_path):
         args = tiny_fit_args(benchmark_csv, tmp_path / "fit", ["--gamma-rate", "0"])
         assert cli_dispatch(args) == 0
@@ -507,6 +553,6 @@ class TestCli:
 
     def test_console_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "selmix.cli", "--version"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=H.child_env())
         assert proc.returncode == 0
         assert "selmix" in proc.stdout

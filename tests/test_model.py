@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
-from helpers import random_hyper, random_state
+from helpers import random_hyper, random_state, validate_state
 from selmix.ensemble import GeParams, ge_log_density
 from selmix.model import (
     BENCHMARK_COVS,
@@ -149,19 +149,19 @@ class TestMixtureState:
         bad = state.copy()
         bad.weights = np.array([0.5, 0.2, 0.2])
         with pytest.raises(ValueError):
-            bad.validate()
+            validate_state(bad)
         bad = state.copy()
         bad.alloc[0] = 3
         with pytest.raises(ValueError):
-            bad.validate()
+            validate_state(bad)
         bad = state.copy()
         bad.sigmas[1] = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(np.linalg.LinAlgError):
-            bad.validate()
+            validate_state(bad)
         bad = state.copy()
         bad.zeta = 0.0
         with pytest.raises(ValueError):
-            bad.validate()
+            validate_state(bad)
 
 
 class TestHyperparams:
@@ -222,6 +222,52 @@ class TestHyperparams:
     def test_hyperprior_in_use_must_be_positive(self, field, modes, value):
         with pytest.raises(ValueError, match=f"^{field} must be positive$"):
             Hyperparams(**modes, **{field: value})
+
+    @pytest.mark.parametrize("field,modes", [
+        ("gamma_shape", {}), ("gamma_rate", {}),
+        ("zeta_shape", {"zeta_mode": "gamma"}), ("zeta_rate", {"zeta_mode": "gamma"}),
+        ("rho", {"zeta_mode": "ratio"}),
+    ])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_hyperprior_in_use_must_be_finite(self, field, modes, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            Hyperparams(**modes, **{field: value})
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"alpha0": np.inf}, "alpha0 must be finite"),
+        ({"lam": np.inf}, "lam must be finite"),
+        ({"step_mu": np.nan}, "step_mu must be positive"),
+        ({"step_mu": np.inf}, "step_mu must be finite"),
+        ({"step_gamma": np.nan}, "step_gamma must be positive"),
+        ({"gamma_fixed": np.nan}, "gamma_fixed must be non-negative"),
+        ({"gamma_fixed": np.inf}, "gamma_fixed must be finite"),
+        ({"gamma_fixed": 0.0, "zeta_mode": "ratio"}, "gamma_fixed must be positive"),
+        ({"gamma_fixed": np.nan, "zeta_mode": "ratio"}, "gamma_fixed must be positive"),
+        ({"zeta_fixed": 0.0}, "zeta_fixed must be positive"),
+        ({"zeta_fixed": -1.0}, "zeta_fixed must be positive"),
+        ({"zeta_fixed": np.nan}, "zeta_fixed must be positive"),
+        ({"zeta_fixed": np.inf}, "zeta_fixed must be finite"),
+        ({"q_birth": np.nan}, "q_birth must lie strictly between 0 and 1"),
+    ])
+    def test_number_in_use_must_be_finite_and_in_range(self, kwargs, message):
+        # alpha0 = inf is caught here: a sampler started with it would
+        # redraw NaN Dirichlet weights forever
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Hyperparams(**kwargs)
+
+    def test_zero_gamma_and_unused_zeta_fixed_are_accepted(self):
+        Hyperparams(gamma_fixed=0.0)
+        Hyperparams(zeta_mode="gamma", zeta_fixed=np.nan)
+        Hyperparams(zeta_mode="ratio", zeta_fixed=np.inf)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"nu0": np.inf}, "nu0 must be finite"),
+        ({"v0": [[1.0, 0.0], [0.0, np.inf]]}, "v0 must be finite"),
+        ({"v0": [[1.0, np.nan], [np.nan, 1.0]]}, "v0 must be finite"),
+    ])
+    def test_resolved_requires_finite_covariance_prior(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Hyperparams(**kwargs).resolved(2)
 
     def test_hyperprior_not_in_use_is_unchecked(self):
         Hyperparams(gamma_fixed=1.0, gamma_shape=0.0, gamma_rate=0.0)

@@ -205,9 +205,10 @@ class TestRatioEdgeCases:
         hyper = H.random_hyper(rng, 1)
         state = H.random_state(rng, 2, 1, 0, gamma=0.0)
         with pytest.raises(SamplerError):
-            update_scale(state, hyper, rng, "gamma")
+            update_scale(state, hyper, rng, "gamma", hyper.step_gamma)
         with pytest.raises(SamplerError):
-            update_scale(state, dataclasses.replace(hyper, zeta_mode="ratio"), rng, "gamma")
+            update_scale(state, dataclasses.replace(hyper, zeta_mode="ratio"), rng, "gamma",
+                         hyper.step_gamma)
 
     def test_proposed_gamma_must_stay_positive(self):
         rng = np.random.default_rng(14)
@@ -263,7 +264,7 @@ class TestSweepSteps:
         hyper = H.random_hyper(rng, 2)
         state = H.random_state(rng, 3, 2, 12, force_empty=[2])
         y = rng.normal(size=(12, 2))
-        out, (rw_acc, rw_att, ref_acc, ref_att) = update_means(y, state, hyper, rng)
+        out, (rw_acc, rw_att, ref_acc, ref_att) = update_means(y, state, hyper, rng, hyper.step_mu)
         assert rw_att == 2 * 2 and ref_att == 1 * 2
         assert 0 <= rw_acc <= rw_att and 0 <= ref_acc <= ref_att
         np.testing.assert_array_equal(out.alloc, state.alloc)
@@ -305,7 +306,7 @@ class TestSweepSteps:
         state = H.random_state(rng, 2, 1, 0, gamma=1.0)
         kept = []
         for t in range(30000):
-            state, _ = update_scale(state, hyper, rng, "gamma")
+            state, _ = update_scale(state, hyper, rng, "gamma", hyper.step_gamma)
             if t % 10 == 9:
                 kept.append(state.gamma)
         marginal = stats.gamma(a=3.0, scale=0.5)
@@ -316,14 +317,14 @@ class TestSweepSteps:
         hyper = H.random_hyper(rng, 2, zeta_mode="ratio")
         state = H.random_state(rng, 3, 2, 0, gamma=1.0, zeta=hyper.rho * 1.0)
         for _ in range(200):
-            state, _ = update_scale(state, hyper, rng, "gamma")
+            state, _ = update_scale(state, hyper, rng, "gamma", hyper.step_gamma)
             assert state.zeta == pytest.approx(hyper.rho * state.gamma, rel=1e-12)
 
     def test_zeta_update_moves_only_zeta(self):
         rng = np.random.default_rng(28)
         hyper = H.random_hyper(rng, 2, zeta_mode="gamma")
         state = H.random_state(rng, 3, 2, 0)
-        out, accepted = update_scale(state, hyper, rng, "zeta")
+        out, accepted = update_scale(state, hyper, rng, "zeta", hyper.step_gamma)
         assert isinstance(accepted, bool)
         np.testing.assert_array_equal(out.mus, state.mus)
         assert out.gamma == state.gamma
@@ -337,7 +338,7 @@ class TestBirthDeathStep:
         for _ in range(200):
             out, move, accepted = birth_death_step(
                 np.empty((30, 2)), state, hyper, rng)
-            out.validate()
+            H.validate_state(out)
             if move == "birth" and accepted:
                 assert out.m == state.m + 1
                 # every observation must still point at the parameters it
@@ -356,7 +357,7 @@ class TestBirthDeathStep:
             state = H.random_state(rng, 4, 2, 20, force_empty=[1])
             out, move, accepted = birth_death_step(
                 np.empty((20, 2)), state, hyper, rng)
-            out.validate()
+            H.validate_state(out)
             if move == "death" and accepted:
                 assert out.m == state.m - 1
                 for i in range(20):
@@ -463,7 +464,7 @@ class TestInitialState:
         hyper = H.random_hyper(rng, 2)
         y = rng.normal(size=(30, 2))
         state = initial_state(y, hyper, rng)
-        state.validate()
+        H.validate_state(state)
         assert state.m == max(2, int(round(hyper.lam)))
         assert state.alloc.shape == (30,)
 
@@ -471,7 +472,7 @@ class TestInitialState:
         rng = np.random.default_rng(41)
         hyper = H.random_hyper(rng, 3)
         state = initial_state(np.empty((0, 3)), hyper, rng)
-        state.validate()
+        H.validate_state(state)
         assert state.alloc.size == 0
         assert state.m >= 1
 
@@ -774,7 +775,7 @@ class TestScaleAndDeathMatchReference:
         # when the first free scale is the one whose rate adapts it
         import selmix.sampler as sampler_mod
 
-        def fake_update_scale(state, hyper, rng, key, step_gamma=None):
+        def fake_update_scale(state, hyper, rng, key, step_gamma):
             return state.copy(), key == "gamma" or gamma_fixed is not None
 
         monkeypatch.setattr(sampler_mod, "update_scale", fake_update_scale)
