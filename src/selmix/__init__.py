@@ -26,8 +26,8 @@ _EXPORTS = {
         "log_complete_joint",
         "log_likelihood",
         "shifted_poisson_log_pmf",
-        "simulate_benchmark",
     ),
+    "planted": ("simulate_benchmark",),
     "sampler": ("SamplerConfig", "StepDiagnostics", "run_sampler"),
     "selberg": (
         "GsdirParams",

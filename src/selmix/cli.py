@@ -10,8 +10,8 @@ chain i as seed XOR i, so runs with nearby seeds can share chains:
 (seeds 2 and 3, in swapped order).
 
 Each subcommand imports the modules it runs.  Only ``fit`` loads the
-sampler; ``simulate``, ``prior-ma``, ``elicit-zeta`` and ``dist`` load the
-model or the closed-form modules they evaluate, and with them scipy.
+sampler; ``prior-ma``, ``elicit-zeta`` and ``dist`` load the model or the
+closed-form modules they evaluate, and with them scipy.  ``simulate``,
 ``analyze``, ``--version`` and ``--help`` run on numpy alone.
 """
 
@@ -140,7 +140,7 @@ def _parse_vector(text):
 
 def _cmd_simulate(args):
     from .io import write_dataset
-    from .model import simulate_benchmark
+    from .planted import simulate_benchmark
 
     y, labels = simulate_benchmark(args.seed, n_obs=args.n)
     write_dataset(args.out, y)

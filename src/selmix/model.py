@@ -27,6 +27,7 @@ from scipy.special import gammaln, logsumexp, xlogy
 
 from .distributions import LOG_2PI, gamma_log_pdf, gaussian_log_pdf, invwishart_log_pdf
 from .ensemble import GeParams, ge_log_density
+from .planted import simulate_benchmark  # noqa: F401  (still imported from here)
 from .selberg import SdirParams, sdir_log_density
 
 __all__ = [
@@ -36,20 +37,7 @@ __all__ = [
     "weight_prior_log_density",
     "log_likelihood",
     "log_complete_joint",
-    "simulate_benchmark",
-    "BENCHMARK_WEIGHTS",
-    "BENCHMARK_MEANS",
-    "BENCHMARK_COVS",
 ]
-
-# Five-component planted truth used by the synthetic benchmark.
-BENCHMARK_WEIGHTS = np.array([0.2, 0.2, 0.2, 0.3, 0.1])
-BENCHMARK_MEANS = np.array(
-    [[-3.0, -2.5], [-3.0, 3.0], [3.0, -3.0], [3.0, 3.0], [-1.0, 0.0]]
-)
-BENCHMARK_COVS = np.array(
-    [[[3.0, 1.0], [1.0, 3.0]]] * 4 + [[[0.25, 0.0], [0.0, 0.25]]]
-)
 
 
 @dataclass
@@ -110,8 +98,8 @@ class Hyperparams:
     "ratio" (zeta tied to rho * gamma).  ``step_mu`` and ``step_gamma`` are
     proposal variances.
 
-    Every number in use must be finite and in range; each ValueError names
-    its field.
+    Every number in use must be finite and in range, and the run lengths
+    must be integers; each ValueError names its field.
 
     Each covariance has an inverse-Wishart(v0, nu0) prior; ``resolved``
     fills in v0 = I and nu0 = d and requires both finite, v0 symmetric
@@ -177,8 +165,10 @@ class Hyperparams:
                 raise ValueError("gamma_fixed must be non-negative")
         if not 0.0 < self.q_birth < 1.0:
             raise ValueError("q_birth must lie strictly between 0 and 1")
-        if self.burn_in < 0 or self.thin < 1 or self.n_samples < 1:
-            raise ValueError("invalid run lengths")
+        for name, low in (("burn_in", 0), ("thin", 1), ("n_samples", 1)):
+            value = getattr(self, name)
+            if not hasattr(value, "__index__") or value < low:  # what operator.index takes
+                raise ValueError(f"{name} must be an integer >= {low}")
         if self.v0 is not None:
             self.v0 = np.asarray(self.v0, dtype=float)
 
@@ -293,21 +283,3 @@ def log_complete_joint(y, state, hyper):
     if hyper.zeta_free:
         total += gamma_log_pdf(state.zeta, hyper.zeta_shape, hyper.zeta_rate)
     return float(total)
-
-
-def simulate_benchmark(seed, n_obs=300):
-    """Generate the planted five-component benchmark dataset.
-
-    Returns (y, labels) with y of shape (n_obs, 2) and 0-based true labels.
-    Deterministic for a given seed on any platform (Cholesky-based normals).
-    """
-    rng = np.random.default_rng(seed)
-    labels = rng.choice(BENCHMARK_WEIGHTS.size, size=n_obs, p=BENCHMARK_WEIGHTS)
-    y = np.empty((n_obs, 2))
-    for j in range(BENCHMARK_WEIGHTS.size):
-        idx = np.flatnonzero(labels == j)
-        if idx.size:
-            y[idx] = rng.multivariate_normal(
-                BENCHMARK_MEANS[j], BENCHMARK_COVS[j], size=idx.size, method="cholesky"
-            )
-    return y, labels

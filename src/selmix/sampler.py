@@ -121,33 +121,24 @@ def _coord_ge_log_ratio(column, j, new, zeta):
     return zeta * term - 0.5 * zeta * (new * new - old * old)
 
 
-def mean_rw_log_accept(state, j, d, mu_new, points):
+def mean_rw_log_accept(state, j, d, mu_new, n, point_sum, prec):
     """Random-walk move on one coordinate of an allocated component's mean.
 
-    The ratio is the ensemble prior change in dimension ``d`` times the
-    Gaussian likelihood change of the ``points`` currently assigned to
-    component ``j``; the quadratic form is updated incrementally.
+    The ensemble prior change in dimension ``d`` plus the likelihood change
+    of the ``n`` points of component ``j``, which sum to ``point_sum``:
+    h (prec r)_d - n h^2 prec_dd / 2 for a step h, with ``prec`` the inverse
+    covariance and r = point_sum - n mu_j.
     """
     la = _coord_ge_log_ratio(state.mus[:, d], j, mu_new, state.zeta)
-    if la == -np.inf or points is None or len(points) == 0:
-        return la
-    n = points.shape[0]
     h = mu_new - state.mus[j, d]
-    resid_sum = points.sum(axis=0) - n * state.mus[j]
-    sigma = state.sigmas[j]
-    rhs = np.zeros((state.dim, 2))
-    rhs[:, 0] = resid_sum
-    rhs[d, 1] = 1.0
-    solved = np.linalg.solve(sigma, rhs)
-    la += h * solved[d, 0] - 0.5 * n * h * h * solved[d, 1]
+    resid_sum = point_sum - n * state.mus[j]
+    la += h * (prec[d] @ resid_sum) - 0.5 * n * h * h * prec[d, d]
     return float(la)
 
 
 def mean_refresh_log_accept(state, j, d, mu_new, proposal_sd):
     """Independence refresh of a non-allocated mean coordinate from N(0, sd^2)."""
     la = _coord_ge_log_ratio(state.mus[:, d], j, mu_new, state.zeta)
-    if la == -np.inf:
-        return la
     old = state.mus[j, d]
     return float(la + 0.5 * (mu_new * mu_new - old * old) / proposal_sd**2)
 
@@ -297,7 +288,7 @@ def update_allocations(y, state, rng):
     return out
 
 
-def update_means(y, state, hyper, rng, step_mu):
+def update_means(y, state, rng, step_mu):
     """Coordinate-wise Metropolis pass over all component means.
 
     Allocated components take Gaussian random-walk proposals with variance
@@ -311,13 +302,14 @@ def update_means(y, state, hyper, rng, step_mu):
     refresh_sd = np.sqrt(2.0 * out.m + 1.0 / out.zeta)
     counts = out.counts()
     groups = _grouped_points(y, out.alloc, counts)
+    precs = np.linalg.inv(out.sigmas)
     rw_acc = rw_att = ref_acc = ref_att = 0
     for j in range(out.m):
         if counts[j]:
-            points = groups[j]
+            n, point_sum = len(groups[j]), groups[j].sum(axis=0)
             for d in range(out.dim):
                 prop = out.mus[j, d] + rw_sd * rng.standard_normal()
-                la = mean_rw_log_accept(out, j, d, prop, points)
+                la = mean_rw_log_accept(out, j, d, prop, n, point_sum, precs[j])
                 rw_att += 1
                 if np.log(rng.random()) < la:
                     out.mus[j, d] = prop
@@ -449,10 +441,13 @@ def initial_state(y, hyper, rng):
         sigmas = sample_invwishart(rng, np.tile(hyper.v0, (m0, 1, 1)), hyper.nu0)
 
     alpha_post = hyper.alpha0 + np.bincount(alloc, minlength=m0)
-    while True:
+    for _ in range(1000):
         weights = rng.dirichlet(alpha_post)
         if gamma0 == 0.0 or pairwise_log_gap_sum(weights[:-1]) > -np.inf:
             break
+    else:
+        raise ValueError(f"alpha0 = {hyper.alpha0:g} gave tied starting weights in "
+                         "1000 Dirichlet draws; use a smaller alpha0")
     return MixtureState(
         m=m0, weights=weights, mus=mus, sigmas=sigmas, alloc=alloc,
         gamma=float(gamma0), zeta=float(zeta0),
@@ -511,9 +506,7 @@ def run_sampler(y, config):
     for t in range(total):
         try:
             state = update_allocations(y, state, rng)
-            state, (rw_acc, rw_att, ref_acc, ref_att) = update_means(
-                y, state, hyper, rng, step_mu
-            )
+            state, (rw_acc, rw_att, ref_acc, ref_att) = update_means(y, state, rng, step_mu)
             state = update_covariances(y, state, hyper, rng)
             state, w_acc = update_weights(state, hyper, rng)
             for key in scale_keys:

@@ -533,7 +533,7 @@ def mean_refresh_log_accept_ref(state, j, d, mu_new, proposal_sd):
     return float(la + 0.5 * (mu_new * mu_new - old * old) / proposal_sd**2)
 
 
-def update_means_ref(y, state, hyper, rng, step_mu):
+def update_means_ref(y, state, rng, step_mu):
     out = state.copy()
     rw_sd = np.sqrt(step_mu)
     refresh_sd = np.sqrt(2.0 * out.m + 1.0 / out.zeta)

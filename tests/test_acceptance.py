@@ -25,7 +25,8 @@ from selmix.analysis import (
 from selmix.analysis import PosteriorTrace
 from selmix.distributions import sample_invwishart
 from selmix.ensemble import GeParams, ge_log_norm_const
-from selmix.model import Hyperparams, MixtureState, simulate_benchmark
+from selmix.model import Hyperparams, MixtureState
+from selmix.planted import simulate_benchmark
 from selmix.sampler import (
     SamplerConfig,
     birth_log_accept,
@@ -147,7 +148,9 @@ def test_criterion_05_acceptance_ratios_match_joint():
         j = int(rng.choice(np.flatnonzero(state.counts() > 0)))
         d = int(rng.integers(state.dim))
         mu_new = state.mus[j, d] + rng.normal(0.0, 0.7)
-        return (mean_rw_log_accept(state, j, d, mu_new, y[state.alloc == j]),
+        p = y[state.alloc == j]
+        return (mean_rw_log_accept(state, j, d, mu_new, len(p), p.sum(axis=0),
+                                   np.linalg.inv(state.sigmas[j])),
                 H.oracle_mean_rw(y, state, hyper, j, d, mu_new))
 
     def check_mean_refresh(rng):

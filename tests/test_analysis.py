@@ -20,7 +20,7 @@ from selmix.analysis import (
     posterior_similarity,
     prior_ma_simulation,
 )
-from selmix.model import simulate_benchmark
+from selmix.planted import simulate_benchmark
 
 # binder_loss on a seeded trace of 10 draws over n = 3000, printed as repr
 BINDER_CHILD = """

@@ -1,6 +1,6 @@
-"""Start-up budget: ``analyze``, ``--version`` and ``--help`` run on numpy alone,
-and ``prior-ma`` loads the Selberg module without the sampler, the model or
-the ensemble.
+"""Start-up budget: ``simulate``, ``analyze``, ``--version`` and ``--help`` run
+on numpy alone, and ``prior-ma`` loads the Selberg module without the
+sampler, the model or the ensemble.
 
 Each command runs in a fresh interpreter that then lists the modules it
 loaded.  ``fit`` runs the same way, as a control that the listing sees the
@@ -77,6 +77,14 @@ def test_analyze_loads_numpy_only(fitted):
     assert code == 0
     assert loaded == []
     assert {p.name for p in (root / "an").iterdir()} == {"psm.csv", "binder.csv", "summary.json"}
+
+
+def test_simulate_loads_numpy_only(tmp_path):
+    argv = ["simulate", "--seed", "7", "--out", "y.csv", "--labels-out", "labels.csv"]
+    _, code, loaded = run_child(argv, tmp_path)
+    assert code == 0
+    assert loaded == []
+    assert np.loadtxt(tmp_path / "y.csv", delimiter=",", skiprows=1).shape == (300, 2)
 
 
 def test_prior_ma_loads_neither_sampler_model_nor_ensemble(tmp_path):

@@ -505,6 +505,8 @@ class TestCli:
         (["--gamma=0", "--zeta-mode=ratio"], "gamma_fixed must be positive"),
         (["--zeta-mode=gamma", "--zeta-rate=inf"], "zeta_rate must be finite"),
         (["--lam=inf"], "lam must be finite"),
+        (["--alpha0=1e300", "--gamma=1"], "alpha0 = 1e+300 gave tied starting weights in "
+                                          "1000 Dirichlet draws; use a smaller alpha0"),
     ])
     def test_unusable_number_names_the_field(self, benchmark_csv, tmp_path, capsys,
                                              flags, message):
@@ -512,6 +514,16 @@ class TestCli:
                 "--burn-in", "20", "--thin", "1", "--n-samples", "5", *flags]
         assert cli_dispatch(args) == 1
         assert capsys.readouterr().err == f"selmix: error: {message}\n"
+
+    @pytest.mark.parametrize("field,low", [("burn_in", 0), ("thin", 1), ("n_samples", 1)])
+    def test_fractional_run_length_in_config_names_the_field(self, benchmark_csv, tmp_path,
+                                                             capsys, field, low):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"burn_in": 2, "thin": 1, "n_samples": 2, field: 2.5}))
+        args = ["fit", "--data", str(benchmark_csv), "--out-dir", str(tmp_path / "fit"),
+                "--config", str(config)]
+        assert cli_dispatch(args) == 1
+        assert capsys.readouterr().err == f"selmix: error: {field} must be an integer >= {low}\n"
 
     def test_ma_histogram_keys_in_numeric_order(self, benchmark_csv, tmp_path, monkeypatch):
         # chain 0 reaches m_a = 10: sorted as strings, "10" would come before "2"

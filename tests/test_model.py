@@ -8,18 +8,15 @@ from scipy.special import logsumexp
 from helpers import random_hyper, random_state, validate_state
 from selmix.ensemble import GeParams, ge_log_density
 from selmix.model import (
-    BENCHMARK_COVS,
-    BENCHMARK_MEANS,
-    BENCHMARK_WEIGHTS,
     Hyperparams,
     MixtureState,
     component_log_pdfs,
     log_complete_joint,
     log_likelihood,
     shifted_poisson_log_pmf,
-    simulate_benchmark,
     weight_prior_log_density,
 )
+from selmix.planted import BENCHMARK_COVS, BENCHMARK_MEANS, BENCHMARK_WEIGHTS, simulate_benchmark
 from selmix.selberg import SdirParams, sdir_log_density
 
 
@@ -212,6 +209,13 @@ class TestHyperparams:
             Hyperparams(gamma_fixed=-0.1)
         with pytest.raises(ValueError):
             Hyperparams(thin=0)
+
+    @pytest.mark.parametrize("field,low", [("burn_in", 0), ("thin", 1), ("n_samples", 1)])
+    def test_run_length_must_be_an_integer_in_range(self, field, low):
+        for value in (2.5, np.float64(3.0), low - 1):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer >= {low}$"):
+                Hyperparams(**{field: value})
+        assert getattr(Hyperparams(**{field: np.int64(low)}), field) == low
 
     @pytest.mark.parametrize("field,modes", [
         ("gamma_shape", {}), ("gamma_rate", {}),

@@ -58,7 +58,9 @@ class TestRatiosAgainstJoint:
             j = int(rng.choice(allocated))
             d = int(rng.integers(state.dim))
             mu_new = state.mus[j, d] + rng.normal(0.0, 0.7)
-            got = mean_rw_log_accept(state, j, d, mu_new, y[state.alloc == j])
+            p = y[state.alloc == j]
+            got = mean_rw_log_accept(state, j, d, mu_new, len(p), p.sum(axis=0),
+                                     np.linalg.inv(state.sigmas[j]))
             want = H.oracle_mean_rw(y, state, hyper, j, d, mu_new)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -227,7 +229,8 @@ class TestRatioEdgeCases:
         j = int(state.alloc[0])
         points = y[state.alloc == j]
         mu_new = state.mus[j, 0] + 0.5
-        got = mean_rw_log_accept(state, j, 0, mu_new, points)
+        got = mean_rw_log_accept(state, j, 0, mu_new, len(points), points.sum(axis=0),
+                                 np.linalg.inv(state.sigmas[j]))
         mus = state.mus.copy()
         mus[j, 0] = mu_new
         moved = H.replace_state(state, mus=mus)
@@ -264,7 +267,7 @@ class TestSweepSteps:
         hyper = H.random_hyper(rng, 2)
         state = H.random_state(rng, 3, 2, 12, force_empty=[2])
         y = rng.normal(size=(12, 2))
-        out, (rw_acc, rw_att, ref_acc, ref_att) = update_means(y, state, hyper, rng, hyper.step_mu)
+        out, (rw_acc, rw_att, ref_acc, ref_att) = update_means(y, state, rng, hyper.step_mu)
         assert rw_att == 2 * 2 and ref_att == 1 * 2
         assert 0 <= rw_acc <= rw_att and 0 <= ref_acc <= ref_att
         np.testing.assert_array_equal(out.alloc, state.alloc)
@@ -489,6 +492,13 @@ class TestInitialState:
         assert state.gamma == 0.0
 
 
+    def test_huge_alpha0_stops_with_an_error_naming_it(self):
+        # equal Dirichlet weights tie under repulsion on every redraw
+        hyper = Hyperparams(alpha0=1e300, gamma_fixed=1.0).resolved(2)
+        y = np.random.default_rng(44).normal(size=(30, 2))
+        with pytest.raises(ValueError, match="alpha0"):
+            initial_state(y, hyper, np.random.default_rng(45))
+
 class TestBookkeepingContrast:
     """The reversible kernel holds the count prior exactly; the append
     kernel visibly tilts it.  This freezes the behavioural difference."""
@@ -563,8 +573,8 @@ class TestFastSweepMatchesReference:
             step = float(rng.choice([0.01, 0.25, 4.0]))
             r1, r2 = twin_generators(trial)
             before = state.copy()
-            got, got_counts = update_means(y, state, hyper, r1, step)
-            want, want_counts = H.update_means_ref(y, state, hyper, r2, step)
+            got, got_counts = update_means(y, state, r1, step)
+            want, want_counts = H.update_means_ref(y, state, r2, step)
             assert_states_equal(got, want)
             assert got_counts == want_counts
             assert r1.bit_generator.state == r2.bit_generator.state
@@ -652,6 +662,41 @@ class TestFastSweepMatchesReference:
         assert diag.attempts["gamma"] > 0 and diag.attempts["birth"] > 0
 
 
+class TestMeanRatioMatchesTheSolve:
+    """The mean walk's ratio from sufficient statistics and the inverse
+    against the solve it replaced (``helpers.mean_rw_log_accept_ref``): equal
+    to rounding, and exactly equal on ties and on a component without points."""
+
+    @staticmethod
+    def both(state, y, j, d, mu_new):
+        p = y[state.alloc == j]
+        got = mean_rw_log_accept(state, j, d, mu_new, len(p), p.sum(axis=0),
+                                 np.linalg.inv(state.sigmas[j]))
+        return got, H.mean_rw_log_accept_ref(state, j, d, mu_new, p)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 6])
+    def test_equal_to_rounding(self, dim):
+        rng = np.random.default_rng(1300 + dim)
+        for _ in range(200):
+            n = int(rng.integers(1, 201))
+            y, state, _ = equivalence_case(rng, dim, n)
+            j = int(rng.choice(np.flatnonzero(state.counts())))
+            d = int(rng.integers(dim))
+            got, want = self.both(state, y, j, d, state.mus[j, d] + rng.normal(0.0, 0.7))
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 6])
+    def test_ties_and_empty_components_are_exact(self, dim):
+        rng = np.random.default_rng(1400 + dim)
+        for _ in range(20):
+            y, state, _ = equivalence_case(rng, dim, 12, m=3, empty=[0])
+            d = int(rng.integers(dim))
+            tie = self.both(state, y, 1, d, state.mus[2, d])
+            assert tie == (-np.inf, -np.inf)
+            got, want = self.both(state, y, 0, d, state.mus[0, d] + rng.normal())
+            assert got == want
+
+
 class TestRatiosArePure:
     """Every acceptance ratio leaves the state it is given unchanged, so the
     ratios the sweep calls are the ones checked against the joint."""
@@ -681,8 +726,9 @@ class TestRatiosArePure:
             ]
             for j in np.flatnonzero(counts):
                 mu_new = state.mus[j, d] + rng.normal()
-                ratios.append(lambda j=j, mu_new=mu_new: mean_rw_log_accept(
-                    state, j, d, mu_new, y[state.alloc == j]))
+                p = y[state.alloc == j]
+                ratios.append(lambda j=j, mu_new=mu_new, p=p: mean_rw_log_accept(
+                    state, j, d, mu_new, len(p), p.sum(axis=0), np.linalg.inv(state.sigmas[j])))
             before = state.copy()
             for ratio in ratios:
                 ratio()
