@@ -14,7 +14,6 @@ _EXPORTS = {
     "analysis": (
         "PosteriorTrace",
         "binder_estimate",
-        "count_allocated",
         "elicit_zeta",
         "posterior_similarity",
         "prior_ma_simulation",
@@ -30,12 +29,8 @@ _EXPORTS = {
     "planted": ("simulate_benchmark",),
     "sampler": ("SamplerConfig", "StepDiagnostics", "run_sampler"),
     "selberg": (
-        "GsdirParams",
         "SdirParams",
-        "gsdir_log_density_unnorm",
         "internal_dispersion_expectation",
-        "log_pairwise_repulsion",
-        "mehta_log_integral",
         "sample_sdir",
         "sdir_log_density",
         "sdir_log_norm_const",

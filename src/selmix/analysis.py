@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "PosteriorTrace",
-    "count_allocated",
     "posterior_similarity",
     "canonical_labels",
     "distinct_partitions",
@@ -77,14 +76,6 @@ class PosteriorTrace:
     @property
     def n_obs(self):
         return self.alloc.shape[1]
-
-
-def count_allocated(alloc):
-    """Number of distinct labels in one allocation vector."""
-    alloc = np.asarray(alloc)
-    if alloc.size == 0:
-        raise ValueError("allocation vector must be non-empty")
-    return int(np.unique(alloc).size)
 
 
 def posterior_similarity(trace):

@@ -43,6 +43,16 @@ def pairwise_log_gap_sum(values):
     return float(np.log(gaps).sum())
 
 
+def require_finite(name, value):
+    """Raise a ValueError naming ``name`` when ``value`` is +-inf.
+
+    A plain comparison, cheap enough for every parameter construction; NaN
+    passes here and fails the caller's range check.
+    """
+    if abs(value) == np.inf:
+        raise ValueError(f"{name} must be finite")
+
+
 def gamma_log_pdf(x, shape, rate):
     """Gamma log density under the shape/rate parameterization."""
     if x <= 0.0:

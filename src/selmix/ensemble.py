@@ -21,19 +21,20 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import gammaln
 
-from .distributions import LOG_2PI, pairwise_log_gap_sum
+from .distributions import LOG_2PI, pairwise_log_gap_sum, require_finite
 
 __all__ = ["GeParams", "ge_log_norm_const", "ge_log_density", "sample_ge"]
 
 
 @dataclass(frozen=True)
 class GeParams:
-    """Ensemble parameters: repulsion/temperature zeta > 0 and size m >= 1."""
+    """Ensemble parameters: finite repulsion/temperature zeta > 0 and size m >= 1."""
 
     zeta: float
     m: int
 
     def __post_init__(self):
+        require_finite("zeta", self.zeta)
         if not self.zeta > 0.0:
             raise ValueError("zeta must be positive")
         if int(self.m) != self.m or self.m < 1:

@@ -26,6 +26,7 @@ from scipy.linalg.lapack import dtrtrs
 from scipy.special import gammaln, logsumexp, xlogy
 
 from .distributions import LOG_2PI, gamma_log_pdf, gaussian_log_pdf, invwishart_log_pdf
+from .distributions import require_finite
 from .ensemble import GeParams, ge_log_density
 from .planted import simulate_benchmark  # noqa: F401  (still imported from here)
 from .selberg import SdirParams, sdir_log_density
@@ -156,11 +157,11 @@ class Hyperparams:
             "fixed": ["zeta_fixed"], "gamma": ["zeta_shape", "zeta_rate"], "ratio": ["rho"],
         }[self.zeta_mode]
         for name in positive:
-            _require_finite(name, getattr(self, name))
+            require_finite(name, getattr(self, name))
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be positive")
         if self.gamma_fixed is not None:
-            _require_finite("gamma_fixed", self.gamma_fixed)
+            require_finite("gamma_fixed", self.gamma_fixed)
             if not self.gamma_fixed >= 0.0:
                 raise ValueError("gamma_fixed must be non-negative")
         if not 0.0 < self.q_birth < 1.0:
@@ -194,21 +195,16 @@ class Hyperparams:
         except np.linalg.LinAlgError:
             raise ValueError("v0 must be positive definite") from None
         nu0 = float(dim) if self.nu0 is None else float(self.nu0)
-        _require_finite("nu0", nu0)
+        require_finite("nu0", nu0)
         if not nu0 >= dim - 0.5:
             raise ValueError(f"nu0 must be at least dim - 1/2 = {dim - 0.5}")
         return dataclasses.replace(self, v0=v0, nu0=nu0)
 
 
-def _require_finite(name, value):
-    """Raise a ValueError naming ``name`` when ``value`` is +-inf."""
-    if np.isinf(value):
-        raise ValueError(f"{name} must be finite")
-
-
 def shifted_poisson_log_pmf(m, lam):
     """Log pmf of the component count: M - 1 ~ Poisson(lam), support M >= 1."""
-    if lam <= 0.0:
+    require_finite("lam", lam)
+    if not lam > 0.0:
         raise ValueError("lam must be positive")
     if int(m) != m or m < 1:
         return -np.inf

@@ -154,11 +154,12 @@ def scale_log_accept(state, hyper, gamma_new, zeta_new):
     A change of zeta is weighed against the per-dimension ensemble priors, a
     change of gamma against the weight prior and gamma's hyperprior; a zeta
     move alone also meets zeta's hyperprior when zeta is free.  The Jacobian
-    is that of the walked scale: gamma when it changes, else zeta.
+    is that of the walked scale: gamma when it changes, else zeta.  A scale
+    that is not positive and finite (an overflowed walk) is rejected.
     """
     gamma_moves = gamma_new != state.gamma
     new, old = (gamma_new, state.gamma) if gamma_moves else (zeta_new, state.zeta)
-    if new <= 0.0 or zeta_new <= 0.0:
+    if not (0.0 < new < np.inf and 0.0 < zeta_new < np.inf):
         return -np.inf
     la = 0.0
     if zeta_new != state.zeta:

@@ -11,10 +11,6 @@ product.  The normalizing constant is a Selberg-type integral with a closed
 form in gamma functions, which also yields closed-form moments for the
 excluded coordinate and for symmetric product moments.
 
-A generalized variant with per-coordinate concentrations is supported in
-unnormalized form only; its constant has no known closed form and all uses
-in this package need ratios where it cancels.
-
 All constants are evaluated in log space through ``gammaln`` and stay finite
 well beyond M = 50.
 """
@@ -27,20 +23,16 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, xlogy
 
-from .distributions import pairwise_log_gap_sum
+from .distributions import pairwise_log_gap_sum, require_finite
 
 __all__ = [
     "SdirParams",
-    "GsdirParams",
     "SdirMoments",
     "validate_weights",
-    "log_pairwise_repulsion",
     "sdir_log_norm_const",
     "sdir_log_density",
-    "mehta_log_integral",
     "sdir_moments",
     "internal_dispersion_expectation",
-    "gsdir_log_density_unnorm",
     "sample_sdir",
 ]
 
@@ -52,8 +44,8 @@ _SVD_BLOCK_ENTRIES = 1 << 20  # matrix entries per stacked SVD in sample_sdir
 class SdirParams:
     """Symmetric Selberg Dirichlet parameters.
 
-    alpha : common concentration, > 0
-    gamma : repulsion strength, >= 0
+    alpha : common concentration, finite and > 0
+    gamma : repulsion strength, finite and >= 0
     m     : number of mixture weights, >= 1
 
     With m = 1 the simplex degenerates to the single point (1.0) and the
@@ -68,34 +60,14 @@ class SdirParams:
     m: int
 
     def __post_init__(self):
+        require_finite("alpha", self.alpha)
         if not self.alpha > 0.0:
             raise ValueError("alpha must be positive")
-        if self.gamma < 0.0:
+        require_finite("gamma", self.gamma)
+        if not self.gamma >= 0.0:
             raise ValueError("gamma must be non-negative")
         if int(self.m) != self.m or self.m < 1:
             raise ValueError("m must be an integer >= 1")
-
-
-@dataclass(frozen=True)
-class GsdirParams:
-    """Generalized variant with one concentration per coordinate."""
-
-    alphas: np.ndarray
-    gamma: float
-
-    def __post_init__(self):
-        alphas = np.asarray(self.alphas, dtype=float)
-        if alphas.ndim != 1 or alphas.size < 1:
-            raise ValueError("alphas must be a non-empty vector")
-        if not np.all(alphas > 0.0):
-            raise ValueError("every concentration must be positive")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be non-negative")
-        object.__setattr__(self, "alphas", alphas)
-
-    @property
-    def m(self):
-        return self.alphas.size
 
 
 @dataclass(frozen=True)
@@ -126,21 +98,6 @@ def validate_weights(w, m=None):
     return w
 
 
-def log_pairwise_repulsion(w, convention="exclude-last"):
-    """Log of the pairwise-gap product, -inf when two entries tie.
-
-    ``convention`` selects the coordinates entering the product:
-    "exclude-last" uses the first M - 1 weights (the simplex default here),
-    "all" uses every coordinate.
-    """
-    w = validate_weights(w)
-    if convention == "exclude-last":
-        return pairwise_log_gap_sum(w[:-1])
-    if convention == "all":
-        return pairwise_log_gap_sum(w)
-    raise ValueError("convention must be 'exclude-last' or 'all'")
-
-
 def sdir_log_norm_const(params):
     """Log normalizing constant of the symmetric family.
 
@@ -159,12 +116,7 @@ def sdir_log_norm_const(params):
 
 @lru_cache(maxsize=1024)
 def _sdir_log_norm_const(a, g, m):
-    return _add_selberg_product(gammaln(a) - gammaln(m * a + g * (m - 1) * (m - 2)), a, g, m)
-
-
-def _add_selberg_product(total, a, g, m):
-    """Add the log Selberg product over j = 1..m-1 to ``total``, one factor at
-    a time, so each caller keeps the rounding of its own head term."""
+    total = gammaln(a) - gammaln(m * a + g * (m - 1) * (m - 2))
     for j in range(1, m):
         total += gammaln(a + (j - 1) * g) + gammaln(1.0 + j * g) - gammaln(1.0 + g)
     return float(total)
@@ -175,29 +127,17 @@ def sdir_log_density(w, params):
 
     Returns -inf wherever the density vanishes: tied repelled coordinates
     with gamma > 0, or zero weights with alpha > 1.  Zero weights with
-    alpha < 1 sit on an integrable singularity and return +inf.  The kernel
-    is the generalized family's with every concentration equal to alpha.
+    alpha < 1 sit on an integrable singularity and return +inf.
     """
-    gsdir = GsdirParams(np.full(int(params.m), params.alpha), params.gamma)
-    return gsdir_log_density_unnorm(w, gsdir) - sdir_log_norm_const(params)
-
-
-def mehta_log_integral(alpha, beta, gamma, m):
-    """Log of the Mehta-type simplex integral with a reweighted last coordinate.
-
-    This generalizes the normalizing constant by giving the excluded
-    coordinate its own exponent beta - 1; it reduces to
-    ``sdir_log_norm_const`` at beta == alpha, and ratios of the two produce
-    the closed-form marginal moments of the excluded coordinate.
-    """
-    if alpha <= 0.0 or beta <= 0.0:
-        raise ValueError("alpha and beta must be positive")
-    if gamma < 0.0:
-        raise ValueError("gamma must be non-negative")
-    if int(m) != m or m < 1:
-        raise ValueError("m must be an integer >= 1")
-    head = gammaln(beta) - gammaln(alpha * (m - 1) + beta + (m - 1) * (m - 2) * gamma)
-    return _add_selberg_product(head, alpha, gamma, m)
+    w = validate_weights(w, params.m)
+    if params.gamma > 0.0:
+        repulsion = 2.0 * params.gamma * pairwise_log_gap_sum(w[:-1])
+        if repulsion == -np.inf:
+            return -np.inf
+    else:
+        repulsion = 0.0
+    kernel = xlogy(params.alpha - 1.0, w).sum()
+    return float(kernel + repulsion - sdir_log_norm_const(params))
 
 
 def sdir_moments(params, k=1):
@@ -240,22 +180,11 @@ def internal_dispersion_expectation(params, tau):
     Equals D(alpha, gamma + tau/2, M) / D(alpha, gamma, M); the statistic is
     1 at tau = 0, rises with gamma and falls with alpha, M and tau.
     """
-    if tau < 0.0:
+    require_finite("tau", tau)
+    if not tau >= 0.0:
         raise ValueError("tau must be non-negative")
     shifted = SdirParams(params.alpha, params.gamma + 0.5 * tau, params.m)
     return float(np.exp(sdir_log_norm_const(shifted) - sdir_log_norm_const(params)))
-
-
-def gsdir_log_density_unnorm(w, params):
-    """Unnormalized log density of the generalized family."""
-    w = validate_weights(w, params.m)
-    if params.gamma > 0.0:
-        repulsion = 2.0 * params.gamma * pairwise_log_gap_sum(w[:-1])
-        if repulsion == -np.inf:
-            return -np.inf
-    else:
-        repulsion = 0.0
-    return float(xlogy(params.alphas - 1.0, w).sum() + repulsion)
 
 
 def sample_sdir(params, n, rng):

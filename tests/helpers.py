@@ -410,10 +410,10 @@ def sample_ge_mh(params, n, rng, burn_in=2000, thin=5, proposal_sd=None):
 # match them bit for bit and leave the generator in the same state.  The
 # separate gamma, zeta and tied scale moves, and the death ratio spelled out
 # term by term, are the code that the single scale move and the death ratio
-# taken from the birth ratio replaced.  The single-matrix Bartlett draw and
-# the Selberg density with its own kernel are the code that the stacked
-# draw and the density taken from the generalized kernel replaced; the
-# no-data start draws its prior covariances one at a time.
+# taken from the birth ratio replaced.  The single-matrix Bartlett draw is
+# the code that the stacked draw replaced, and the Selberg density is a
+# frozen copy of the package's arithmetic; the no-data start draws its
+# prior covariances one at a time.
 # ---------------------------------------------------------------------------
 
 def sample_invwishart_ref(rng, scale, df):
@@ -461,13 +461,6 @@ def sdir_log_norm_const_ref(params):
     total = gammaln(a) - gammaln(m * a + g * (m - 1) * (m - 2))
     for j in range(1, m):
         total += gammaln(a + (j - 1) * g) + gammaln(1.0 + j * g) - gammaln(1.0 + g)
-    return float(total)
-
-
-def mehta_log_integral_ref(alpha, beta, gamma, m):
-    total = gammaln(beta) - gammaln(alpha * (m - 1) + beta + (m - 1) * (m - 2) * gamma)
-    for j in range(1, m):
-        total += gammaln(alpha + (j - 1) * gamma) + gammaln(1.0 + j * gamma) - gammaln(1.0 + gamma)
     return float(total)
 
 

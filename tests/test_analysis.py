@@ -14,7 +14,6 @@ from selmix.analysis import (
     binder_loss,
     canonical_labels,
     center_gap_by_dimension,
-    count_allocated,
     distinct_partitions,
     elicit_zeta,
     posterior_similarity,
@@ -40,7 +39,7 @@ def make_trace(alloc_rows, weights=None):
     t = alloc.shape[0]
     return PosteriorTrace(
         m=np.full(t, int(alloc.max()) + 1, dtype=np.int64),
-        m_allocated=np.array([count_allocated(row) for row in alloc]),
+        m_allocated=np.array([np.unique(row).size for row in alloc]),
         alloc=alloc,
         gamma=np.zeros(t),
         zeta=np.ones(t),
@@ -124,11 +123,6 @@ class TestSimilarity:
 
 
 class TestPartitionHelpers:
-    def test_count_allocated(self):
-        assert count_allocated([0, 0, 2, 2, 5]) == 3
-        with pytest.raises(ValueError):
-            count_allocated([])
-
     def test_canonical_labels_first_appearance(self):
         np.testing.assert_array_equal(
             canonical_labels([2, 2, 0, 1, 0]), [0, 0, 1, 2, 1])

@@ -72,6 +72,15 @@ class TestDensity:
         with pytest.raises(ValueError):
             GeParams(1.0, 0)
 
+    @pytest.mark.parametrize("zeta,message", [
+        (np.inf, "zeta must be finite"),
+        (-np.inf, "zeta must be finite"),
+        (np.nan, "zeta must be positive"),
+    ])
+    def test_non_finite_zeta_names_the_field(self, zeta, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GeParams(zeta, 2)
+
 
 class TestSampling:
     def test_shapes_and_determinism(self):

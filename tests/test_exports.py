@@ -1,4 +1,5 @@
-"""Every exported name resolves, so a deletion cannot leave a stale export."""
+"""Every exported name resolves, so a deletion cannot leave a stale export,
+and the package exports exactly the names listed here."""
 
 import importlib
 import pkgutil
@@ -7,6 +8,35 @@ import sys
 import pytest
 
 import selmix
+
+# adding or removing a package export is a deliberate edit of this list
+PACKAGE_EXPORTS = [
+    "GeParams",
+    "Hyperparams",
+    "MixtureState",
+    "PosteriorTrace",
+    "SamplerConfig",
+    "SdirParams",
+    "StepDiagnostics",
+    "__version__",
+    "binder_estimate",
+    "elicit_zeta",
+    "ge_log_density",
+    "ge_log_norm_const",
+    "internal_dispersion_expectation",
+    "log_complete_joint",
+    "log_likelihood",
+    "posterior_similarity",
+    "prior_ma_simulation",
+    "run_sampler",
+    "sample_ge",
+    "sample_sdir",
+    "sdir_log_density",
+    "sdir_log_norm_const",
+    "sdir_moments",
+    "shifted_poisson_log_pmf",
+    "simulate_benchmark",
+]
 
 MODULES = ["selmix"] + sorted(
     f"selmix.{info.name}" for info in pkgutil.iter_modules(selmix.__path__)
@@ -29,3 +59,7 @@ def test_exported_names_resolve(name):
     exec(f"from {name} import *", star)
     unbound = [attr for attr in exported if star.get(attr) is not getattr(module, attr)]
     assert not unbound, f"from {name} import * does not bind {unbound}"
+
+
+def test_package_exports_are_pinned():
+    assert sorted(selmix.__all__) == PACKAGE_EXPORTS

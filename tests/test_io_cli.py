@@ -436,6 +436,26 @@ class TestCli:
         assert cli_dispatch(args) == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(expected, rel=1e-10)
 
+    @pytest.mark.parametrize("args,message", [
+        (["dist", "sdir-mean", "--alpha", "1", "--gamma", "nan", "--m", "3"],
+         "gamma must be non-negative"),
+        (["dist", "sdir-mean", "--alpha", "inf", "--gamma", "1", "--m", "3"],
+         "alpha must be finite"),
+        (["dist", "dispersion", "--alpha", "1", "--gamma", "1", "--m", "3", "--tau", "nan"],
+         "tau must be non-negative"),
+        (["dist", "count-log-pmf", "--m", "3", "--lam", "inf"], "lam must be finite"),
+        (["dist", "ge-log-const", "--zeta", "inf", "--m", "3"], "zeta must be finite"),
+        (["prior-ma", "--gamma", "nan", "--m", "3"], "gamma must be non-negative"),
+        (["simulate", "--seed", "1", "--n=-3", "--out", "unused.csv"], "n_obs must be >= 1"),
+        (["simulate", "--seed", "1", "--n", "0", "--out", "unused.csv"], "n_obs must be >= 1"),
+    ])
+    def test_unusable_parameter_names_the_field(self, capsys, tmp_path, monkeypatch,
+                                                args, message):
+        monkeypatch.chdir(tmp_path)
+        assert cli_dispatch(args) == 1
+        assert capsys.readouterr().err == f"selmix: error: {message}\n"
+        assert not (tmp_path / "unused.csv").exists()
+
     def test_dist_log_pdf_with_vector(self, capsys):
         code = cli_dispatch(["dist", "sdir-log-pdf", "--alpha", "1", "--gamma", "0",
                              "--m", "3", "--w", "0.5,0.3,0.2"])

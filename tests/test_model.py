@@ -40,6 +40,14 @@ class TestShiftedPoisson:
         with pytest.raises(ValueError):
             shifted_poisson_log_pmf(2, 0.0)
 
+    @pytest.mark.parametrize("lam,message", [
+        (np.inf, "lam must be finite"),
+        (np.nan, "lam must be positive"),
+    ])
+    def test_unusable_rate_names_the_field(self, lam, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            shifted_poisson_log_pmf(2, lam)
+
 
 class TestWeightPrior:
     def test_single_component_is_point_mass(self):
@@ -308,3 +316,8 @@ class TestBenchmark:
     def test_custom_size(self):
         y, labels = simulate_benchmark(1, n_obs=50)
         assert y.shape == (50, 2) and labels.shape == (50,)
+
+    @pytest.mark.parametrize("n_obs", [0, -3])
+    def test_refuses_empty_dataset(self, n_obs):
+        with pytest.raises(ValueError, match="^n_obs must be >= 1$"):
+            simulate_benchmark(1, n_obs=n_obs)

@@ -2,6 +2,7 @@
 the end-to-end chain driver."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,37 @@ class TestRatioEdgeCases:
         assert scale_log_accept(state, hyper, 0.0, state.zeta) == -np.inf
         assert scale_log_accept(state, hyper, state.gamma, -1.0) == -np.inf
         assert scale_log_accept(state, hyper, 0.0, hyper.rho * 0.0) == -np.inf
+
+    @pytest.mark.parametrize("zeta_mode,key", [("fixed", "gamma"), ("gamma", "zeta"),
+                                               ("ratio", "gamma")])
+    def test_overflowed_scale_is_rejected(self, zeta_mode, key):
+        # a walk whose exp overflows proposes inf: the ratio is -inf, with no
+        # NaN arithmetic and no error from the parameter checks
+        rng = np.random.default_rng(17)
+        hyper = H.random_hyper(rng, 2, zeta_mode=zeta_mode)
+        state = H.random_state(rng, 4, 2, 6)
+        if key == "zeta":
+            gamma_new, zeta_new = state.gamma, np.inf
+        else:
+            gamma_new = np.inf
+            zeta_new = hyper.rho * np.inf if zeta_mode == "ratio" else state.zeta
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert scale_log_accept(state, hyper, gamma_new, zeta_new) == -np.inf
+        # the sweep's move draws its step and its accept coin, then rejects
+        overflowed = 0
+        for seed in range(40):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            with np.errstate(over="ignore"), warnings.catch_warnings():
+                warnings.simplefilter("error")
+                overflowed += np.isinf(np.exp(1e3 * twin.standard_normal()))
+                twin.random()
+                out, accepted = update_scale(state, hyper, rng, key, 1e6)
+            if not accepted:
+                assert (out.gamma, out.zeta) == (state.gamma, state.zeta)
+            assert np.isfinite(out.gamma) and np.isfinite(out.zeta)
+            assert rng.bit_generator.state == twin.bit_generator.state
+        assert overflowed > 0
 
     def test_zeta_limit_reduces_mean_move_to_likelihood(self):
         # a vanishing ensemble precision makes the prior flat, so the move

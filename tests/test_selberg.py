@@ -9,19 +9,14 @@ from scipy.special import gammaln
 
 from helpers import (
     batch_means_se,
-    mehta_log_integral_ref,
     sdir_log_density_ref,
     sdir_log_norm_const_ref,
     selberg_constant_quad_m3,
 )
 from selmix import selberg
 from selmix.selberg import (
-    GsdirParams,
     SdirParams,
-    gsdir_log_density_unnorm,
     internal_dispersion_expectation,
-    log_pairwise_repulsion,
-    mehta_log_integral,
     sample_sdir,
     sdir_log_density,
     sdir_log_norm_const,
@@ -73,27 +68,8 @@ class TestNormalizingConstant:
             assert got == pytest.approx(want, rel=1e-13)
 
 
-class TestMehtaIntegral:
-    def test_frozen_asymmetric_value(self):
-        assert np.exp(mehta_log_integral(1.0, 2.0, 1.0, 3)) == pytest.approx(1.0 / 60.0, rel=1e-12)
-
-    def test_equal_exponents_recover_constant(self):
-        for alpha, gamma, m in [(0.5, 0.5, 3), (1.0, 1.0, 4), (2.0, 3.0, 5)]:
-            got = mehta_log_integral(alpha, alpha, gamma, m)
-            want = sdir_log_norm_const(SdirParams(alpha, gamma, m))
-            assert got == pytest.approx(want, rel=1e-13)
-
-    def test_asymmetric_value_matches_quadrature(self):
-        # integral with exponent beta on the unrepelled coordinate
-        alpha, beta, gamma = 1.5, 0.8, 1.0
-        want = selberg_constant_quad_m3(
-            alpha, gamma, weight=lambda w1, w2, w3: w3 ** (beta - alpha))
-        assert np.exp(mehta_log_integral(alpha, beta, gamma, 3)) == pytest.approx(want, rel=1e-7)
-
-
 class TestSharedProduct:
-    """Both constants add the same Selberg product to their own head term;
-    each stays bitwise equal to its standalone loop."""
+    """The cached constant stays bitwise equal to its standalone loop."""
 
     ALPHAS = (0.05, 0.5, 1.0, 2.0, 7.3)
     GAMMAS = (0.0, 0.25, 1.0, 3.0)
@@ -105,14 +81,6 @@ class TestSharedProduct:
                 for m in self.MS:
                     params = SdirParams(alpha, gamma, m)
                     assert sdir_log_norm_const(params) == sdir_log_norm_const_ref(params), params
-
-    def test_mehta_integral_is_bitwise_unchanged(self):
-        for alpha in self.ALPHAS:
-            for beta in (0.3, 1.0, 4.5):
-                for gamma in self.GAMMAS:
-                    for m in self.MS:
-                        args = (alpha, beta, gamma, m)
-                        assert mehta_log_integral(*args) == mehta_log_integral_ref(*args), args
 
 
 class TestMoments:
@@ -180,12 +148,6 @@ class TestInternalDispersion:
 
 
 class TestDensity:
-    def test_repulsion_conventions(self):
-        w = np.array([0.5, 0.3, 0.2])
-        assert log_pairwise_repulsion(w) == pytest.approx(np.log(0.2), rel=1e-12)
-        assert log_pairwise_repulsion(w, convention="all") == pytest.approx(
-            np.log(0.2 * 0.3 * 0.1), rel=1e-12)
-
     def test_density_assembles_from_parts(self):
         w = np.array([0.5, 0.3, 0.2])
         params = SdirParams(3.0, 1.0, 3)
@@ -214,25 +176,9 @@ class TestDensity:
         assert sdir_log_density(w, SdirParams(2.0, 0.5, 3)) == -np.inf
         assert sdir_log_density(w, SdirParams(0.5, 0.5, 3)) == np.inf
 
-    def test_generalized_density_matches_symmetric_case(self):
-        w = np.array([0.5, 0.3, 0.2])
-        alpha, gamma = 1.5, 1.0
-        got = gsdir_log_density_unnorm(w, GsdirParams(np.full(3, alpha), gamma))
-        want = sdir_log_density(w, SdirParams(alpha, gamma, 3)) + sdir_log_norm_const(
-            SdirParams(alpha, gamma, 3))
-        assert got == pytest.approx(want, rel=1e-12)
-
-    def test_generalized_density_value(self):
-        w = np.array([0.4, 0.35, 0.25])
-        alphas = np.array([2.0, 1.0, 3.0])
-        got = gsdir_log_density_unnorm(w, GsdirParams(alphas, 0.5))
-        want = ((alphas - 1.0) * np.log(w)).sum() + 1.0 * np.log(abs(0.4 - 0.35))
-        assert got == pytest.approx(want, rel=1e-12)
-
-
     def test_density_equals_its_own_kernel_bitwise(self):
-        # the density taken from the generalized kernel against the one
-        # written out with its own kernel, on ties, zero weights and m = 1
+        # the density against a frozen copy of its own arithmetic, on ties,
+        # zero weights and m = 1
         rng = np.random.default_rng(2024)
         outcomes = set()
         for trial in range(20000):
@@ -279,6 +225,27 @@ class TestValidation:
             SdirParams(1.0, -0.5, 3)
         with pytest.raises(ValueError):
             SdirParams(1.0, 1.0, 0)
+
+    @pytest.mark.parametrize("alpha,gamma,message", [
+        (np.inf, 1.0, "alpha must be finite"),
+        (-np.inf, 1.0, "alpha must be finite"),
+        (np.nan, 1.0, "alpha must be positive"),
+        (1.0, np.inf, "gamma must be finite"),
+        (1.0, -np.inf, "gamma must be finite"),
+        (1.0, np.nan, "gamma must be non-negative"),
+    ])
+    def test_non_finite_parameters_name_the_field(self, alpha, gamma, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SdirParams(alpha, gamma, 3)
+
+    @pytest.mark.parametrize("tau,message", [
+        (np.inf, "tau must be finite"),
+        (np.nan, "tau must be non-negative"),
+        (-1.0, "tau must be non-negative"),
+    ])
+    def test_dispersion_refuses_unusable_tau(self, tau, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            internal_dispersion_expectation(SdirParams(1.0, 1.0, 4), tau)
 
 
 class TestSampling:
