@@ -33,10 +33,7 @@ def pairwise_log_gap_sum(values):
     -inf whenever two entries tie exactly.
     """
     vals = np.asarray(values, dtype=float)
-    k = vals.shape[0]
-    if k < 2:
-        return 0.0
-    rows, cols = _upper_pairs(k)
+    rows, cols = _upper_pairs(vals.shape[0])
     gaps = np.abs(vals[rows] - vals[cols])
     if (gaps == 0.0).any():
         return -np.inf
@@ -58,27 +55,6 @@ def gamma_log_pdf(x, shape, rate):
     if x <= 0.0:
         return -np.inf
     return float(shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x)
-
-
-def gaussian_log_pdf(y, mean, cov):
-    """Multivariate normal log density for every row of ``y``.
-
-    Parameters
-    ----------
-    y : array of shape (n, d)
-    mean : array of shape (d,)
-    cov : SPD array of shape (d, d)
-
-    Returns
-    -------
-    array of shape (n,)
-    """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    d = y.shape[1]
-    chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
-    resid = y - np.asarray(mean, dtype=float)
-    z = solve_triangular(chol, resid.T, lower=True)
-    return -0.5 * (z * z).sum(axis=0) - np.log(np.diag(chol)).sum() - 0.5 * d * LOG_2PI
 
 
 def invwishart_log_pdf(sigma, scale, df):

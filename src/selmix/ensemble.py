@@ -69,8 +69,6 @@ def ge_log_density(x, params):
     if not np.all(np.isfinite(x)):
         raise ValueError("coordinates must be finite")
     gaps = pairwise_log_gap_sum(x)
-    if gaps == -np.inf:
-        return -np.inf
     z = params.zeta
     return float(-0.5 * z * (x * x).sum() + z * gaps - ge_log_norm_const(params))
 

@@ -132,7 +132,7 @@ def read_trace(path):
     return PosteriorTrace(
         m=np.asarray(m, dtype=np.int64),
         m_allocated=np.asarray(m_a, dtype=np.int64),
-        alloc=np.vstack(alloc) if alloc[0].size else np.empty((len(m), 0), dtype=np.int64),
+        alloc=np.vstack(alloc),
         gamma=np.asarray(gamma),
         zeta=np.asarray(zeta),
         weights=weights if have_weights else None,

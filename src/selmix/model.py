@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
-from scipy.special import gammaln, logsumexp, xlogy
+from scipy.special import gammaln, logsumexp
 
-from .distributions import LOG_2PI, gamma_log_pdf, gaussian_log_pdf, invwishart_log_pdf
-from .distributions import require_finite
+from .distributions import LOG_2PI, gamma_log_pdf, invwishart_log_pdf, require_finite
 from .ensemble import GeParams, ge_log_density
 from .planted import simulate_benchmark  # noqa: F401  (still imported from here)
 from .selberg import SdirParams, sdir_log_density
@@ -213,21 +212,19 @@ def shifted_poisson_log_pmf(m, lam):
 
 def weight_prior_log_density(w, alpha0, gamma, m):
     """Weight-prior log density; the one-component simplex is a unit point mass."""
-    if m == 1:
-        return 0.0
     return sdir_log_density(w, SdirParams(alpha0, gamma, m))
 
 
 def component_log_pdfs(y, state):
     """(n, m) matrix of per-component Gaussian log densities.
 
-    Equal bit for bit to ``gaussian_log_pdf`` per component: one batched
-    Cholesky factors every covariance, and each component makes the LAPACK
+    Equal bit for bit to one multivariate normal log density per component
+    (a Cholesky factor, ``solve_triangular`` on the residuals; kept as
+    ``component_log_pdfs_ref`` in tests/helpers.py): one batched Cholesky
+    factors every covariance, and each component makes the LAPACK
     triangular solve that ``solve_triangular`` makes on a C-ordered factor.
     """
     n, dim = y.shape
-    if n == 0:
-        return np.empty((0, state.m))
     if not (np.isfinite(y).all() and np.isfinite(state.mus).all()):
         raise ValueError("array must not contain infs or NaNs")
     chol = np.linalg.cholesky(state.sigmas)
@@ -244,13 +241,17 @@ def component_log_pdfs(y, state):
     return np.ascontiguousarray(out)
 
 
+def allocation_log_probs(y, state):
+    """(n, m) matrix of log w_j + log N(y_i | mu_j, Sigma_j): the mixture
+    density, unnormalized over j, that every data term is read from."""
+    with np.errstate(divide="ignore"):
+        return component_log_pdfs(y, state) + np.log(state.weights)[None, :]
+
+
 def log_likelihood(y, state):
     """Mixture log likelihood of the data, allocations marginalized out."""
     y = np.asarray(y, dtype=float)
-    if y.shape[0] == 0:
-        return 0.0
-    log_p = component_log_pdfs(y, state) + np.log(state.weights)[None, :]
-    return float(logsumexp(log_p, axis=1).sum())
+    return float(logsumexp(allocation_log_probs(y, state), axis=1).sum())
 
 
 def log_complete_joint(y, state, hyper):
@@ -261,7 +262,6 @@ def log_complete_joint(y, state, hyper):
     correction.  Requires resolved hyperparameters (concrete v0, nu0).
     """
     y = np.asarray(y, dtype=float)
-    counts = state.counts()
     total = shifted_poisson_log_pmf(state.m, hyper.lam)
     total += weight_prior_log_density(state.weights, hyper.alpha0, state.gamma, state.m)
     ge = GeParams(state.zeta, state.m)
@@ -269,11 +269,7 @@ def log_complete_joint(y, state, hyper):
         total += ge_log_density(state.mus[:, d], ge)
     for j in range(state.m):
         total += invwishart_log_pdf(state.sigmas[j], hyper.v0, hyper.nu0)
-    if state.n_obs:
-        total += float(xlogy(counts, state.weights).sum())
-        for j in np.flatnonzero(counts):
-            pts = y[state.alloc == j]
-            total += float(gaussian_log_pdf(pts, state.mus[j], state.sigmas[j]).sum())
+    total += float(allocation_log_probs(y, state)[np.arange(state.n_obs), state.alloc].sum())
     if hyper.gamma_free:
         total += gamma_log_pdf(state.gamma, hyper.gamma_shape, hyper.gamma_rate)
     if hyper.zeta_free:

@@ -39,7 +39,7 @@ from scipy.special import gammaln
 from .analysis import PosteriorTrace
 from .distributions import LOG_2PI, gamma_log_pdf, pairwise_log_gap_sum, sample_invwishart
 from .ensemble import GeParams, ge_log_density, ge_log_norm_const, sample_ge
-from .model import Hyperparams, MixtureState, component_log_pdfs, weight_prior_log_density
+from .model import Hyperparams, MixtureState, allocation_log_probs, weight_prior_log_density
 from .selberg import SdirParams, sdir_log_norm_const
 
 __all__ = [
@@ -110,14 +110,12 @@ def _coord_ge_log_ratio(column, j, new, zeta):
     """Change in the (unnormalized) ensemble log density when one coordinate moves."""
     old = column[j]
     others = np.concatenate((column[:j], column[j + 1:]))
-    term = 0.0
-    if others.size:
-        with np.errstate(divide="ignore"):
-            # -inf exactly when the move ties another coordinate
-            new_log_gaps = np.log(np.abs(others - new)).sum()
-            if new_log_gaps == -np.inf:
-                return -np.inf
-            term = float(new_log_gaps - np.log(np.abs(others - old)).sum())
+    with np.errstate(divide="ignore"):
+        # -inf exactly when the move ties another coordinate
+        new_log_gaps = np.log(np.abs(others - new)).sum()
+        if new_log_gaps == -np.inf:
+            return -np.inf
+        term = float(new_log_gaps - np.log(np.abs(others - old)).sum())
     return zeta * term - 0.5 * zeta * (new * new - old * old)
 
 
@@ -193,16 +191,11 @@ def birth_log_accept(state, hyper, w_new, mu_new, forced):
     the append variant keeps only 1/(m_na+1).
     """
     m, dim = state.m, state.dim
-    counts = state.counts()
-    m_na = m - int((counts > 0).sum())
     g, z, a0 = state.gamma, state.zeta, hyper.alpha0
 
     la = np.log(hyper.lam) - np.log(m)
     la += sdir_log_norm_const(SdirParams(a0, g, m)) - sdir_log_norm_const(SdirParams(a0, g, m + 1))
-    rep = repulsion_log_ratio(g, w_new, state.weights)
-    if rep == -np.inf:
-        return -np.inf
-    la += rep
+    la += repulsion_log_ratio(g, w_new, state.weights)
     la += dim * (ge_log_norm_const(GeParams(z, m)) - ge_log_norm_const(GeParams(z, m + 1)))
     cross = np.abs(state.mus - mu_new[None, :])
     if (cross == 0.0).any():
@@ -211,10 +204,10 @@ def birth_log_accept(state, hyper, w_new, mu_new, forced):
     la += np.log1p(-hyper.q_birth)
     if not forced:
         la -= np.log(hyper.q_birth)
-    la -= np.log(m_na + 1.0)
+    la -= np.log(state.m_nonallocated + 1.0)
     if hyper.birth_death == "reversible":
         la += np.log(m + 1.0)
-    conc_total = m * a0 + counts.sum()
+    conc_total = m * a0 + state.n_obs
     la += gammaln(a0) + gammaln(conc_total) - gammaln(conc_total + a0)
     la += 0.5 * dim * (LOG_2PI - np.log(z))
     return float(la)
@@ -230,12 +223,11 @@ def death_log_accept(state, hyper, j, w_hat):
     """
     if state.m == 1:
         return -np.inf
-    counts = state.counts()
-    if counts[j]:
+    if state.counts()[j]:
         raise ValueError("death move targets a non-allocated component")
-    m_na = state.m - int((counts > 0).sum())
     reduced = _remove_component(state, j, w_hat)
-    return -birth_log_accept(reduced, hyper, state.weights, state.mus[j], forced=(m_na == 1))
+    forced = state.m_nonallocated == 1
+    return -birth_log_accept(reduced, hyper, state.weights, state.mus[j], forced)
 
 
 def _insert_component(state, slot, weights, mu, sigma):
@@ -270,12 +262,6 @@ def _grouped_points(y, alloc, counts):
     ys = y[np.argsort(alloc, kind="stable")]
     ends = np.cumsum(counts).tolist()
     return [ys[end - c:end] for c, end in zip(counts.tolist(), ends)]
-
-
-def allocation_log_probs(y, state):
-    """Unnormalized per-observation allocation log probabilities, shape (n, m)."""
-    with np.errstate(divide="ignore"):
-        return component_log_pdfs(y, state) + np.log(state.weights)[None, :]
 
 
 def update_allocations(y, state, rng):
@@ -388,8 +374,8 @@ def birth_death_step(y, state, hyper, rng):
     (state, move, accepted).
     """
     counts = state.counts()
-    m_na = state.m - int((counts > 0).sum())
-    forced = m_na == 0
+    candidates = np.flatnonzero(counts == 0)
+    forced = candidates.size == 0
     alpha_post = hyper.alpha0 + counts
     if forced or rng.random() < hyper.q_birth:
         if hyper.birth_death == "reversible":
@@ -404,7 +390,6 @@ def birth_death_step(y, state, hyper, rng):
             return _insert_component(state, slot, w_new, mu_new, sigma_new), "birth", True
         return state.copy(), "birth", False
 
-    candidates = np.flatnonzero(counts == 0)
     j = int(candidates[rng.integers(candidates.size)])
     w_hat = rng.dirichlet(np.delete(alpha_post, j))
     la = death_log_accept(state, hyper, j, w_hat)

@@ -91,7 +91,7 @@ def validate_weights(w, m=None):
         raise ValueError("weights must form a non-empty vector")
     if m is not None and w.size != m:
         raise ValueError(f"expected {m} weights, got {w.size}")
-    if np.any(w < 0.0) or np.any(w > 1.0):
+    if not ((w >= 0.0) & (w <= 1.0)).all():  # NaN fails both comparisons
         raise ValueError("weights must lie in [0, 1]")
     if abs(w.sum() - 1.0) > SIMPLEX_TOL:
         raise ValueError("weights must sum to 1 within 1e-12")

@@ -17,11 +17,12 @@ from pathlib import Path
 
 import numpy as np
 from scipy import integrate, stats
+from scipy.linalg import solve_triangular
 from scipy.special import gammaln, xlogy
 
 import selmix
 from selmix import ensemble, sampler, selberg
-from selmix.distributions import LOG_2PI, gamma_log_pdf, gaussian_log_pdf
+from selmix.distributions import LOG_2PI, gamma_log_pdf
 from selmix.ensemble import GeParams, ge_log_density
 from selmix.model import Hyperparams, MixtureState, log_complete_joint, weight_prior_log_density
 
@@ -470,6 +471,27 @@ def ge_log_norm_const_ref(params):
     for j in range(1, m + 1):
         total += gammaln(1.0 + 0.5 * j * z) - gammaln(1.0 + 0.5 * z)
     return float(total)
+
+
+def gaussian_log_pdf(y, mean, cov):
+    """Multivariate normal log density for every row of ``y``.
+
+    Parameters
+    ----------
+    y : array of shape (n, d)
+    mean : array of shape (d,)
+    cov : SPD array of shape (d, d)
+
+    Returns
+    -------
+    array of shape (n,)
+    """
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    d = y.shape[1]
+    chol = np.linalg.cholesky(np.asarray(cov, dtype=float))
+    resid = y - np.asarray(mean, dtype=float)
+    z = solve_triangular(chol, resid.T, lower=True)
+    return -0.5 * (z * z).sum(axis=0) - np.log(np.diag(chol)).sum() - 0.5 * d * LOG_2PI
 
 
 def component_log_pdfs_ref(y, state):

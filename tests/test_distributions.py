@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from helpers import dirichlet_log_pdf, sample_invwishart_ref
+from helpers import dirichlet_log_pdf, gaussian_log_pdf, sample_invwishart_ref
 from selmix.distributions import (
     LOG_2PI,
     gamma_log_pdf,
-    gaussian_log_pdf,
     invwishart_log_pdf,
     pairwise_log_gap_sum,
     sample_invwishart,

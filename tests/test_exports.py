@@ -1,9 +1,13 @@
 """Every exported name resolves, so a deletion cannot leave a stale export,
-and the package exports exactly the names listed here."""
+the package exports exactly the names listed here, and the declared
+dependency floor admits only versions that have what the package calls."""
 
 import importlib
+import inspect
 import pkgutil
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -63,3 +67,15 @@ def test_exported_names_resolve(name):
 
 def test_package_exports_are_pinned():
     assert sorted(selmix.__all__) == PACKAGE_EXPORTS
+
+
+def test_scipy_floor_has_the_kmeans_rng_keyword():
+    # analysis.elicit_zeta calls scipy.cluster.vq.kmeans(..., rng=rng), a
+    # keyword that scipy added in 1.15; read with a regex (no tomllib on 3.10)
+    from scipy.cluster.vq import kmeans
+
+    assert "rng" in inspect.signature(kmeans).parameters
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    floor = re.search(r'"scipy>=(\d+)\.(\d+)', text)
+    assert floor, "pyproject.toml declares no scipy floor"
+    assert (int(floor[1]), int(floor[2])) >= (1, 15)

@@ -1,5 +1,6 @@
 """File formats and the command-line interface."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -90,6 +91,17 @@ class TestTraceFiles:
         np.testing.assert_allclose(back.zeta, trace.zeta, rtol=1e-15)
         for a, b in zip(back.weights, trace.weights):
             np.testing.assert_allclose(a, b, rtol=1e-15)
+
+    def test_zero_observation_round_trip(self, tmp_path):
+        # a chain without data records empty allocations; they read back as
+        # one empty int64 row per draw
+        trace = dataclasses.replace(self.make_trace(), alloc=np.empty((6, 0), dtype=np.int64))
+        path = tmp_path / "nodata.ndjson"
+        write_trace(path, trace)
+        back = read_trace(path)
+        assert back.alloc.shape == (6, 0)
+        assert back.alloc.dtype == np.int64
+        np.testing.assert_array_equal(back.m, trace.m)
 
     def test_labels_are_one_based_on_disk(self, tmp_path):
         trace = self.make_trace()
@@ -448,6 +460,8 @@ class TestCli:
         (["prior-ma", "--gamma", "nan", "--m", "3"], "gamma must be non-negative"),
         (["simulate", "--seed", "1", "--n=-3", "--out", "unused.csv"], "n_obs must be >= 1"),
         (["simulate", "--seed", "1", "--n", "0", "--out", "unused.csv"], "n_obs must be >= 1"),
+        (["dist", "sdir-log-pdf", "--alpha", "1", "--gamma", "1", "--m", "3",
+          "--w", "nan,0.5,0.5"], "weights must lie in [0, 1]"),
     ])
     def test_unusable_parameter_names_the_field(self, capsys, tmp_path, monkeypatch,
                                                 args, message):

@@ -51,7 +51,11 @@ class TestShiftedPoisson:
 
 class TestWeightPrior:
     def test_single_component_is_point_mass(self):
-        assert weight_prior_log_density(np.array([1.0]), 1.0, 2.0, 1) == 0.0
+        for alpha0 in (0.3, 1.0, 2.5, 50.0):
+            for gamma in (0.0, 0.5, 2.0, 10.0):
+                got = weight_prior_log_density(np.array([1.0]), alpha0, gamma, 1)
+                assert type(got) is float
+                assert got == 0.0 and not np.signbit(got), (alpha0, gamma, got)
 
     def test_matches_density_for_larger_m(self):
         rng = np.random.default_rng(2)

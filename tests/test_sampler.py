@@ -76,6 +76,21 @@ class TestRatiosAgainstJoint:
             got = mean_refresh_log_accept(state, j, d, mu_new, sd)
             want = H.oracle_mean_refresh(y, state, hyper, j, d, mu_new, sd)
             assert got == pytest.approx(want, abs=1e-10)
+        # a single component has no coordinate to repel: the prior change is
+        # the Gaussian confinement alone, to the bit
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            dim = int(rng.choice([1, 3]))
+            hyper = H.random_hyper(rng, dim)
+            state = H.random_state(rng, 1, dim, 0)
+            d = int(rng.integers(dim))
+            sd = np.sqrt(2.0 + 1.0 / state.zeta)
+            mu_new = sd * rng.standard_normal()
+            got = mean_refresh_log_accept(state, 0, d, mu_new, sd)
+            step = mu_new * mu_new - state.mus[0, d] ** 2
+            assert got == -0.5 * state.zeta * step + 0.5 * step / sd**2
+            want = H.oracle_mean_refresh(np.empty((0, dim)), state, hyper, 0, d, mu_new, sd)
+            assert got == pytest.approx(want, abs=1e-10)
 
     def test_weights(self):
         rng = np.random.default_rng(3)
@@ -129,6 +144,10 @@ class TestRatiosAgainstJoint:
             got = birth_log_accept(state, hyper, w_new, mu_new, forced)
             want = H.oracle_birth(y, state, hyper, slot, w_new, mu_new, sigma_new, forced)
             assert got == pytest.approx(want, abs=1e-10)
+            # tied repelled weights have zero prior density
+            tied = w_new.copy()
+            tied[1] = tied[0]
+            assert birth_log_accept(state, hyper, tied / tied.sum(), mu_new, forced) == -np.inf
 
     @pytest.mark.parametrize("bookkeeping", ["reversible", "append"])
     def test_death_of_middle_victim(self, bookkeeping):
@@ -589,6 +608,7 @@ class TestFastSweepMatchesReference:
             y, state, _ = equivalence_case(rng, dim, n, m=1 + trial % 5, empty=[0, 3])
             got = component_log_pdfs(y, state)
             assert got.flags.c_contiguous
+            assert got.shape == (n, state.m) and got.dtype == np.float64
             np.testing.assert_array_equal(got, H.component_log_pdfs_ref(y, state))
             r1, r2 = twin_generators(trial)
             before = state.copy()

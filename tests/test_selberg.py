@@ -217,6 +217,10 @@ class TestValidation:
             validate_weights(np.array([0.7, -0.2, 0.5]))
         with pytest.raises(ValueError):
             validate_weights(np.array([0.5, 0.5]), m=3)
+        # NaN compares False with both bounds and must still be refused
+        for w in ([np.nan, 0.5, 0.5], [0.5, 0.5, np.nan], [np.nan]):
+            with pytest.raises(ValueError, match=r"^weights must lie in \[0, 1\]$"):
+                validate_weights(np.array(w))
 
     def test_parameter_checks(self):
         with pytest.raises(ValueError):
