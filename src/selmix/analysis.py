@@ -109,11 +109,6 @@ def posterior_similarity(trace):
     return counts
 
 
-# row-wise work on (T, n) labels or an (n, n) matrix goes through blocks of
-# rows of about this many entries, so its temporaries stay near 128 kB each
-_ROW_BLOCK_ENTRIES = 1 << 14
-
-
 def canonical_labels(alloc):
     """Relabel a partition by order of first appearance (label-invariant form).
 
@@ -121,29 +116,12 @@ def canonical_labels(alloc):
     is relabelled on its own and the result has the input's shape.
     """
     alloc = np.atleast_1d(np.asarray(alloc))
-    n = alloc.shape[-1]
-    rows = alloc.reshape(alloc.size // n if n else 1, n)
-    out = np.empty(rows.shape, dtype=np.int64)
-    step = max(1, _ROW_BLOCK_ENTRIES // max(n, 1))
-    for start in range(0, rows.shape[0], step):
-        out[start:start + step] = _first_appearance_labels(rows[start:start + step])
-    return out.reshape(alloc.shape)
-
-
-def _first_appearance_labels(rows):
-    n = rows.shape[1]
-    pos = np.arange(n)
-    # a stable sort groups equal labels with the first occurrence leading
-    order = np.argsort(rows, axis=1, kind="stable")
-    ranked = np.take_along_axis(rows, order, axis=1)
-    starts = np.ones(rows.shape, dtype=bool)
-    starts[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    group_start = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
-    first = np.empty_like(order)
-    np.put_along_axis(first, order, np.take_along_axis(order, group_start, axis=1), axis=1)
-    # a label's canonical value counts the distinct labels seen before it
-    seen = np.cumsum(first == pos, axis=1) - 1
-    return np.take_along_axis(seen, first, axis=1)
+    out = np.empty(alloc.shape, dtype=np.int64)
+    for row in np.ndindex(alloc.shape[:-1]):
+        _, first, inverse = np.unique(alloc[row], return_index=True, return_inverse=True)
+        # a label's canonical value is the rank of its first position
+        out[row] = np.argsort(np.argsort(first))[inverse]
+    return out
 
 
 def distinct_partitions(alloc):
@@ -152,11 +130,15 @@ def distinct_partitions(alloc):
     ``alloc`` is a (T, n) array of allocation vectors; two draws are the
     same partition when their canonical labels agree.
     """
-    canon = np.ascontiguousarray(canonical_labels(alloc))
-    # one opaque key per row: np.unique(axis=0) would build one field per column
-    keys = canon.view(np.dtype((np.void, canon.itemsize * canon.shape[1]))).ravel()
-    _, first = np.unique(keys, return_index=True)
-    return np.sort(first)
+    return _first_of_each_row(canonical_labels(alloc))
+
+
+def _first_of_each_row(rows):
+    """Indices of the first occurrence of each distinct row, ascending."""
+    first = {}
+    for t, row in enumerate(rows):
+        first.setdefault(row.tobytes(), t)
+    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
 
 
 def binder_loss(alloc, sim):
@@ -193,9 +175,10 @@ def binder_estimate(trace, sim):
     if trace.n_samples < 1:
         raise ValueError("trace must contain at least one sample")
     sim = np.asarray(sim, dtype=float)
-    first = distinct_partitions(trace.alloc)
+    canon = canonical_labels(trace.alloc)
+    first = _first_of_each_row(canon)
     scale = trace.n_samples if _is_multiple_of(sim, trace.n_samples) else None
-    pairs, sums = _block_sums(canonical_labels(trace.alloc[first]), sim, scale)
+    pairs, sums = _block_sums(canon[first], sim, scale)
     if scale is not None:
         pairs = pairs * scale
     return trace.alloc[first[np.argmin(pairs - sums)]].copy()
@@ -259,6 +242,11 @@ def _block_sums(partitions, sim, scale=None):
     return 0.5 * (squared_sizes - n), sums
 
 
+# _is_multiple_of reads an (n, n) matrix in blocks of rows of about this many
+# entries, so its temporaries stay near 128 kB each
+_ROW_BLOCK_ENTRIES = 1 << 14
+
+
 def _is_multiple_of(sim, denominator):
     """True when every entry of ``sim`` is c / denominator for an integer c."""
     sim = np.asarray(sim)
@@ -314,6 +302,8 @@ def elicit_zeta(y, k, zeta_grid, rng, reps=200):
 
     from .ensemble import GeParams, sample_ge
 
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     zeta_grid = [float(z) for z in zeta_grid]
     if not zeta_grid or any(z <= 0.0 for z in zeta_grid):
         raise ValueError("zeta grid must hold positive values")

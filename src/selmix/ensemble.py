@@ -62,15 +62,21 @@ def _ge_log_norm_const(z, m):
 
 
 def ge_log_density(x, params):
-    """Normalized log density; -inf when two coordinates tie."""
+    """Normalized log density; -inf when two coordinates tie or the squares overflow."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != params.m:
         raise ValueError(f"expected a vector of length {params.m}")
     if not np.all(np.isfinite(x)):
         raise ValueError("coordinates must be finite")
+    with np.errstate(over="ignore"):
+        squares = (x * x).sum()
+    if squares == np.inf:
+        # the confinement falls as x^2 and the repulsion rises only as log |x|;
+        # while the squares stay finite no gap can overflow
+        return -np.inf
     gaps = pairwise_log_gap_sum(x)
     z = params.zeta
-    return float(-0.5 * z * (x * x).sum() + z * gaps - ge_log_norm_const(params))
+    return float(-0.5 * z * squares + z * gaps - ge_log_norm_const(params))
 
 
 def sample_ge(params, n, rng):

@@ -98,14 +98,18 @@ def selberg_constant_quad_m3(alpha, gamma, weight=None):
 
 
 def ensemble_constant_quad_m2(zeta):
-    """Direct double integral of exp(-zeta*(x^2+y^2)/2) |x-y|^zeta."""
+    """Direct double integral of exp(-zeta*(x^2+y^2)/2) |x-y|^zeta.
+
+    The integrand is symmetric in x and y, so it is integrated over y < x and
+    doubled: the kink of |x - y| then lies on the inner integral's boundary.
+    """
 
     def f(y, x):
-        return np.exp(-0.5 * zeta * (x * x + y * y)) * abs(x - y) ** zeta
+        return np.exp(-0.5 * zeta * (x * x + y * y)) * (x - y) ** zeta
 
-    val, _ = integrate.dblquad(f, -np.inf, np.inf, -np.inf, np.inf,
+    val, _ = integrate.dblquad(f, -np.inf, np.inf, -np.inf, lambda x: x,
                                epsabs=1e-12, epsrel=1e-10)
-    return val
+    return 2.0 * val
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@ from selmix.analysis import (
     posterior_similarity,
     prior_ma_simulation,
 )
+from selmix.model import Hyperparams
 from selmix.planted import simulate_benchmark
+from selmix.sampler import SamplerConfig, run_sampler
 
 # binder_loss on a seeded trace of 10 draws over n = 3000, printed as repr
 BINDER_CHILD = """
@@ -128,17 +130,33 @@ class TestPartitionHelpers:
             canonical_labels([2, 2, 0, 1, 0]), [0, 0, 1, 2, 1])
 
     def test_canonical_labels_matches_loop_oracle_row_by_row(self):
-        # 200 rows of 150 labels span more than one block of rows
         rng = np.random.default_rng(22)
-        for t, n, lo, hi in [(1, 1, 0, 1), (5, 12, -3, 4), (200, 150, 0, 9), (3, 40, 0, 10**9)]:
-            alloc = rng.integers(lo, hi, size=(t, n))
-            want = np.array([H.canonical_labels_loop(row) for row in alloc])
-            np.testing.assert_array_equal(canonical_labels(alloc), want)
-            np.testing.assert_array_equal(canonical_labels(alloc[0]), want[0])
+        cases = [rng.integers(lo, hi, size=(t, n)) for t, n, lo, hi in
+                 [(1, 1, 0, 1), (5, 12, -3, 4), (200, 150, 0, 9), (3, 40, 0, 10**9)]]
+        cases += [
+            # labels with gaps and large values
+            rng.choice([3, 70, 10**6, 2**62, -2**40], size=(6, 30)),
+            np.empty((4, 0), dtype=np.int64),
+            np.empty((0, 7), dtype=np.int64),
+            np.empty(0, dtype=np.int64),
+            rng.integers(0, 5, size=(3, 4, 9)),
+        ]
+        for alloc in cases:
+            want = np.empty(alloc.shape, dtype=np.int64)
+            for row in np.ndindex(alloc.shape[:-1]):
+                want[row] = H.canonical_labels_loop(alloc[row])
+                np.testing.assert_array_equal(
+                    canonical_labels(alloc[row]), want[row], strict=True)
+            np.testing.assert_array_equal(canonical_labels(alloc), want, strict=True)
 
     def test_distinct_partitions_first_draws(self):
         rows = [[1, 1, 0], [0, 0, 1], [0, 1, 1], [2, 2, 2], [5, 5, 3], [1, 0, 0]]
         np.testing.assert_array_equal(distinct_partitions(np.array(rows)), [0, 2, 3])
+
+    def test_draws_without_observations_are_one_partition(self):
+        alloc = np.empty((3, 0), dtype=np.int64)
+        np.testing.assert_array_equal(distinct_partitions(alloc), [0])
+        assert distinct_partitions(np.empty((0, 4), dtype=np.int64)).size == 0
 
     def test_binder_loss_matches_dense_oracle(self):
         rng = np.random.default_rng(23)
@@ -252,6 +270,16 @@ class TestBinderEstimate:
             np.fill_diagonal(sim, 1.0)
             np.testing.assert_array_equal(
                 binder_estimate(trace, sim), H.binder_estimate_scan(trace, sim))
+
+    def test_prior_only_chain_gets_the_empty_draw(self):
+        # a chain run without data records one empty allocation per draw
+        hyper = Hyperparams(gamma_fixed=1.0, burn_in=5, thin=1, n_samples=3)
+        trace, _ = run_sampler(np.empty((0, 1)), SamplerConfig(hyper=hyper, seed=3))
+        assert trace.alloc.shape == (3, 0)
+        sim = posterior_similarity(trace)
+        est = binder_estimate(trace, sim)
+        np.testing.assert_array_equal(est, trace.alloc[0], strict=True)
+        assert binder_loss(est, sim) == 0.0
 
     def test_recovers_exact_modal_partition(self):
         rows = [[0, 0, 1, 1]] * 8 + [[0, 1, 0, 1]] * 2

@@ -20,7 +20,6 @@ class TestNormalizingConstant:
     @pytest.mark.parametrize("zeta", [0.5, 1.0, 2.0])
     def test_pair_constant_matches_quadrature(self, zeta):
         got = np.exp(ge_log_norm_const(GeParams(zeta, 2)))
-        # the kink of |x - y| along the diagonal limits the quadrature here
         assert got == pytest.approx(ensemble_constant_quad_m2(zeta), rel=1e-7)
 
     def test_triple_constant_matches_gauss_hermite(self):
@@ -48,6 +47,12 @@ class TestDensity:
 
     def test_tied_coordinates_get_zero_mass(self):
         assert ge_log_density(np.array([0.5, 0.5, 1.0]), GeParams(1.0, 3)) == -np.inf
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308])
+    def test_overflowing_squares_get_zero_mass(self, scale):
+        # the confinement falls as x^2 and the repulsion rises only as log |x|
+        for zeta, x in [(1.0, [scale, -scale]), (0.5, [scale, 3.0, -scale])]:
+            assert ge_log_density(np.array(x), GeParams(zeta, len(x))) == -np.inf
 
     def test_integrates_to_one_for_pair(self):
         # zeta = 2 keeps the integrand smooth across the diagonal

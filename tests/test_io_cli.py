@@ -443,6 +443,7 @@ class TestCli:
         (["dist", "ge-log-const", "--zeta", "2", "--m", "2"], np.log(np.pi)),
         (["dist", "count-log-pmf", "--m", "1", "--lam", "3"], -3.0),
         (["dist", "dispersion", "--alpha", "1", "--gamma", "1", "--m", "3", "--tau", "0"], 1.0),
+        (["dist", "ge-log-pdf", "--zeta", "1", "--m", "2", "--x", "1e308,-1e308"], -np.inf),
     ])
     def test_dist_values(self, capsys, args, expected):
         assert cli_dispatch(args) == 0
@@ -462,13 +463,27 @@ class TestCli:
         (["simulate", "--seed", "1", "--n", "0", "--out", "unused.csv"], "n_obs must be >= 1"),
         (["dist", "sdir-log-pdf", "--alpha", "1", "--gamma", "1", "--m", "3",
           "--w", "nan,0.5,0.5"], "weights must lie in [0, 1]"),
+        (["elicit-zeta", "--data", "d.csv", "--k", "3", "--reps", "0"], "reps must be >= 1"),
     ])
     def test_unusable_parameter_names_the_field(self, capsys, tmp_path, monkeypatch,
                                                 args, message):
         monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.csv").write_text("x1,x2\n0.0,1.0\n1.0,0.0\n2.0,2.0\n3.0,1.0\n")
         assert cli_dispatch(args) == 1
         assert capsys.readouterr().err == f"selmix: error: {message}\n"
         assert not (tmp_path / "unused.csv").exists()
+
+    def test_analyze_refuses_zero_observations(self, tmp_path, capsys):
+        trace = PosteriorTrace(m=np.ones(3, dtype=np.int64),
+                               m_allocated=np.zeros(3, dtype=np.int64),
+                               alloc=np.empty((3, 0), dtype=np.int64),
+                               gamma=np.ones(3), zeta=np.ones(3))
+        write_trace(tmp_path / "nodata.ndjson", trace)
+        assert cli_dispatch(["analyze", "--trace", str(tmp_path / "nodata.ndjson"),
+                             "--out-dir", str(tmp_path / "an")]) == 1
+        assert capsys.readouterr().err == (
+            "selmix: error: cannot analyze traces with zero observations\n")
+        assert not (tmp_path / "an").exists()
 
     def test_dist_log_pdf_with_vector(self, capsys):
         code = cli_dispatch(["dist", "sdir-log-pdf", "--alpha", "1", "--gamma", "0",
