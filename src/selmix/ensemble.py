@@ -48,21 +48,30 @@ def ge_log_norm_const(params):
                  * prod_{j=1}^{M} Gamma(1 + j zeta / 2) / Gamma(1 + zeta / 2).
 
     G(1, zeta) reduces to sqrt(2 pi / zeta) and G(2, 2) equals pi.  Values
-    are cached per (zeta, m).
+    are cached per (zeta, m).  Raises ValueError when zeta is so large that
+    the log constant overflows.
     """
     return _ge_log_norm_const(float(params.zeta), int(params.m))
 
 
 @lru_cache(maxsize=1024)
 def _ge_log_norm_const(z, m):
-    total = (-0.5 * m - 0.25 * z * m * (m - 1)) * np.log(z) + 0.5 * m * LOG_2PI
-    for j in range(1, m + 1):
-        total += gammaln(1.0 + 0.5 * j * z) - gammaln(1.0 + 0.5 * z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = (-0.5 * m - 0.25 * z * m * (m - 1)) * np.log(z) + 0.5 * m * LOG_2PI
+        for j in range(2, m + 1):  # the j = 1 factor is one
+            total += gammaln(1.0 + 0.5 * j * z) - gammaln(1.0 + 0.5 * z)
+    if not np.isfinite(total):
+        raise ValueError(f"zeta = {z!r} overflows the ensemble constant at m = {m}")
     return float(total)
 
 
 def ge_log_density(x, params):
-    """Normalized log density; -inf when two coordinates tie or the squares overflow."""
+    """Normalized log density; -inf when two coordinates tie or the squares overflow.
+
+    Never NaN and never a RuntimeWarning: a zeta whose constant overflows
+    raises ValueError (see ``ge_log_norm_const``), and kernel terms that
+    overflow are combined without NaN.
+    """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size != params.m:
         raise ValueError(f"expected a vector of length {params.m}")
@@ -76,7 +85,14 @@ def ge_log_density(x, params):
         return -np.inf
     gaps = pairwise_log_gap_sum(x)
     z = params.zeta
-    return float(-0.5 * z * squares + z * gaps - ge_log_norm_const(params))
+    log_const = ge_log_norm_const(params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_kernel = -0.5 * z * squares + z * gaps
+        if np.isnan(log_kernel):
+            # both terms overflowed in opposite directions; their finite
+            # difference, scaled once, rounds to the right value or infinity
+            log_kernel = z * (gaps - 0.5 * squares)
+    return float(log_kernel - log_const)
 
 
 def sample_ge(params, n, rng):

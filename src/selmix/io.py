@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 
 import numpy as np
 
@@ -55,7 +56,7 @@ def read_dataset(path):
                     raise ValueError(
                         f"{path}: non-numeric value {cell!r} at row {file_row}, column {col}"
                     ) from None
-                if not np.isfinite(value):
+                if not math.isfinite(value):
                     raise ValueError(
                         f"{path}: non-finite value at row {file_row}, column {col}"
                     )
@@ -146,7 +147,11 @@ def write_matrix_csv(path, mat, denominator=None):
     module writes them.  With ``denominator`` T, every entry must be c / T
     for an integer c in 0..T (a co-allocation frequency over T draws); rows
     are then written by indexing a table of the T + 1 cell strings, which
-    gives the same bytes without formatting every cell.
+    gives the same bytes without formatting every cell.  Each distinct row
+    is checked and joined once: a first pass hashes every row, and a line
+    is kept only while a later row with the same hash is still to come.  A
+    kept line is written again only for a row equal to the one it was
+    built from, so a hash collision costs a line, never a wrong byte.
     """
     mat = np.atleast_2d(np.asarray(mat))
     with open(path, "w", newline="") as fh:
@@ -156,15 +161,34 @@ def write_matrix_csv(path, mat, denominator=None):
                 writer.writerow([repr(float(v)) for v in row])
             return
         cells = np.array([repr(float(c / denominator)) for c in range(denominator + 1)], dtype=object)
-        for row in mat:
-            counts = np.rint(row * denominator)
-            if not (
-                np.array_equal(counts / denominator, row)
-                and 0 <= counts.min()
-                and counts.max() <= denominator
-            ):
-                raise ValueError(f"{path}: entries are not multiples of 1/{denominator} in [0, 1]")
-            fh.write(",".join(cells[counts.astype(np.intp)]) + "\r\n")
+        keys = [_row_key(row) for row in mat]
+        last = {key: i for i, key in enumerate(keys)}
+        kept = {}  # key -> (index of the row the line was built from, line)
+        for i, (row, key) in enumerate(zip(mat, keys)):
+            source, line = kept.get(key, (None, None))
+            if source is None or not np.array_equal(mat[source], row):
+                line = _grid_line(path, row, cells, denominator)
+                if source is None and last[key] > i:
+                    kept[key] = (i, line)
+            if last[key] == i:
+                kept.pop(key, None)
+            fh.write(line)
+
+
+def _row_key(row):
+    return hash(row.tobytes())
+
+
+def _grid_line(path, row, cells, denominator):
+    """One CSV line of a row whose entries are c / denominator, from the cell table."""
+    counts = np.rint(row * denominator)
+    if not (
+        np.array_equal(counts / denominator, row)
+        and 0 <= counts.min()
+        and counts.max() <= denominator
+    ):
+        raise ValueError(f"{path}: entries are not multiples of 1/{denominator} in [0, 1]")
+    return ",".join(cells[counts.astype(np.intp)]) + "\r\n"
 
 
 def write_json(path, payload):

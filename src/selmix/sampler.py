@@ -153,7 +153,8 @@ def scale_log_accept(state, hyper, gamma_new, zeta_new):
     change of gamma against the weight prior and gamma's hyperprior; a zeta
     move alone also meets zeta's hyperprior when zeta is free.  The Jacobian
     is that of the walked scale: gamma when it changes, else zeta.  A scale
-    that is not positive and finite (an overflowed walk) is rejected.
+    that is not positive and finite (an overflowed walk) is rejected, and so
+    is a zeta whose ensemble constant overflows.
     """
     gamma_moves = gamma_new != state.gamma
     new, old = (gamma_new, state.gamma) if gamma_moves else (zeta_new, state.zeta)
@@ -163,6 +164,10 @@ def scale_log_accept(state, hyper, gamma_new, zeta_new):
     if zeta_new != state.zeta:
         new_params = GeParams(zeta_new, state.m)
         old_params = GeParams(state.zeta, state.m)
+        try:
+            ge_log_norm_const(new_params)
+        except ValueError:  # so large a zeta overflows the ensemble constant
+            return -np.inf
         for d in range(state.dim):
             column = state.mus[:, d]
             la += ge_log_density(column, new_params) - ge_log_density(column, old_params)

@@ -1,5 +1,7 @@
 """Gaussian ensemble prior: constants, densities, exact and MH sampling."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -35,6 +37,18 @@ class TestNormalizingConstant:
         got = np.exp(ge_log_norm_const(GeParams(2.0, 3)))
         assert got == pytest.approx(total, rel=1e-12)
 
+    @pytest.mark.parametrize("zeta,m", [(1e307, 2), (1e305, 4), (3e301, 200)])
+    def test_overflowing_constant_names_zeta(self, zeta, m):
+        # RuntimeWarnings are errors under the test configuration
+        message = f"zeta = {zeta!r} overflows the ensemble constant at m = {m}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ge_log_norm_const(GeParams(zeta, m))
+
+    def test_single_coordinate_stays_finite_for_any_zeta(self):
+        for zeta in (1e306, 1.7e308):
+            got = ge_log_norm_const(GeParams(zeta, 1))
+            assert got == pytest.approx(0.5 * np.log(2.0 * np.pi / zeta), rel=1e-13)
+
 
 class TestDensity:
     def test_pair_density_formula(self):
@@ -53,6 +67,19 @@ class TestDensity:
         # the confinement falls as x^2 and the repulsion rises only as log |x|
         for zeta, x in [(1.0, [scale, -scale]), (0.5, [scale, 3.0, -scale])]:
             assert ge_log_density(np.array(x), GeParams(zeta, len(x))) == -np.inf
+
+    def test_huge_zeta_never_gives_nan(self):
+        # the constant overflows: an error naming zeta, not NaN
+        with pytest.raises(ValueError, match=re.escape("zeta = 1e+307 overflows")):
+            ge_log_density(np.array([1e100, -1e100]), GeParams(1e307, 2))
+        # the confinement term alone overflows
+        assert ge_log_density(np.array([1e10, -1e10]), GeParams(1e300, 2)) == -np.inf
+        # confinement and repulsion overflow in opposite directions while the
+        # constant stays finite
+        x = np.linspace(-1e153, 1e153, 200)
+        params = GeParams(2.6e301, 200)
+        assert np.isfinite(ge_log_norm_const(params))
+        assert ge_log_density(x, params) == -np.inf
 
     def test_integrates_to_one_for_pair(self):
         # zeta = 2 keeps the integrand smooth across the diagonal

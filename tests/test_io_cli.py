@@ -2,13 +2,16 @@
 
 import dataclasses
 import json
+import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import helpers as H
+import selmix.io
 from selmix import __version__
 from selmix.analysis import PosteriorTrace, prior_ma_simulation
 from selmix.cli import cli_dispatch, hyperparams_from_dict
@@ -149,6 +152,15 @@ class TestTraceFiles:
             read_trace(path)
 
 
+def _repeating_psm(t, n_atoms, atom_size, seed):
+    """A co-allocation matrix over t draws whose rows repeat: the observations
+    of one atom share a label in every draw, and atoms are shuffled apart."""
+    rng = np.random.default_rng(seed)
+    alloc = np.repeat(rng.integers(0, 3, size=(t, n_atoms)), atom_size, axis=1)
+    alloc = alloc[:, rng.permutation(alloc.shape[1])]
+    return (alloc[:, :, None] == alloc[:, None, :]).sum(axis=0) / t
+
+
 class TestMatrixAndJson:
     def test_matrix_round_trip(self, tmp_path):
         mat = np.random.default_rng(3).normal(size=(4, 6))
@@ -167,6 +179,50 @@ class TestMatrixAndJson:
         for bad in ([[0.5, 1.0 / 3.0]], [[0.0, 1.5]], [[-0.5, 1.0]], [[np.nan, 1.0]]):
             with pytest.raises(ValueError):
                 write_matrix_csv(tmp_path / "bad.csv", np.array(bad), denominator=2)
+
+    @pytest.mark.parametrize("t,mat", [
+        (7, _repeating_psm(7, n_atoms=6, atom_size=9, seed=5)),
+        (7, np.random.default_rng(6).integers(0, 8, size=(30, 30)) / 7),
+        (3, np.array([[2.0 / 3.0]])),
+        (1, _repeating_psm(1, n_atoms=4, atom_size=5, seed=7)),
+        (149, _repeating_psm(149, n_atoms=5, atom_size=8, seed=8)),
+        (149, np.random.default_rng(9).integers(0, 150, size=(12, 40)) / 149),
+    ], ids=["repeating", "distinct", "1x1", "T=1", "repeating-T=149", "distinct-T=149"])
+    def test_denominator_writer_matches_the_oracle(self, tmp_path, t, mat):
+        write_matrix_csv(tmp_path / "table.csv", mat, denominator=t)
+        H.write_matrix_csv_repr(tmp_path / "repr.csv", mat)
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "repr.csv").read_bytes()
+
+    def test_colliding_row_keys_still_write_each_row(self, tmp_path, monkeypatch):
+        mat = _repeating_psm(5, n_atoms=7, atom_size=4, seed=10)
+        monkeypatch.setattr(selmix.io, "_row_key", lambda row: 0)
+        write_matrix_csv(tmp_path / "table.csv", mat, denominator=5)
+        H.write_matrix_csv_repr(tmp_path / "repr.csv", mat)
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "repr.csv").read_bytes()
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_repeated_bad_row_rejected(self, tmp_path, monkeypatch, collide):
+        good, bad = [0.5, 1.0, 0.0], [0.5, 0.25, 1.0]
+        mat = np.array([good, good, bad, good, bad])
+        if collide:
+            monkeypatch.setattr(selmix.io, "_row_key", lambda row: 0)
+        path = tmp_path / "bad.csv"
+        message = f"{path}: entries are not multiples of 1/2 in [0, 1]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_matrix_csv(path, mat, denominator=2)
+
+    def test_distinct_rows_keep_no_lines(self, tmp_path):
+        # a writer that kept every line until the end would hold 400 of them
+        t, n = 149, 400
+        mat = np.random.default_rng(11).integers(0, t + 1, size=(n, n)) / t
+        line_bytes = sys.getsizeof(",".join(repr(float(v)) for v in mat[0]) + "\r\n")
+        tracemalloc.start()
+        try:
+            write_matrix_csv(tmp_path / "distinct.csv", mat, denominator=t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * line_bytes
 
     def test_json_round_trip(self, tmp_path):
         payload = {"b": 1, "a": [1.5, None], "c": {"x": "y"}}
@@ -385,6 +441,25 @@ class TestCli:
         distinct = {H.canonical_labels_loop(row).tobytes() for row in merged.alloc}
         assert summary["n_unique_partitions"] == len(distinct)
 
+    def test_analyze_psm_with_repeated_rows_matches_loop_reference(self, tmp_path):
+        # tight clusters: the observations of one cluster share a label in
+        # every draw, so their PSM rows are equal and psm.csv reuses lines
+        rng = np.random.default_rng(12)
+        centres = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 20.0]])
+        write_dataset(tmp_path / "tight.csv",
+                      np.repeat(centres, 10, axis=0) + rng.normal(0.0, 0.1, size=(30, 2)))
+        fit_dir, an_dir = tmp_path / "fit", tmp_path / "an"
+        assert cli_dispatch(tiny_fit_args(tmp_path / "tight.csv", fit_dir)) == 0
+        trace_path = fit_dir / "trace_chain0.ndjson"
+        assert cli_dispatch(["analyze", "--trace", str(trace_path),
+                             "--out-dir", str(an_dir)]) == 0
+
+        sim = H.posterior_similarity_loop(read_trace(trace_path))
+        assert len(np.unique(sim, axis=0)) <= 10
+        assert ((sim > 0.0) & (sim < 1.0)).any()
+        H.write_matrix_csv_repr(tmp_path / "psm.csv", sim)
+        assert (an_dir / "psm.csv").read_bytes() == (tmp_path / "psm.csv").read_bytes()
+
     def test_append_bookkeeping_flag_recorded(self, benchmark_csv, tmp_path):
         out_dir = tmp_path / "fit"
         args = tiny_fit_args(benchmark_csv, out_dir,
@@ -444,6 +519,9 @@ class TestCli:
         (["dist", "count-log-pmf", "--m", "1", "--lam", "3"], -3.0),
         (["dist", "dispersion", "--alpha", "1", "--gamma", "1", "--m", "3", "--tau", "0"], 1.0),
         (["dist", "ge-log-pdf", "--zeta", "1", "--m", "2", "--x", "1e308,-1e308"], -np.inf),
+        (["dist", "ge-log-pdf", "--zeta", "1e300", "--m", "2", "--x", "1e10,-1e10"], -np.inf),
+        (["dist", "ge-log-const", "--zeta", "1e307", "--m", "1"],
+         0.5 * np.log(2.0 * np.pi / 1e307)),
     ])
     def test_dist_values(self, capsys, args, expected):
         assert cli_dispatch(args) == 0
@@ -464,6 +542,10 @@ class TestCli:
         (["dist", "sdir-log-pdf", "--alpha", "1", "--gamma", "1", "--m", "3",
           "--w", "nan,0.5,0.5"], "weights must lie in [0, 1]"),
         (["elicit-zeta", "--data", "d.csv", "--k", "3", "--reps", "0"], "reps must be >= 1"),
+        (["dist", "ge-log-const", "--zeta", "1e307", "--m", "2"],
+         "zeta = 1e+307 overflows the ensemble constant at m = 2"),
+        (["dist", "ge-log-pdf", "--zeta", "1e307", "--m", "2", "--x", "1e100,-1e100"],
+         "zeta = 1e+307 overflows the ensemble constant at m = 2"),
     ])
     def test_unusable_parameter_names_the_field(self, capsys, tmp_path, monkeypatch,
                                                 args, message):

@@ -271,6 +271,33 @@ class TestRatioEdgeCases:
             assert rng.bit_generator.state == twin.bit_generator.state
         assert overflowed > 0
 
+    def test_zeta_with_an_overflowing_constant_is_rejected(self):
+        # a finite zeta so large that G(m, zeta) overflows: -inf, no warning,
+        # no error, and the move draws its step and accept coin as always
+        rng = np.random.default_rng(18)
+        hyper = H.random_hyper(rng, 2, zeta_mode="gamma")
+        state = H.random_state(rng, 2, 2, 6, zeta=1e305)
+        assert np.isfinite(ge_log_norm_const(GeParams(state.zeta, state.m)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert scale_log_accept(state, hyper, state.gamma, 1e307) == -np.inf
+        overflowing = 0
+        for seed in range(40):
+            rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+            zeta_new = state.zeta * np.exp(np.sqrt(4.0) * twin.standard_normal())
+            try:
+                ge_log_norm_const(GeParams(zeta_new, state.m))
+            except ValueError:
+                overflowing += 1
+            twin.random()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                out, accepted = update_scale(state, hyper, rng, "zeta", 4.0)
+            if not accepted:
+                assert out.zeta == state.zeta
+            assert rng.bit_generator.state == twin.bit_generator.state
+        assert overflowing > 0
+
     def test_zeta_limit_reduces_mean_move_to_likelihood(self):
         # a vanishing ensemble precision makes the prior flat, so the move
         # must reduce to the plain Gaussian likelihood ratio
