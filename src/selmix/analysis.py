@@ -85,12 +85,13 @@ def posterior_similarity(trace):
     share a component; the diagonal is exactly 1.
 
     The integer co-counts C = sum_t Z_t Z_t^T (Z_t the one-hot allocation
-    matrix of draw t) come from one matrix product per block of draws.  The
-    first block's product becomes C; each later block adds its product in
-    chunks of ``_block_width(n)`` rows, so C is the only (n, n) array and a
-    chunk is no larger than a block.  Every partial sum is an integer below
-    2**53, so C is exact and ``C / T`` is the correctly rounded frequency.
-    Labels must be non-negative integers.
+    matrix of draw t, with one column per distinct label after
+    ``canonical_labels``, whatever the label values) come from one matrix
+    product per block of draws.  The first block's product becomes C; each
+    later block adds its product in chunks of ``_block_width(n)`` rows, so C
+    is the only (n, n) array and a chunk is no larger than a block.  Every
+    partial sum is an integer below 2**53, so C is exact and ``C / T`` is
+    the correctly rounded frequency.  Labels must be non-negative integers.
     """
     if trace.n_samples < 1:
         raise ValueError("trace must contain at least one sample")
@@ -99,7 +100,7 @@ def posterior_similarity(trace):
         raise ValueError("allocation labels must be non-negative")
     n = trace.n_obs
     step = _block_width(n)
-    blocks = _indicator_blocks(alloc)
+    blocks = _indicator_blocks(canonical_labels(alloc))
     _, z, _ = next(blocks)
     counts = z @ z.T
     for _, z, _ in blocks:

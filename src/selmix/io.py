@@ -95,7 +95,13 @@ def write_trace(path, trace):
 
 
 def read_trace(path):
-    """Load a newline-delimited JSON trace back into a PosteriorTrace."""
+    """Load a newline-delimited JSON trace back into a PosteriorTrace.
+
+    Every record must be one the sampler writes: ``m`` a positive integer,
+    ``alloc`` a list of integer labels in 1..m (empty for a chain without
+    data), ``m_a`` the number of distinct labels and ``gamma`` and ``zeta``
+    finite numbers.  Each ValueError names the file, the line and the key.
+    """
     m, m_a, alloc, gamma, zeta = [], [], [], [], []
     weights = []
     have_weights = None
@@ -110,19 +116,33 @@ def read_trace(path):
                 raise ValueError(f"{path}: bad JSON on line {line_no}: {exc}") from None
             if have_weights is None:
                 have_weights = "weights" in rec
+            where = f"{path}: line {line_no}"
             for key in TRACE_KEYS + (("weights",) if have_weights else ()):
                 if key not in rec:
-                    raise ValueError(f"{path}: line {line_no}: missing key {key!r}")
-            labels = np.asarray(rec["alloc"], dtype=np.int64) - 1
-            if labels.size and (labels.min() < 0 or labels.max() >= rec["m"]):
-                raise ValueError(f"{path}: line {line_no}: labels outside 1..m")
-            if alloc and labels.size != alloc[0].size:
+                    raise ValueError(f"{where}: missing key {key!r}")
+            m_rec, alloc_rec = rec["m"], rec["alloc"]
+            if type(m_rec) is not int or m_rec < 1:
+                raise ValueError(f"{where}: 'm' must be a positive integer")
+            # JSON true and false load as bools, which are ints to isinstance
+            if type(alloc_rec) is not list or not set(map(type, alloc_rec)) <= {int}:
+                raise ValueError(f"{where}: 'alloc' must be a list of integer labels")
+            if alloc and len(alloc_rec) != alloc[0].size:
                 raise ValueError(
-                    f"{path}: line {line_no}: alloc has {labels.size} labels, "
+                    f"{where}: alloc has {len(alloc_rec)} labels, "
                     f"the first record has {alloc[0].size}"
                 )
-            m.append(int(rec["m"]))
-            m_a.append(int(rec["m_a"]))
+            labels = np.asarray(alloc_rec, dtype=np.int64) - 1
+            if labels.size and (labels.min() < 0 or labels.max() >= m_rec):
+                raise ValueError(f"{where}: 'alloc' labels outside 1..m")
+            distinct = len(set(alloc_rec))
+            if type(rec["m_a"]) is not int or rec["m_a"] != distinct:
+                raise ValueError(
+                    f"{where}: 'm_a' must equal the number of distinct labels, {distinct}")
+            for key in ("gamma", "zeta"):
+                if type(rec[key]) not in (int, float) or not math.isfinite(rec[key]):
+                    raise ValueError(f"{where}: {key!r} must be a finite number")
+            m.append(m_rec)
+            m_a.append(distinct)
             alloc.append(labels)
             gamma.append(float(rec["gamma"]))
             zeta.append(float(rec["zeta"]))
@@ -193,7 +213,7 @@ def _grid_line(path, row, cells, denominator):
 
 def write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

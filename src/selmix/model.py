@@ -76,17 +76,6 @@ class MixtureState:
     def m_nonallocated(self):
         return self.m - self.m_allocated
 
-    def copy(self):
-        return MixtureState(
-            m=self.m,
-            weights=self.weights.copy(),
-            mus=self.mus.copy(),
-            sigmas=self.sigmas.copy(),
-            alloc=self.alloc.copy(),
-            gamma=self.gamma,
-            zeta=self.zeta,
-        )
-
 
 @dataclass
 class Hyperparams:

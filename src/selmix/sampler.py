@@ -26,6 +26,14 @@ posterior invariant: in a successive-conditional (Geweke) simulation with
 data, its mean M was 2.17 and 2.13 against a prior mean of 4.  Its sparser
 posteriors on the number of clusters come from the kernel, not from the
 weight prior.
+
+Each step returns ``dataclasses.replace(state, <the blocks it changed>)``,
+or ``state`` itself when it changed nothing (a rejected move, or
+allocations without data).  A step never writes into an array it did not
+create, and the blocks it leaves unchanged are shared with its input.
+Only two places write into a state's arrays: ``update_means``, into its own
+copy of the means, and ``_insert_component``/``_remove_component``, into
+their own copy of ``alloc``.
 """
 
 from __future__ import annotations
@@ -271,13 +279,11 @@ def _grouped_points(y, alloc, counts):
 
 def update_allocations(y, state, rng):
     """Resample every allocation from its categorical full conditional."""
-    out = state.copy()
     if state.n_obs == 0:
-        return out
+        return state
     log_p = allocation_log_probs(y, state)
     gumbel = rng.gumbel(size=log_p.shape)
-    out.alloc = np.argmax(log_p + gumbel, axis=1).astype(np.int64)
-    return out
+    return dataclasses.replace(state, alloc=np.argmax(log_p + gumbel, axis=1).astype(np.int64))
 
 
 def update_means(y, state, rng, step_mu):
@@ -289,7 +295,7 @@ def update_means(y, state, rng, step_mu):
     bulk and dominate its tails.  Returns the new state and the tuple
     (rw_accepts, rw_attempts, refresh_accepts, refresh_attempts).
     """
-    out = state.copy()
+    out = dataclasses.replace(state, mus=state.mus.copy())
     rw_sd = np.sqrt(step_mu)
     refresh_sd = np.sqrt(2.0 * out.m + 1.0 / out.zeta)
     counts = out.counts()
@@ -326,28 +332,23 @@ def update_covariances(y, state, hyper, rng):
     them all; a failed factorisation raises LinAlgError, which ``run_sampler``
     reports as a SamplerError naming the sweep.
     """
-    out = state.copy()
-    counts = out.counts()
-    groups = _grouped_points(y, out.alloc, counts)
-    scales = np.empty((out.m, out.dim, out.dim))
+    counts = state.counts()
+    groups = _grouped_points(y, state.alloc, counts)
+    scales = np.empty((state.m, state.dim, state.dim))
     scales[:] = hyper.v0
     for j in np.flatnonzero(counts):
-        resid = groups[j] - out.mus[j]
+        resid = groups[j] - state.mus[j]
         scale = resid.T @ resid + hyper.v0
         scales[j] = 0.5 * (scale + scale.T)
-    out.sigmas = sample_invwishart(rng, scales, hyper.nu0 + counts)
-    return out
+    return dataclasses.replace(state, sigmas=sample_invwishart(rng, scales, hyper.nu0 + counts))
 
 
 def update_weights(state, hyper, rng):
     """Independence proposal from Dirichlet(alpha0 + counts); repulsion decides."""
-    out = state.copy()
-    alpha_post = hyper.alpha0 + out.counts()
-    w_new = rng.dirichlet(alpha_post)
-    accepted = np.log(rng.random()) < weights_log_accept(out, w_new)
-    if accepted:
-        out.weights = w_new
-    return out, bool(accepted)
+    w_new = rng.dirichlet(hyper.alpha0 + state.counts())
+    if np.log(rng.random()) < weights_log_accept(state, w_new):
+        return dataclasses.replace(state, weights=w_new), True
+    return state, False
 
 
 def update_scale(state, hyper, rng, key, step_gamma):
@@ -355,17 +356,15 @@ def update_scale(state, hyper, rng, key, step_gamma):
     "gamma" or "zeta"; under the ratio mode zeta follows rho * gamma."""
     if getattr(state, key) <= 0.0:
         raise SamplerError(f"{key} updates require a positive current value")
-    out = state.copy()
-    prop = getattr(out, key) * np.exp(np.sqrt(step_gamma) * rng.standard_normal())
+    prop = getattr(state, key) * np.exp(np.sqrt(step_gamma) * rng.standard_normal())
     if key == "zeta":
-        gamma_new, zeta_new = out.gamma, prop
+        gamma_new, zeta_new = state.gamma, prop
     else:
         gamma_new = prop
-        zeta_new = hyper.rho * prop if hyper.zeta_mode == "ratio" else out.zeta
-    accepted = np.log(rng.random()) < scale_log_accept(out, hyper, gamma_new, zeta_new)
-    if accepted:
-        out.gamma, out.zeta = gamma_new, zeta_new
-    return out, bool(accepted)
+        zeta_new = hyper.rho * prop if hyper.zeta_mode == "ratio" else state.zeta
+    if np.log(rng.random()) < scale_log_accept(state, hyper, gamma_new, zeta_new):
+        return dataclasses.replace(state, gamma=gamma_new, zeta=zeta_new), True
+    return state, False
 
 
 def birth_death_step(y, state, hyper, rng):
@@ -393,14 +392,14 @@ def birth_death_step(y, state, hyper, rng):
         la = birth_log_accept(state, hyper, w_new, mu_new, forced)
         if np.log(rng.random()) < la:
             return _insert_component(state, slot, w_new, mu_new, sigma_new), "birth", True
-        return state.copy(), "birth", False
+        return state, "birth", False
 
     j = int(candidates[rng.integers(candidates.size)])
     w_hat = rng.dirichlet(np.delete(alpha_post, j))
     la = death_log_accept(state, hyper, j, w_hat)
     if np.log(rng.random()) < la:
         return _remove_component(state, j, w_hat), "death", True
-    return state.copy(), "death", False
+    return state, "death", False
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +533,7 @@ def run_sampler(y, config):
             gamma_out[kept] = state.gamma
             zeta_out[kept] = state.zeta
             if weights_out is not None:
-                weights_out.append(state.weights.copy())
+                weights_out.append(state.weights)
             kept += 1
 
     trace = PosteriorTrace(

@@ -9,6 +9,7 @@ primitives so that agreement with the package is a genuine cross-check
 rather than a tautology.
 """
 
+import copy
 import csv
 import dataclasses
 import os
@@ -183,6 +184,16 @@ def validate_state(state):
 
 def replace_state(state, **kwargs):
     return dataclasses.replace(state, **kwargs)
+
+
+def read_only_state(state):
+    """``state`` with read-only views of its arrays, so that a step writing
+    into an array of its input raises instead of changing it."""
+    views = {}
+    for name in ("weights", "mus", "sigmas", "alloc"):
+        views[name] = getattr(state, name).view()
+        views[name].flags.writeable = False
+    return dataclasses.replace(state, **views)
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +517,7 @@ def component_log_pdfs_ref(y, state):
 
 
 def update_allocations_ref(y, state, rng):
-    out = state.copy()
+    out = copy.deepcopy(state)
     if state.n_obs == 0:
         return out
     with np.errstate(divide="ignore"):
@@ -553,7 +564,7 @@ def mean_refresh_log_accept_ref(state, j, d, mu_new, proposal_sd):
 
 
 def update_means_ref(y, state, rng, step_mu):
-    out = state.copy()
+    out = copy.deepcopy(state)
     rw_sd = np.sqrt(step_mu)
     refresh_sd = np.sqrt(2.0 * out.m + 1.0 / out.zeta)
     counts = out.counts()
@@ -580,7 +591,7 @@ def update_means_ref(y, state, rng, step_mu):
 
 
 def update_covariances_ref(y, state, hyper, rng):
-    out = state.copy()
+    out = copy.deepcopy(state)
     counts = out.counts()
     for j in range(out.m):
         if counts[j]:
@@ -666,7 +677,7 @@ def tied_gamma_log_accept_ref(state, hyper, gamma_new):
 def update_gamma_ref(state, hyper, rng, step_gamma):
     if state.gamma <= 0.0:
         raise sampler.SamplerError("gamma updates require a positive current value")
-    out = state.copy()
+    out = copy.deepcopy(state)
     prop = out.gamma * np.exp(np.sqrt(step_gamma) * rng.standard_normal())
     accepted = np.log(rng.random()) < gamma_log_accept_ref(out, hyper, prop)
     if accepted:
@@ -675,7 +686,7 @@ def update_gamma_ref(state, hyper, rng, step_gamma):
 
 
 def update_zeta_full_conditional_ref(state, hyper, rng, step_gamma):
-    out = state.copy()
+    out = copy.deepcopy(state)
     prop = out.zeta * np.exp(np.sqrt(step_gamma) * rng.standard_normal())
     accepted = np.log(rng.random()) < zeta_log_accept_ref(out, hyper, prop)
     if accepted:
@@ -686,7 +697,7 @@ def update_zeta_full_conditional_ref(state, hyper, rng, step_gamma):
 def update_gamma_ratio_tied_ref(state, hyper, rng, step_gamma):
     if state.gamma <= 0.0:
         raise sampler.SamplerError("gamma updates require a positive current value")
-    out = state.copy()
+    out = copy.deepcopy(state)
     prop = out.gamma * np.exp(np.sqrt(step_gamma) * rng.standard_normal())
     accepted = np.log(rng.random()) < tied_gamma_log_accept_ref(out, hyper, prop)
     if accepted:
@@ -804,7 +815,7 @@ def birth_death_step_ref(y, state, hyper, rng):
                 alloc=alloc, gamma=state.gamma, zeta=state.zeta,
             )
             return state, "birth", True
-        return state.copy(), "birth", False
+        return copy.deepcopy(state), "birth", False
 
     candidates = np.flatnonzero(counts == 0)
     j = int(candidates[rng.integers(candidates.size)])
@@ -820,7 +831,7 @@ def birth_death_step_ref(y, state, hyper, rng):
             alloc=alloc, gamma=state.gamma, zeta=state.zeta,
         )
         return state, "death", True
-    return state.copy(), "death", False
+    return copy.deepcopy(state), "death", False
 
 
 def reference_sweep_patches():

@@ -123,6 +123,15 @@ class TestSimilarity:
         with pytest.raises(ValueError):
             posterior_similarity(make_trace([[0, -1]]))
 
+    def test_huge_label_gives_the_psm_of_its_relabelled_copy(self):
+        # a draw's one-hot matrix has a column per distinct label; one per
+        # label value up to 10**12 would not fit in memory
+        alloc = np.random.default_rng(22).integers(0, 4, size=(6, 300))
+        huge = np.where(alloc == 3, 10**12, alloc)
+        sim = posterior_similarity(make_trace(huge))
+        np.testing.assert_array_equal(sim, posterior_similarity(make_trace(canonical_labels(huge))))
+        np.testing.assert_array_equal(sim, H.posterior_similarity_loop(make_trace(alloc)))
+
 
 class TestPartitionHelpers:
     def test_canonical_labels_first_appearance(self):

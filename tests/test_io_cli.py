@@ -73,10 +73,12 @@ class TestTraceFiles:
     def make_trace(self):
         rng = np.random.default_rng(2)
         t, n = 6, 5
+        m = rng.integers(2, 5, size=t)
+        alloc = rng.integers(0, 2, size=(t, n))
         return PosteriorTrace(
-            m=rng.integers(2, 5, size=t),
-            m_allocated=rng.integers(1, 3, size=t),
-            alloc=rng.integers(0, 2, size=(t, n)),
+            m=m,
+            m_allocated=np.array([np.unique(row).size for row in alloc]),
+            alloc=alloc,
             gamma=rng.uniform(0.5, 2.0, size=t),
             zeta=rng.uniform(0.1, 1.0, size=t),
             weights=[rng.dirichlet(np.ones(3)) for _ in range(t)],
@@ -98,7 +100,8 @@ class TestTraceFiles:
     def test_zero_observation_round_trip(self, tmp_path):
         # a chain without data records empty allocations; they read back as
         # one empty int64 row per draw
-        trace = dataclasses.replace(self.make_trace(), alloc=np.empty((6, 0), dtype=np.int64))
+        trace = dataclasses.replace(self.make_trace(), alloc=np.empty((6, 0), dtype=np.int64),
+                                    m_allocated=np.zeros(6, dtype=np.int64))
         path = tmp_path / "nodata.ndjson"
         write_trace(path, trace)
         back = read_trace(path)
@@ -138,6 +141,35 @@ class TestTraceFiles:
                                       self.RECORD, self.RECORD, broken)
             with pytest.raises(ValueError, match=f"missing.ndjson: line 3: missing key '{key}'"):
                 read_trace(path)
+
+    # values the sampler never writes: m not a positive integer, a label not
+    # an integer, m_a not the number of distinct labels, a scale not finite
+    @pytest.mark.parametrize("key,value", [
+        ("m", 0), ("m", -1), ("m", 2.7), ("m", 2.0), ("m", True), ("m", "2"),
+        ("alloc", [1.5, 1]), ("alloc", [1, True]), ("alloc", [1, "1"]), ("alloc", "11"),
+        ("m_a", 2), ("m_a", 0), ("m_a", 1.0), ("m_a", True),
+        ("gamma", float("nan")), ("gamma", float("inf")), ("gamma", -float("inf")),
+        ("gamma", True), ("gamma", "1.0"),
+        ("zeta", float("nan")), ("zeta", float("inf")), ("zeta", None),
+    ])
+    def test_unwritable_value_reports_file_line_and_key(self, tmp_path, key, value):
+        broken = dict(self.RECORD, **{key: value})
+        path = self.write_records(tmp_path / "unwritable.ndjson", self.RECORD, broken)
+        with pytest.raises(ValueError, match=f"unwritable.ndjson: line 2: '{key}'"):
+            read_trace(path)
+
+    def test_labels_above_m_report_file_line_and_key(self, tmp_path):
+        path = self.write_records(tmp_path / "labels.ndjson", dict(self.RECORD, alloc=[1, 3]))
+        with pytest.raises(ValueError, match="labels.ndjson: line 1: 'alloc' labels outside"):
+            read_trace(path)
+
+    def test_empty_allocations_have_no_allocated_component(self, tmp_path):
+        empty = dict(self.RECORD, alloc=[], m_a=0)
+        back = read_trace(self.write_records(tmp_path / "empty.ndjson", empty, empty))
+        assert back.alloc.shape == (2, 0)
+        np.testing.assert_array_equal(back.m_allocated, [0, 0])
+        with pytest.raises(ValueError, match="line 1: 'm_a'"):
+            read_trace(self.write_records(tmp_path / "empty.ndjson", dict(self.RECORD, alloc=[])))
 
     def test_alloc_length_change_reports_file_and_line(self, tmp_path):
         longer = dict(self.RECORD, alloc=[1, 2, 1])
@@ -229,6 +261,11 @@ class TestMatrixAndJson:
         path = tmp_path / "out.json"
         write_json(path, payload)
         assert read_json(path) == payload
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_json_refuses_values_outside_json(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            write_json(tmp_path / "out.json", {"mean_gamma": value})
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Metropolis ratios against the joint density, sweep-step behaviour, and
 the end-to-end chain driver."""
 
+import copy
 import dataclasses
 import warnings
 
@@ -610,6 +611,12 @@ def equivalence_case(rng, dim, n, m=None, empty=(), **hyper_kwargs):
     return y, state, hyper
 
 
+def read_only_case(rng, dim, n, **kwargs):
+    """``equivalence_case`` with a state whose arrays refuse writes."""
+    y, state, hyper = equivalence_case(rng, dim, n, **kwargs)
+    return y, H.read_only_state(state), hyper
+
+
 def assert_states_equal(a, b):
     assert a.m == b.m and a.gamma == b.gamma and a.zeta == b.zeta
     for name in ("weights", "mus", "sigmas", "alloc"):
@@ -626,19 +633,20 @@ EQUIVALENCE_SHAPES = [(dim, n) for dim in (1, 2, 5) for n in (0, 3, 40)]
 class TestFastSweepMatchesReference:
     """The batched sweep steps against per-component copies of the code they
     replaced (tests/helpers.py): equal arrays, equal counters and the
-    generator left in the same state."""
+    generator left in the same state.  Each step runs on a state whose
+    arrays are read-only, so a write into its input raises."""
 
     @pytest.mark.parametrize("dim,n", EQUIVALENCE_SHAPES)
     def test_component_log_pdfs_and_allocations(self, dim, n):
         rng = np.random.default_rng(100 + 10 * dim + n)
         for trial in range(10):
-            y, state, _ = equivalence_case(rng, dim, n, m=1 + trial % 5, empty=[0, 3])
+            y, state, _ = read_only_case(rng, dim, n, m=1 + trial % 5, empty=[0, 3])
             got = component_log_pdfs(y, state)
             assert got.flags.c_contiguous
             assert got.shape == (n, state.m) and got.dtype == np.float64
             np.testing.assert_array_equal(got, H.component_log_pdfs_ref(y, state))
             r1, r2 = twin_generators(trial)
-            before = state.copy()
+            before = copy.deepcopy(state)
             assert_states_equal(update_allocations(y, state, r1),
                                 H.update_allocations_ref(y, state, r2))
             assert r1.bit_generator.state == r2.bit_generator.state
@@ -648,10 +656,10 @@ class TestFastSweepMatchesReference:
     def test_update_means(self, dim, n):
         rng = np.random.default_rng(200 + 10 * dim + n)
         for trial in range(10):
-            y, state, hyper = equivalence_case(rng, dim, n, empty=[1])
+            y, state, hyper = read_only_case(rng, dim, n, empty=[1])
             step = float(rng.choice([0.01, 0.25, 4.0]))
             r1, r2 = twin_generators(trial)
-            before = state.copy()
+            before = copy.deepcopy(state)
             got, got_counts = update_means(y, state, r1, step)
             want, want_counts = H.update_means_ref(y, state, r2, step)
             assert_states_equal(got, want)
@@ -660,13 +668,12 @@ class TestFastSweepMatchesReference:
             assert_states_equal(state, before)
 
     @pytest.mark.parametrize("dim,n", EQUIVALENCE_SHAPES)
-    @pytest.mark.parametrize("scatter", ["centered"])  # about each component's mean
-    def test_update_covariances(self, dim, n, scatter):
+    def test_update_covariances(self, dim, n):
         rng = np.random.default_rng(300 + 10 * dim + n)
         for trial in range(10):
-            y, state, hyper = equivalence_case(rng, dim, n, empty=[0, 2])
+            y, state, hyper = read_only_case(rng, dim, n, empty=[0, 2])
             r1, r2 = twin_generators(trial)
-            before = state.copy()
+            before = copy.deepcopy(state)
             got = update_covariances(y, state, hyper, r1)
             assert_states_equal(got, H.update_covariances_ref(y, state, hyper, r2))
             assert r1.bit_generator.state == r2.bit_generator.state
@@ -690,10 +697,10 @@ class TestFastSweepMatchesReference:
         rng = np.random.default_rng(400 + 10 * dim + n)
         moves = set()
         for trial in range(40):
-            y, state, hyper = equivalence_case(rng, dim, n, empty=[1, 4],
-                                               birth_death=bookkeeping)
+            y, state, hyper = read_only_case(rng, dim, n, empty=[1, 4],
+                                             birth_death=bookkeeping)
             r1, r2 = twin_generators(trial)
-            before = state.copy()
+            before = copy.deepcopy(state)
             got, move, accepted = birth_death_step(y, state, hyper, r1)
             want, want_move, want_accepted = H.birth_death_step_ref(y, state, hyper, r2)
             assert (move, accepted) == (want_move, want_accepted)
@@ -808,7 +815,7 @@ class TestRatiosArePure:
                 p = y[state.alloc == j]
                 ratios.append(lambda j=j, mu_new=mu_new, p=p: mean_rw_log_accept(
                     state, j, d, mu_new, len(p), p.sum(axis=0), np.linalg.inv(state.sigmas[j])))
-            before = state.copy()
+            before = copy.deepcopy(state)
             for ratio in ratios:
                 ratio()
                 assert_states_equal(state, before)
@@ -830,7 +837,8 @@ def scale_case(rng, dim, n, zeta_mode, gamma_fixed=None):
 class TestScaleAndDeathMatchReference:
     """The single scale move against the separate gamma, zeta and tied moves
     it replaced, and the death ratio taken from the birth ratio against the
-    term-by-term death ratio (tests/helpers.py)."""
+    term-by-term death ratio (tests/helpers.py), each on a state whose arrays
+    are read-only."""
 
     @pytest.mark.parametrize("dim,n", EQUIVALENCE_SHAPES)
     @pytest.mark.parametrize("zeta_mode", ["fixed", "gamma", "ratio"])
@@ -840,11 +848,12 @@ class TestScaleAndDeathMatchReference:
         for trial in range(30):
             gamma_fixed = 0.0 if zeta_mode == "gamma" and trial % 3 == 0 else None
             y, state, hyper = scale_case(rng, dim, n, zeta_mode, gamma_fixed)
+            state = H.read_only_state(state)
             keys = ("zeta",) if gamma_fixed is not None else SCALE_KEYS[zeta_mode]
             step = float(rng.choice([0.01, 0.25, 4.0]))
             for key in keys:
                 r1, r2 = twin_generators(trial)
-                before = state.copy()
+                before = copy.deepcopy(state)
                 got, accepted = update_scale(state, hyper, r1, key, step)
                 want, want_accepted = H.update_scale_ref(state, hyper, r2, key, step)
                 assert accepted == want_accepted
@@ -886,7 +895,8 @@ class TestScaleAndDeathMatchReference:
             m = int(rng.integers(2, 7))
             hyper = H.random_hyper(rng, dim, birth_death=bookkeeping)
             empty = rng.choice(m, size=min(2, m - 1), replace=False).tolist()
-            state = H.random_state(rng, m, dim, n, gamma=gamma, force_empty=empty)
+            state = H.read_only_state(
+                H.random_state(rng, m, dim, n, gamma=gamma, force_empty=empty))
             victim = int(rng.choice(empty))
             alpha_post = hyper.alpha0 + state.counts()
             w_hat = rng.dirichlet(np.delete(alpha_post, victim))
@@ -901,7 +911,7 @@ class TestScaleAndDeathMatchReference:
         import selmix.sampler as sampler_mod
 
         def fake_update_scale(state, hyper, rng, key, step_gamma):
-            return state.copy(), key == "gamma" or gamma_fixed is not None
+            return state, key == "gamma" or gamma_fixed is not None
 
         monkeypatch.setattr(sampler_mod, "update_scale", fake_update_scale)
         hyper = Hyperparams(gamma_fixed=gamma_fixed, zeta_mode="gamma",
@@ -915,7 +925,7 @@ class TestScaleAndDeathMatchReference:
     def test_death_edge_cases(self):
         rng = np.random.default_rng(1100)
         hyper = H.random_hyper(rng, 2)
-        state = H.random_state(rng, 4, 2, 12, gamma=1.0, force_empty=[1])
+        state = H.read_only_state(H.random_state(rng, 4, 2, 12, gamma=1.0, force_empty=[1]))
 
         def both(state, j, w_hat):
             return (death_log_accept(state, hyper, j, w_hat),
@@ -934,6 +944,94 @@ class TestScaleAndDeathMatchReference:
         for death in (death_log_accept, H.death_log_accept_ref):
             with pytest.raises(ValueError):
                 death(state, hyper, occupied, np.array([0.3, 0.2, 0.5]))
+
+
+BLOCKS = ("weights", "mus", "sigmas", "alloc")
+
+
+def assert_shares(out, state, *blocks):
+    for name in blocks:
+        assert getattr(out, name) is getattr(state, name), name
+    for name in set(BLOCKS) - set(blocks):
+        assert getattr(out, name) is not getattr(state, name), name
+
+
+class TestStepsShareUnchangedBlocks:
+    """A step replaces the blocks it changes and shares the rest with its
+    input; a step that changes nothing returns its input."""
+
+    def test_gibbs_steps_replace_only_their_block(self):
+        rng = np.random.default_rng(1500)
+        for dim, n in EQUIVALENCE_SHAPES:
+            y, state, hyper = read_only_case(rng, dim, n, empty=[1])
+            out = update_allocations(y, state, rng)
+            if n:
+                assert_shares(out, state, "weights", "mus", "sigmas")
+            else:
+                assert out is state
+            out, _ = update_means(y, state, rng, hyper.step_mu)
+            assert_shares(out, state, "weights", "sigmas", "alloc")
+            out = update_covariances(y, state, hyper, rng)
+            assert_shares(out, state, "weights", "mus", "alloc")
+
+    def test_rejected_moves_return_their_input(self):
+        rng = np.random.default_rng(1501)
+        outcomes = {"weights": set(), "scale": set(), "birth": set(), "death": set()}
+        for trial in range(200):
+            dim, n = EQUIVALENCE_SHAPES[trial % len(EQUIVALENCE_SHAPES)]
+            y, state, hyper = read_only_case(rng, dim, n, empty=[1, 4], zeta_mode="gamma")
+            out, accepted = update_weights(state, hyper, rng)
+            if accepted:
+                assert_shares(out, state, "mus", "sigmas", "alloc")
+            else:
+                assert out is state
+            outcomes["weights"].add(accepted)
+            out, accepted = update_scale(state, hyper, rng, ("gamma", "zeta")[trial % 2],
+                                         float(rng.choice([0.01, 4.0])))
+            if accepted:
+                assert_shares(out, state, *BLOCKS)
+                assert (out.gamma, out.zeta) != (state.gamma, state.zeta)
+            else:
+                assert out is state
+            outcomes["scale"].add(accepted)
+            out, move, accepted = birth_death_step(y, state, hyper, rng)
+            if accepted:
+                assert_shares(out, state)
+            else:
+                assert out is state
+            outcomes[move].add(accepted)
+        assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+
+    @pytest.mark.parametrize("bookkeeping", ["reversible", "append"])
+    @pytest.mark.parametrize("zeta_mode", ["fixed", "gamma", "ratio"])
+    def test_chain_on_read_only_states(self, bookkeeping, zeta_mode):
+        # every step runs on a state whose arrays refuse writes, and the
+        # chain it drives is the one run_sampler draws from the same seed
+        y = np.random.default_rng(1502).normal(0.0, 3.0, size=(30, 2))
+        hyper = Hyperparams(zeta_mode=zeta_mode, zeta_fixed=0.5, birth_death=bookkeeping,
+                            burn_in=0, thin=1, n_samples=60)
+        trace, _ = run_sampler(y, SamplerConfig(hyper=hyper, seed=63, record_weights=True))
+        hyper = hyper.resolved(y.shape[1])
+        rng = np.random.default_rng(63)
+        scale_keys = [key for key in ("gamma", "zeta") if getattr(hyper, f"{key}_free")]
+        steps = [
+            lambda s: update_allocations(y, s, rng),
+            lambda s: update_means(y, s, rng, hyper.step_mu)[0],
+            lambda s: update_covariances(y, s, hyper, rng),
+            lambda s: update_weights(s, hyper, rng)[0],
+            *[lambda s, key=key: update_scale(s, hyper, rng, key, hyper.step_gamma)[0]
+              for key in scale_keys],
+            lambda s: birth_death_step(y, s, hyper, rng)[0],
+        ]
+        state = initial_state(y, hyper, rng)
+        for t in range(hyper.n_samples):
+            for step in steps:
+                state = step(H.read_only_state(state))
+            assert (state.m, state.m_allocated) == (trace.m[t], trace.m_allocated[t])
+            assert (state.gamma, state.zeta) == (trace.gamma[t], trace.zeta[t])
+            np.testing.assert_array_equal(state.alloc, trace.alloc[t])
+            np.testing.assert_array_equal(state.weights, trace.weights[t])
+        assert len(set(trace.m.tolist())) > 1
 
 
 class TestCovarianceFailure:
