@@ -7,6 +7,8 @@ Importing the module loads numpy alone, so ``analyze`` loads no scipy.
 
 Partition summaries are label-invariant: they depend only on which
 observations share a component, never on the component indices themselves.
+``partition_summary`` gives ``analyze`` the similarity matrix, the Binder
+draw and the number of distinct partitions from one relabelling.
 """
 
 from __future__ import annotations
@@ -19,13 +21,17 @@ __all__ = [
     "PosteriorTrace",
     "posterior_similarity",
     "canonical_labels",
-    "distinct_partitions",
     "binder_loss",
     "binder_estimate",
+    "partition_summary",
     "prior_ma_simulation",
     "center_gap_by_dimension",
     "elicit_zeta",
 ]
+
+# a weight vector may miss a sum of 1 by this much (selberg.validate_weights
+# and io.read_trace); stated here because analyze loads numpy alone
+SIMPLEX_TOL = 1e-12
 
 
 @dataclass
@@ -93,6 +99,19 @@ def posterior_similarity(trace):
     partial sum is an integer below 2**53, so C is exact and ``C / T`` is
     the correctly rounded frequency.  Labels must be non-negative integers.
     """
+    return _similarity(trace)[1]
+
+
+def partition_summary(trace):
+    """``(sim, t, count)``: ``posterior_similarity(trace)``, the index of the
+    draw ``binder_estimate`` picks against it (scored on its c / T grid with
+    no scan) and the number of distinct partitions, from one relabelling."""
+    canon, sim = _similarity(trace)
+    return (sim, *_binder_draw(canon, sim, trace.n_samples))
+
+
+def _similarity(trace):
+    """The canonical labels of the trace's draws and its PSM built from them."""
     if trace.n_samples < 1:
         raise ValueError("trace must contain at least one sample")
     alloc = np.asarray(trace.alloc)
@@ -100,14 +119,15 @@ def posterior_similarity(trace):
         raise ValueError("allocation labels must be non-negative")
     n = trace.n_obs
     step = _block_width(n)
-    blocks = _indicator_blocks(canonical_labels(alloc))
+    canon = canonical_labels(alloc)
+    blocks = _indicator_blocks(canon)
     _, z, _ = next(blocks)
     counts = z @ z.T
     for _, z, _ in blocks:
         for start in range(0, n, step):
             counts[start:start + step] += z[start:start + step] @ z.T
     counts /= trace.n_samples
-    return counts
+    return canon, counts
 
 
 def canonical_labels(alloc):
@@ -123,23 +143,6 @@ def canonical_labels(alloc):
         # a label's canonical value is the rank of its first position
         out[row] = np.argsort(np.argsort(first))[inverse]
     return out
-
-
-def distinct_partitions(alloc):
-    """Indices of the first draw of each distinct partition, ascending.
-
-    ``alloc`` is a (T, n) array of allocation vectors; two draws are the
-    same partition when their canonical labels agree.
-    """
-    return _first_of_each_row(canonical_labels(alloc))
-
-
-def _first_of_each_row(rows):
-    """Indices of the first occurrence of each distinct row, ascending."""
-    first = {}
-    for t, row in enumerate(rows):
-        first.setdefault(row.tobytes(), t)
-    return np.fromiter(first.values(), dtype=np.intp, count=len(first))
 
 
 def binder_loss(alloc, sim):
@@ -176,13 +179,19 @@ def binder_estimate(trace, sim):
     if trace.n_samples < 1:
         raise ValueError("trace must contain at least one sample")
     sim = np.asarray(sim, dtype=float)
-    canon = canonical_labels(trace.alloc)
-    first = _first_of_each_row(canon)
     scale = trace.n_samples if _is_multiple_of(sim, trace.n_samples) else None
+    t, _ = _binder_draw(canonical_labels(trace.alloc), sim, scale)
+    return trace.alloc[t].copy()
+
+
+def _binder_draw(canon, sim, scale):
+    """(t, count): first draw of the least-loss partition among the count distinct ones."""
+    first = {}
+    for t, row in enumerate(canon):
+        first.setdefault(row.tobytes(), t)
+    first = np.fromiter(first.values(), dtype=np.intp, count=len(first))
     pairs, sums = _block_sums(canon[first], sim, scale)
-    if scale is not None:
-        pairs = pairs * scale
-    return trace.alloc[first[np.argmin(pairs - sums)]].copy()
+    return int(first[np.argmin(pairs - sums)]), first.size
 
 
 def _block_width(n):
@@ -224,11 +233,11 @@ def _block_sums(partitions, sim, scale=None):
 
     For each row c of ``partitions`` returns P_c, the number of pairs
     i < j in one block, and B_c, the sum of ``sim[i, j]`` over ordered pairs
-    in one block (diagonal included).  With ``scale`` T, every block sum
-    ``(sim @ Z)[i, k]`` is taken as the integer T times it rounds to, so B_c
-    is T times the exact sum when ``sim`` holds multiples of 1/T (the
-    rounding error of each block sum stays below 1/2 while n * n * T is far
-    below 2**52).
+    in one block (diagonal included).  With ``scale`` T, P_c is multiplied by
+    T and every block sum ``(sim @ Z)[i, k]`` is taken as the integer T times
+    it rounds to, so B_c is T times the exact sum when ``sim`` holds
+    multiples of 1/T (the rounding error of each block sum stays below 1/2
+    while n * n * T is far below 2**52).
     """
     n = partitions.shape[1]
     squared_sizes = np.empty(partitions.shape[0])
@@ -240,7 +249,7 @@ def _block_sums(partitions, sim, scale=None):
         if scale is not None:
             picked = np.rint(picked * scale)
         sums[rows] = picked.sum(axis=1)
-    return 0.5 * (squared_sizes - n), sums
+    return 0.5 * (squared_sizes - n) * (scale or 1), sums
 
 
 # _is_multiple_of reads an (n, n) matrix in blocks of rows of about this many

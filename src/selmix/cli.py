@@ -229,13 +229,7 @@ def _cmd_fit(args):
 
 
 def _cmd_analyze(args):
-    from .analysis import (
-        PosteriorTrace,
-        binder_estimate,
-        binder_loss,
-        distinct_partitions,
-        posterior_similarity,
-    )
+    from .analysis import PosteriorTrace, binder_loss, partition_summary
     from .io import read_trace, write_matrix_csv
 
     merged = PosteriorTrace.concat(read_trace(p) for p in args.trace)
@@ -243,9 +237,9 @@ def _cmd_analyze(args):
         raise ValueError("cannot analyze traces with zero observations")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sim = posterior_similarity(merged)
+    sim, draw, n_partitions = partition_summary(merged)
     write_matrix_csv(out_dir / "psm.csv", sim, denominator=merged.n_samples)
-    partition = binder_estimate(merged, sim)
+    partition = merged.alloc[draw]
     write_matrix_csv(out_dir / "binder.csv", (partition + 1).reshape(1, -1))
     write_json(
         out_dir / "summary.json",
@@ -257,7 +251,7 @@ def _cmd_analyze(args):
             "mean_gamma": float(merged.gamma.mean()),
             "mean_zeta": float(merged.zeta.mean()),
             "binder_loss": binder_loss(partition, sim),
-            "n_unique_partitions": int(distinct_partitions(merged.alloc).size),
+            "n_unique_partitions": n_partitions,
         },
     )
     return 0

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .analysis import PosteriorTrace
+from .analysis import SIMPLEX_TOL, PosteriorTrace
 
 __all__ = [
     "read_dataset",
@@ -97,10 +97,12 @@ def write_trace(path, trace):
 def read_trace(path):
     """Load a newline-delimited JSON trace back into a PosteriorTrace.
 
-    Every record must be one the sampler writes: ``m`` a positive integer,
-    ``alloc`` a list of integer labels in 1..m (empty for a chain without
-    data), ``m_a`` the number of distinct labels and ``gamma`` and ``zeta``
-    finite numbers.  Each ValueError names the file, the line and the key.
+    Every record must be one the sampler writes: ``m`` a positive integer
+    below 2**63, ``alloc`` a list of integer labels in 1..m (empty for a
+    chain without data), ``m_a`` the number of distinct labels, ``gamma``
+    and ``zeta`` finite numbers, and ``weights``, when recorded, m numbers
+    in [0, 1] that sum to 1 within ``SIMPLEX_TOL``.  Each ValueError names
+    the file, the line and the key.
     """
     m, m_a, alloc, gamma, zeta = [], [], [], [], []
     weights = []
@@ -121,8 +123,8 @@ def read_trace(path):
                 if key not in rec:
                     raise ValueError(f"{where}: missing key {key!r}")
             m_rec, alloc_rec = rec["m"], rec["alloc"]
-            if type(m_rec) is not int or m_rec < 1:
-                raise ValueError(f"{where}: 'm' must be a positive integer")
+            if type(m_rec) is not int or not 1 <= m_rec < 2**63:
+                raise ValueError(f"{where}: 'm' must be a positive integer below 2**63")
             # JSON true and false load as bools, which are ints to isinstance
             if type(alloc_rec) is not list or not set(map(type, alloc_rec)) <= {int}:
                 raise ValueError(f"{where}: 'alloc' must be a list of integer labels")
@@ -131,23 +133,29 @@ def read_trace(path):
                     f"{where}: alloc has {len(alloc_rec)} labels, "
                     f"the first record has {alloc[0].size}"
                 )
-            labels = np.asarray(alloc_rec, dtype=np.int64) - 1
-            if labels.size and (labels.min() < 0 or labels.max() >= m_rec):
+            # the distinct labels are checked as Python ints, before a label
+            # beyond int64 can reach a conversion
+            labels = set(alloc_rec)
+            if labels and not (min(labels) >= 1 and max(labels) <= m_rec):
                 raise ValueError(f"{where}: 'alloc' labels outside 1..m")
-            distinct = len(set(alloc_rec))
+            distinct = len(labels)
             if type(rec["m_a"]) is not int or rec["m_a"] != distinct:
                 raise ValueError(
                     f"{where}: 'm_a' must equal the number of distinct labels, {distinct}")
             for key in ("gamma", "zeta"):
-                if type(rec[key]) not in (int, float) or not math.isfinite(rec[key]):
+                if not _is_finite_number(rec[key]):
                     raise ValueError(f"{where}: {key!r} must be a finite number")
+            if have_weights:
+                w = _weight_vector(rec["weights"], m_rec)
+                if w is None:
+                    raise ValueError(
+                        f"{where}: 'weights' must be {m_rec} numbers in [0, 1] that sum to 1")
+                weights.append(w)
             m.append(m_rec)
             m_a.append(distinct)
-            alloc.append(labels)
+            alloc.append(np.asarray(alloc_rec, dtype=np.int64) - 1)
             gamma.append(float(rec["gamma"]))
             zeta.append(float(rec["zeta"]))
-            if have_weights:
-                weights.append(np.asarray(rec["weights"], dtype=float))
     if not m:
         raise ValueError(f"{path}: empty trace")
     return PosteriorTrace(
@@ -158,6 +166,24 @@ def read_trace(path):
         zeta=np.asarray(zeta),
         weights=weights if have_weights else None,
     )
+
+
+def _is_finite_number(value):
+    """True for a JSON number (not a bool) with a finite float value."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _weight_vector(value, m):
+    """``value`` as a float array if it is m numbers in [0, 1] that sum to 1
+    within ``SIMPLEX_TOL`` (as ``selberg.validate_weights`` requires), else None."""
+    if type(value) is not list or len(value) != m or not all(
+            _is_finite_number(v) and 0 <= v <= 1 for v in value):
+        return None
+    w = np.asarray(value, dtype=float)
+    return w if abs(w.sum() - 1.0) <= SIMPLEX_TOL else None
 
 
 def write_matrix_csv(path, mat, denominator=None):

@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, xlogy
 
+from .analysis import SIMPLEX_TOL
 from .distributions import pairwise_log_gap_sum, require_finite
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "sample_sdir",
 ]
 
-SIMPLEX_TOL = 1e-12
 _SVD_BLOCK_ENTRIES = 1 << 20  # matrix entries per stacked SVD in sample_sdir
 
 
@@ -84,7 +84,7 @@ class SdirMoments:
 def validate_weights(w, m=None):
     """Check that ``w`` lies on the probability simplex and return it.
 
-    Entries must fall in [0, 1] and sum to 1 within 1e-12.
+    Entries must fall in [0, 1] and sum to 1 within ``SIMPLEX_TOL``.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size < 1:
@@ -94,7 +94,7 @@ def validate_weights(w, m=None):
     if not ((w >= 0.0) & (w <= 1.0)).all():  # NaN fails both comparisons
         raise ValueError("weights must lie in [0, 1]")
     if abs(w.sum() - 1.0) > SIMPLEX_TOL:
-        raise ValueError("weights must sum to 1 within 1e-12")
+        raise ValueError(f"weights must sum to 1 within {SIMPLEX_TOL:g}")
     return w
 
 

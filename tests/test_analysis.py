@@ -8,17 +8,20 @@ import numpy as np
 import pytest
 
 import helpers as H
+from selmix import analysis
 from selmix.analysis import (
     PosteriorTrace,
     binder_estimate,
     binder_loss,
     canonical_labels,
     center_gap_by_dimension,
-    distinct_partitions,
     elicit_zeta,
+    partition_summary,
     posterior_similarity,
     prior_ma_simulation,
 )
+from selmix.cli import cli_dispatch
+from selmix.io import read_json, write_trace
 from selmix.model import Hyperparams
 from selmix.planted import simulate_benchmark
 from selmix.sampler import SamplerConfig, run_sampler
@@ -47,6 +50,13 @@ def make_trace(alloc_rows, weights=None):
         zeta=np.ones(t),
         weights=weights,
     )
+
+
+def empty_trace(t):
+    """A trace of t draws without observations, as a chain run without data records."""
+    return PosteriorTrace(m=np.ones(t, dtype=np.int64), m_allocated=np.zeros(t, dtype=np.int64),
+                          alloc=np.empty((t, 0), dtype=np.int64), gamma=np.zeros(t),
+                          zeta=np.ones(t))
 
 
 def random_traces(rng, cases, t_choices, n_range, m_range):
@@ -158,15 +168,6 @@ class TestPartitionHelpers:
                     canonical_labels(alloc[row]), want[row], strict=True)
             np.testing.assert_array_equal(canonical_labels(alloc), want, strict=True)
 
-    def test_distinct_partitions_first_draws(self):
-        rows = [[1, 1, 0], [0, 0, 1], [0, 1, 1], [2, 2, 2], [5, 5, 3], [1, 0, 0]]
-        np.testing.assert_array_equal(distinct_partitions(np.array(rows)), [0, 2, 3])
-
-    def test_draws_without_observations_are_one_partition(self):
-        alloc = np.empty((3, 0), dtype=np.int64)
-        np.testing.assert_array_equal(distinct_partitions(alloc), [0])
-        assert distinct_partitions(np.empty((0, 4), dtype=np.int64)).size == 0
-
     def test_binder_loss_matches_dense_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(20):
@@ -208,6 +209,54 @@ class TestPartitionHelpers:
         perm = rng.permutation(3)
         assert binder_loss(alloc, sim) == pytest.approx(
             binder_loss(perm[alloc], sim), rel=1e-12)
+
+
+class TestPartitionSummary:
+    """One relabelling gives the PSM, the Binder draw and the partition count."""
+
+    def test_agrees_with_the_separate_summaries(self):
+        rng = np.random.default_rng(27)
+        traces = [*random_traces(rng, 60, [1, 7, 150], (1, 40), (1, 6)),
+                  *(make_trace(rng.integers(0, 20, size=(t, 301))) for t in (1, 7, 150))]
+        alloc = rng.integers(0, 4, size=(7, 50))
+        traces.append(make_trace(np.where(alloc == 2, 10**12, alloc)))
+        traces += [empty_trace(t) for t in (1, 7, 150)]
+        for trace in traces:
+            sim, t, count = partition_summary(trace)
+            np.testing.assert_array_equal(sim, posterior_similarity(trace), strict=True)
+            np.testing.assert_array_equal(
+                trace.alloc[t], binder_estimate(trace, sim), strict=True)
+            canon = [canonical_labels(row).tobytes() for row in trace.alloc]
+            assert canon.index(canon[t]) == t
+            assert count == len(set(canon))
+
+    def test_counts_distinct_partitions(self):
+        rows = [[1, 1, 0], [0, 0, 1], [0, 1, 1], [2, 2, 2], [5, 5, 3], [1, 0, 0]]
+        assert partition_summary(make_trace(rows))[2] == 3
+
+    def test_draws_without_observations_are_one_partition(self):
+        sim, t, count = partition_summary(empty_trace(3))
+        assert (sim.shape, t, count) == ((0, 0), 0, 1)
+
+    def test_analyze_relabels_the_merged_draws_once(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(28)
+        paths = [tmp_path / f"trace{i}.ndjson" for i in range(2)]
+        for path in paths:
+            write_trace(path, make_trace(rng.integers(0, 4, size=(9, 40))))
+        seen = []
+
+        def spy(alloc):
+            seen.append(np.shape(alloc))
+            return canonical_labels(alloc)
+
+        monkeypatch.setattr(analysis, "canonical_labels", spy)
+        argv = ["analyze", "--out-dir", str(tmp_path / "an")]
+        for path in paths:
+            argv += ["--trace", str(path)]
+        assert cli_dispatch(argv) == 0
+        # the merged draws once; binder_loss relabels the reported draw alone
+        assert seen == [(18, 40), (40,)]
+        assert read_json(tmp_path / "an" / "summary.json")["n_samples"] == 18
 
 
 class TestBinderEstimate:

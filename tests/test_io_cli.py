@@ -81,7 +81,7 @@ class TestTraceFiles:
             alloc=alloc,
             gamma=rng.uniform(0.5, 2.0, size=t),
             zeta=rng.uniform(0.1, 1.0, size=t),
-            weights=[rng.dirichlet(np.ones(3)) for _ in range(t)],
+            weights=[rng.dirichlet(np.ones(k)) for k in m],
         )
 
     def test_round_trip(self, tmp_path):
@@ -142,8 +142,10 @@ class TestTraceFiles:
             with pytest.raises(ValueError, match=f"missing.ndjson: line 3: missing key '{key}'"):
                 read_trace(path)
 
-    # values the sampler never writes: m not a positive integer, a label not
-    # an integer, m_a not the number of distinct labels, a scale not finite
+    # values the sampler never writes: m not a positive integer below 2**63,
+    # a label not an integer in 1..m, m_a not the number of distinct labels,
+    # a scale not finite (a huge m, label or scale once stopped analyze with
+    # "Python int too large to convert", naming no file, line or key)
     @pytest.mark.parametrize("key,value", [
         ("m", 0), ("m", -1), ("m", 2.7), ("m", 2.0), ("m", True), ("m", "2"),
         ("alloc", [1.5, 1]), ("alloc", [1, True]), ("alloc", [1, "1"]), ("alloc", "11"),
@@ -151,6 +153,7 @@ class TestTraceFiles:
         ("gamma", float("nan")), ("gamma", float("inf")), ("gamma", -float("inf")),
         ("gamma", True), ("gamma", "1.0"),
         ("zeta", float("nan")), ("zeta", float("inf")), ("zeta", None),
+        ("m", 10**20), ("m", 2**63), ("alloc", [1, 10**20]), ("gamma", 10**400),
     ])
     def test_unwritable_value_reports_file_line_and_key(self, tmp_path, key, value):
         broken = dict(self.RECORD, **{key: value})
@@ -162,6 +165,30 @@ class TestTraceFiles:
         path = self.write_records(tmp_path / "labels.ndjson", dict(self.RECORD, alloc=[1, 3]))
         with pytest.raises(ValueError, match="labels.ndjson: line 1: 'alloc' labels outside"):
             read_trace(path)
+
+    def test_largest_int64_m_and_label_load(self, tmp_path):
+        top = 2**63 - 1
+        record = dict(self.RECORD, m=top, m_a=2, alloc=[1, top])
+        back = read_trace(self.write_records(tmp_path / "top.ndjson", record))
+        np.testing.assert_array_equal(back.m, [top])
+        np.testing.assert_array_equal(back.alloc, [[0, top - 1]])
+
+    @pytest.mark.parametrize("weights", [
+        [float("nan"), 0.5, 7], [0.5, 0.5, 0.0], [1.0], [float("nan"), 1.0],
+        [float("inf"), 0.0], [-0.25, 1.25], [0.5, 0.4], [0.5, 0.5 + 1e-11],
+        [True, False], [1, "0"], [10**400, 0], "0.5,0.5", None,
+    ])
+    def test_unwritable_weights_report_file_line_and_key(self, tmp_path, weights):
+        records = [dict(self.RECORD, weights=[0.5, 0.5]), dict(self.RECORD, weights=weights)]
+        path = self.write_records(tmp_path / "weights.ndjson", *records)
+        with pytest.raises(ValueError, match="weights.ndjson: line 2: 'weights'"):
+            read_trace(path)
+
+    def test_weights_on_the_simplex_load(self, tmp_path):
+        records = [dict(self.RECORD, weights=w) for w in ([1, 0], [0.25, 0.75], [0.1, 0.9])]
+        back = read_trace(self.write_records(tmp_path / "weights.ndjson", *records))
+        for got, want in zip(back.weights, ([1.0, 0.0], [0.25, 0.75], [0.1, 0.9])):
+            np.testing.assert_array_equal(got, want, strict=True)
 
     def test_empty_allocations_have_no_allocated_component(self, tmp_path):
         empty = dict(self.RECORD, alloc=[], m_a=0)
@@ -359,6 +386,14 @@ class TestCli:
         assert "covariance_update" not in manifest
         assert manifest["gamma_fixed"] == 1.0
         assert manifest["chains"] == 1
+
+    def test_recorded_weights_read_back(self, benchmark_csv, tmp_path):
+        out_dir = tmp_path / "fit"
+        args = tiny_fit_args(benchmark_csv, out_dir, extra=["--record-weights"])
+        assert cli_dispatch(args) == 0
+        trace = read_trace(out_dir / "trace_chain0.ndjson")
+        assert [w.size for w in trace.weights] == trace.m.tolist()
+        assert len(set(trace.m.tolist())) > 1
 
     def test_fit_summary_reports_refresh_rate(self, benchmark_csv, tmp_path):
         out_dir = tmp_path / "fit"
