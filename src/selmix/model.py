@@ -103,9 +103,9 @@ class Hyperparams:
     last slot and drops the slot-choice acceptance factor.  It is not a
     posterior sampler: it is not reversible on labeled states (a death in a
     middle slot has no reverse birth), and with data a Geweke simulation
-    found mean M of 2.17 and 2.13 against a prior mean of 4.  Its sparser
-    posteriors on the number of clusters are a property of the kernel, not
-    of the weight prior; the test-suite repulsion studies pin them down.
+    (tests/test_geweke.py) finds mean M of 2.13 against a prior mean of 4.
+    Its sparser posteriors on the cluster count come from the kernel, not
+    the weight prior; the test-suite repulsion studies pin them down.
     """
 
     alpha0: float = 1.0

@@ -2,12 +2,14 @@
 
 One sweep visits, in order: allocations, component means, component
 covariances, mixture weights, the repulsion scales, and a birth-death
-move on non-allocated components.  gamma and zeta share one log-normal
-move, ``update_scale`` with ratio ``scale_log_accept``; under the ratio
-mode zeta follows rho * gamma.  Every Metropolis step has
-its log acceptance ratio factored into a pure function of (state, proposal)
-so that each ratio can be verified against the complete joint density; the
-sweep drivers only draw proposals and apply the accept/reject coin.
+move on non-allocated components.  ``sweep`` states that order once;
+``run_sampler`` loops over it, and the test suite's Geweke simulation, which
+redraws the data between sweeps, calls it directly.  gamma and zeta share
+one log-normal move, ``update_scale`` with ratio ``scale_log_accept``; under
+the ratio mode zeta follows rho * gamma.  Every Metropolis step has its log
+acceptance ratio factored into a pure function of (state, proposal) so that
+each ratio can be verified against the complete joint density; the sweep
+steps only draw proposals and apply the accept/reject coin.
 
 Birth inserts the new component at a uniformly chosen slot; death removes a
 uniformly chosen non-allocated component and shifts higher labels down, so
@@ -23,9 +25,10 @@ sampler.  It is the bookkeeping of the usual derivation of the birth and
 death ratios and satisfies the same pairwise reciprocity identity, but it
 is not reversible on labeled states and leaves neither the prior nor the
 posterior invariant: in a successive-conditional (Geweke) simulation with
-data, its mean M was 2.17 and 2.13 against a prior mean of 4.  Its sparser
-posteriors on the number of clusters come from the kernel, not from the
-weight prior.
+data (d = 1, n = 5, gamma = 1, 3,000 sweeps), its mean M was 2.13 against
+a prior mean of 4 (z = -30.6 against 5,000 exact prior draws), a test the
+reversible kernel passes.  Its sparser posteriors on the number of clusters
+come from the kernel, not from the weight prior.
 
 Each step returns ``dataclasses.replace(state, <the blocks it changed>)``,
 or ``state`` itself when it changed nothing (a rejected move, or
@@ -62,6 +65,7 @@ __all__ = [
     "scale_log_accept",
     "birth_death_step",
     "initial_state",
+    "sweep",
     "run_sampler",
 ]
 
@@ -422,7 +426,8 @@ def initial_state(y, hyper, rng):
         alloc = rng.integers(0, m0, size=n).astype(np.int64)
         idx = rng.choice(n, size=m0, replace=n < m0)
         mus = y[idx] + 0.1 * rng.standard_normal((m0, dim))
-        base = np.atleast_2d(np.cov(y, rowvar=False)) + 1e-6 * np.eye(dim)
+        # one point has no sample covariance; start from the prior scale
+        base = np.atleast_2d(np.cov(y, rowvar=False)) + 1e-6 * np.eye(dim) if n > 1 else hyper.v0
         sigmas = np.tile(base, (m0, 1, 1))
     else:
         m0 = 1 + int(rng.poisson(hyper.lam))
@@ -456,6 +461,24 @@ def _adapted(step, accepted, attempted):
     return step
 
 
+def sweep(y, state, hyper, rng, step_mu, step_gamma):
+    """One sweep: allocations, means, covariances, weights, each free scale
+    (gamma first) and a birth or death move.  Returns (state, counts), where
+    ``counts`` maps each counter the sweep touched to (accepts, attempts)."""
+    state = update_allocations(y, state, rng)
+    state, means = update_means(y, state, rng, step_mu)  # random walk, then refresh
+    state = update_covariances(y, state, hyper, rng)
+    state, w_acc = update_weights(state, hyper, rng)
+    counts = {"means": means[:2], "means_refresh": means[2:], "weights": (int(w_acc), 1)}
+    for key in ("gamma", "zeta"):
+        if getattr(hyper, f"{key}_free"):
+            state, s_acc = update_scale(state, hyper, rng, key, step_gamma)
+            counts[key] = (int(s_acc), 1)
+    state, move, bd_acc = birth_death_step(y, state, hyper, rng)
+    counts[move] = (int(bd_acc), 1)
+    return state, counts
+
+
 def run_sampler(y, config):
     """Run the full chain and return (trace, diagnostics).
 
@@ -471,9 +494,6 @@ def run_sampler(y, config):
     hyper = config.hyper.resolved(y.shape[1])
     rng = np.random.default_rng(config.seed)
     state = initial_state(y, hyper, rng)
-
-    # the first free scale's acceptances feed the step-size adaptation
-    scale_keys = [key for key in ("gamma", "zeta") if getattr(hyper, f"{key}_free")]
 
     accepts = dict.fromkeys(RATE_KEYS + ("means_refresh",), 0)
     attempts = dict(accepts)
@@ -495,35 +515,19 @@ def run_sampler(y, config):
     kept = 0
     for t in range(total):
         try:
-            state = update_allocations(y, state, rng)
-            state, (rw_acc, rw_att, ref_acc, ref_att) = update_means(y, state, rng, step_mu)
-            state = update_covariances(y, state, hyper, rng)
-            state, w_acc = update_weights(state, hyper, rng)
-            for key in scale_keys:
-                state, s_acc = update_scale(state, hyper, rng, key, step_gamma)
-                accepts[key] += s_acc
-                attempts[key] += 1
-            state, move, bd_acc = birth_death_step(y, state, hyper, rng)
-        except SamplerError:
-            raise
+            state, counts = sweep(y, state, hyper, rng, step_mu, step_gamma)
         except Exception as exc:
             raise SamplerError(f"sweep {t} failed: {exc}") from exc
-
-        accepts["means"] += rw_acc
-        attempts["means"] += rw_att
-        accepts["means_refresh"] += ref_acc
-        attempts["means_refresh"] += ref_att
-        accepts["weights"] += w_acc
-        attempts["weights"] += 1
-        accepts[move] += bd_acc
-        attempts[move] += 1
+        for key, (acc, att) in counts.items():
+            accepts[key] += acc
+            attempts[key] += att
 
         if hyper.adapt and t < burn and (t + 1) % 100 == 0:
             window = {k: (accepts[k] - seen_accepts[k], attempts[k] - seen_attempts[k])
                       for k in accepts}
             step_mu = _adapted(step_mu, *window["means"])
-            if scale_keys:
-                step_gamma = _adapted(step_gamma, *window[scale_keys[0]])
+            # the first free scale's window; zeta's is empty when it is not free
+            step_gamma = _adapted(step_gamma, *window["gamma" if hyper.gamma_free else "zeta"])
             seen_accepts, seen_attempts = dict(accepts), dict(attempts)
 
         if t >= burn and (t - burn) % thin == thin - 1:

@@ -1,8 +1,8 @@
-"""Shared test utilities: Monte Carlo error bars, independent quadrature
-oracles for the normalizing constants, random valid sampler states,
-joint-density oracles for every Metropolis acceptance ratio, slow reference
-samplers and densities, loop references for the partition summaries, and
-per-component references for the sweep steps.
+"""Shared test utilities: Monte Carlo error bars, exact draws from the joint
+prior, independent quadrature oracles for the normalizing constants, random
+valid sampler states, joint-density oracles for every Metropolis acceptance
+ratio, slow reference samplers and densities, loop references for the
+partition summaries, and per-component references for the sweep steps.
 
 The oracles deliberately reimplement every proposal density with scipy
 primitives so that agreement with the package is a genuine cross-check
@@ -23,9 +23,10 @@ from scipy.special import gammaln, xlogy
 
 import selmix
 from selmix import ensemble, sampler, selberg
-from selmix.distributions import LOG_2PI, gamma_log_pdf
-from selmix.ensemble import GeParams, ge_log_density
+from selmix.distributions import LOG_2PI, gamma_log_pdf, sample_invwishart
+from selmix.ensemble import GeParams, ge_log_density, sample_ge
 from selmix.model import Hyperparams, MixtureState, log_complete_joint, weight_prior_log_density
+from selmix.selberg import SdirParams, sample_sdir
 
 
 def child_env(**overrides):
@@ -60,6 +61,41 @@ def moment_z_scores(x, true_mean, true_var, n_batches=25):
     sq = (x - true_mean) ** 2
     z_var = (sq.mean() - true_var) / batch_means_se(sq, n_batches)
     return z_mean, z_var
+
+
+def chain_vs_iid_z(chain, iid, n_batches=25):
+    """Per column, the z-score of the difference between the mean of a
+    correlated ``chain`` (batch-means error) and of ``iid`` draws."""
+    chain, iid = np.asarray(chain, dtype=float), np.asarray(iid, dtype=float)
+    chain_se = np.array([batch_means_se(col, n_batches) for col in chain.T])
+    iid_se = iid.std(axis=0, ddof=1) / np.sqrt(len(iid))
+    return (chain.mean(axis=0) - iid.mean(axis=0)) / np.hypot(chain_se, iid_se)
+
+
+# ---------------------------------------------------------------------------
+# exact draws from the joint prior
+# ---------------------------------------------------------------------------
+
+def sample_data(state, rng):
+    """y_i ~ N(mu_{c_i}, Sigma_{c_i}) for each allocation c_i of ``state``."""
+    chol = np.linalg.cholesky(state.sigmas[state.alloc])
+    noise = rng.standard_normal((state.n_obs, state.dim))
+    return state.mus[state.alloc] + np.einsum("nij,nj->ni", chol, noise)
+
+
+def sample_joint_prior(hyper, n, dim, rng):
+    """One exact draw of (state, y) from the model's joint prior with gamma
+    and zeta fixed, ``hyper`` resolved: M - 1 ~ Poisson(lam), Selberg
+    Dirichlet weights, Gaussian-ensemble means, inverse-Wishart covariances,
+    c_i ~ Cat(w) and then y."""
+    m = 1 + int(rng.poisson(hyper.lam))
+    weights = sample_sdir(SdirParams(hyper.alpha0, hyper.gamma_fixed, m), 1, rng)[0]
+    mus = sample_ge(GeParams(hyper.zeta_fixed, m), dim, rng).T
+    sigmas = sample_invwishart(rng, np.tile(hyper.v0, (m, 1, 1)), hyper.nu0)
+    alloc = rng.choice(m, size=n, p=weights).astype(np.int64)
+    state = MixtureState(m=m, weights=weights, mus=mus, sigmas=sigmas, alloc=alloc,
+                         gamma=float(hyper.gamma_fixed), zeta=float(hyper.zeta_fixed))
+    return state, sample_data(state, rng)
 
 
 # ---------------------------------------------------------------------------

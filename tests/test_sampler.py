@@ -13,7 +13,7 @@ import helpers as H
 from selmix.distributions import pairwise_log_gap_sum, sample_invwishart
 from selmix.ensemble import GeParams, ge_log_norm_const
 from selmix.io import write_trace
-from selmix.model import Hyperparams, MixtureState, component_log_pdfs
+from selmix.model import Hyperparams, MixtureState, allocation_log_probs, component_log_pdfs
 from selmix.sampler import (
     SamplerConfig,
     SamplerError,
@@ -26,6 +26,7 @@ from selmix.sampler import (
     repulsion_log_ratio,
     run_sampler,
     scale_log_accept,
+    sweep,
     update_allocations,
     update_covariances,
     update_means,
@@ -529,6 +530,21 @@ class TestChainDriver:
         with pytest.raises(SamplerError, match="sweep 0"):
             run_sampler(y, self.prior_config())
 
+        # a SamplerError raised by a step is named by its sweep too
+        scale_calls = []
+
+        def fail_on_third_call(state, hyper, rng, key, step_gamma):
+            scale_calls.append(key)
+            if len(scale_calls) == 3:
+                raise SamplerError("forced")
+            return update_scale(state, hyper, rng, key, step_gamma)
+
+        monkeypatch.undo()
+        monkeypatch.setattr(sampler_mod, "update_scale", fail_on_third_call)
+        hyper = Hyperparams(zeta_mode="fixed", burn_in=5, thin=1, n_samples=5)
+        with pytest.raises(SamplerError, match=r"^sweep 2 failed: forced$"):
+            run_sampler(y, SamplerConfig(hyper=hyper, seed=4))
+
     def test_adaptation_reacts_to_extreme_rates(self):
         y = 10.0 * np.random.default_rng(5).normal(size=(60, 1))
         base = Hyperparams(gamma_fixed=1.0, zeta_mode="fixed", zeta_fixed=1.0,
@@ -569,6 +585,25 @@ class TestInitialState:
         hyper = Hyperparams(gamma_fixed=0.0).resolved(1)
         state = initial_state(rng.normal(size=(10, 1)), hyper, rng)
         assert state.gamma == 0.0
+
+    def test_single_observation_start(self):
+        # one point has no sample covariance: the start takes v0, and the
+        # first allocation is a draw, not the argmax of NaNs
+        hyper = Hyperparams().resolved(2)
+        first_labels = set()
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            y = rng.normal(size=(1, 2))
+            state = initial_state(y, hyper, rng)
+            H.validate_state(state)
+            assert np.isfinite(state.sigmas).all()
+            assert np.isfinite(allocation_log_probs(y, state)).all()
+            first_labels.add(int(update_allocations(y, state, rng).alloc[0]))
+        assert len(first_labels) > 1
+        y = np.random.default_rng(46).normal(size=(1, 2))
+        trace, _ = run_sampler(y, SamplerConfig(
+            hyper=Hyperparams(burn_in=20, thin=1, n_samples=20), seed=47))
+        assert trace.alloc.shape == (20, 1)
 
 
     def test_huge_alpha0_stops_with_an_error_naming_it(self):
@@ -1006,25 +1041,36 @@ class TestStepsShareUnchangedBlocks:
     @pytest.mark.parametrize("zeta_mode", ["fixed", "gamma", "ratio"])
     def test_chain_on_read_only_states(self, bookkeeping, zeta_mode, monkeypatch):
         # every step runs on a state whose arrays refuse writes, and the
-        # chain it drives is the one run_sampler draws from the same seed
+        # chain that initial_state and sweep draw from one generator is the
+        # one run_sampler draws from the same seed, with the same counts
         import selmix.sampler as sampler_mod
 
         y = np.random.default_rng(1502).normal(0.0, 3.0, size=(30, 2))
         hyper = Hyperparams(zeta_mode=zeta_mode, zeta_fixed=0.5, birth_death=bookkeeping,
                             burn_in=0, thin=1, n_samples=60)
         config = SamplerConfig(hyper=hyper, seed=63, record_weights=True)
-        want, _ = run_sampler(y, config)
+        want, diag = run_sampler(y, config)
         for name in ("update_allocations", "update_means", "update_covariances",
                      "update_weights", "update_scale", "birth_death_step"):
             monkeypatch.setattr(sampler_mod, name, lambda *args, step=getattr(sampler_mod, name):
                                 step(*[H.read_only_state(a) if isinstance(a, MixtureState) else a
                                        for a in args]))
-        got, _ = run_sampler(y, config)
-        for field in ("m", "m_allocated", "alloc", "gamma", "zeta"):
-            np.testing.assert_array_equal(getattr(got, field), getattr(want, field), strict=True)
-        for got_w, want_w in zip(got.weights, want.weights, strict=True):
-            np.testing.assert_array_equal(got_w, want_w, strict=True)
+        hyper = hyper.resolved(2)
+        rng = np.random.default_rng(config.seed)
+        state = initial_state(y, hyper, rng)
+        accepts, attempts = dict.fromkeys(diag.accepts, 0), dict.fromkeys(diag.attempts, 0)
+        for t in range(hyper.n_samples):
+            state, counts = sweep(y, state, hyper, rng, hyper.step_mu, hyper.step_gamma)
+            for key, (acc, att) in counts.items():
+                accepts[key] += acc
+                attempts[key] += att
+            assert (state.m, state.m_allocated) == (want.m[t], want.m_allocated[t])
+            assert (state.gamma, state.zeta) == (want.gamma[t], want.zeta[t])
+            np.testing.assert_array_equal(state.alloc, want.alloc[t], strict=True)
+            np.testing.assert_array_equal(state.weights, want.weights[t], strict=True)
+        assert (accepts, attempts) == (diag.accepts, diag.attempts)
         assert len(set(want.m.tolist())) > 1
+        assert attempts["gamma"] and attempts["birth"] and attempts["death"]
 
 
 class TestCovarianceFailure:
