@@ -7,8 +7,8 @@ Importing the module loads numpy alone, so ``analyze`` loads no scipy.
 
 Partition summaries are label-invariant: they depend only on which
 observations share a component, never on the component indices themselves.
-``partition_summary`` gives ``analyze`` the similarity matrix, the Binder
-draw and the number of distinct partitions from one relabelling.
+``partition_summary`` gives ``analyze`` integer co-counts, the Binder draw,
+its exact loss and the number of distinct partitions from one relabelling.
 """
 
 from __future__ import annotations
@@ -88,46 +88,56 @@ def posterior_similarity(trace):
     """Pairwise co-allocation frequencies across the trace, shape (n, n).
 
     Entry (i, j) is the fraction of samples in which observations i and j
-    share a component; the diagonal is exactly 1.
-
-    The integer co-counts C = sum_t Z_t Z_t^T (Z_t the one-hot allocation
-    matrix of draw t, with one column per distinct label after
-    ``canonical_labels``, whatever the label values) come from one matrix
-    product per block of draws.  The first block's product becomes C; each
-    later block adds its product in chunks of ``_block_width(n)`` rows, so C
-    is the only (n, n) array and a chunk is no larger than a block.  Every
-    partial sum is an integer below 2**53, so C is exact and ``C / T`` is
-    the correctly rounded frequency.  Labels must be non-negative integers.
+    share a component, the exact co-count over T correctly rounded; the
+    diagonal is exactly 1.  Labels must be non-negative integers.
     """
-    return _similarity(trace)[1]
+    _, group, counts = _grouped_counts(trace)
+    return counts[np.ix_(group, group)] / trace.n_samples
 
 
 def partition_summary(trace):
-    """``(sim, t, count)``: ``posterior_similarity(trace)``, the index of the
-    draw ``binder_estimate`` picks against it (scored on its c / T grid with
-    no scan) and the number of distinct partitions, from one relabelling."""
-    canon, sim = _similarity(trace)
-    return (sim, *_binder_draw(canon, sim, trace.n_samples))
+    """``(counts, group, t, loss, count)``: ``counts[np.ix_(group, group)] / T``
+    is ``posterior_similarity(trace)`` (see ``_grouped_counts``), ``t`` the
+    draw ``binder_estimate`` picks against it, ``loss`` its ``binder_loss``
+    and ``count`` the number of distinct partitions.  Each partition coarsens
+    the groups, so it is scored on them, weighted by their sizes, as the
+    integer T * P_c - B_c of ``binder_estimate``; T**2 times the loss is
+    T * score + (sum_ij C_ij**2 + n * T**2) / 2, divided by T**2 once.
+    """
+    labels, group, counts = _grouped_counts(trace)
+    n_samples = trace.n_samples
+    sizes = np.bincount(group, minlength=counts.shape[0])
+    t, score, count = _binder_draw(labels, counts, sizes, n_samples)
+    # each row sum is an integer at most n * T**2, exact while below 2**53
+    squares = int(np.einsum("gh,gh,h->g", counts, counts, sizes).astype(np.int64) @ sizes)
+    twice = 2 * n_samples * int(score) + squares + trace.n_obs * n_samples**2
+    return counts, group, t, twice // 2 / n_samples**2, count
 
 
-def _similarity(trace):
-    """The canonical labels of the trace's draws and its PSM built from them."""
+def _grouped_counts(trace):
+    """``(labels, group, counts)`` over the G groups of observations that share
+    a label in every draw: the (T, G) canonical labels of each group's first
+    observation, the group of each observation, and the (G, G) co-counts
+    C = sum_t Z_t Z_t^T (Z_t the one-hot matrix of draw t over the groups),
+    summed exactly in floats from one matrix product per block of draws.
+    """
     if trace.n_samples < 1:
         raise ValueError("trace must contain at least one sample")
     alloc = np.asarray(trace.alloc)
     if alloc.size and alloc.min() < 0:
         raise ValueError("allocation labels must be non-negative")
-    n = trace.n_obs
-    step = _block_width(n)
-    canon = canonical_labels(alloc)
-    blocks = _indicator_blocks(canon)
-    _, z, _ = next(blocks)
-    counts = z @ z.T
-    for _, z, _ in blocks:
-        for start in range(0, n, step):
+    # an observation's labels in the narrowest signed type that holds 0..n-1,
+    # as one bytewise-sorted key (axis=1 would compare field by field)
+    columns = canonical_labels(alloc).T.astype(np.min_scalar_type(-trace.n_obs - 1), order="C")
+    keys = columns.view(np.dtype((np.void, columns.shape[1] * columns.itemsize))).ravel()
+    _, reps, group = np.unique(keys, return_index=True, return_inverse=True)
+    labels = columns[reps].T
+    step = _block_width(reps.size)
+    counts = np.zeros((reps.size, reps.size))
+    for _, z, _ in _indicator_blocks(labels):
+        for start in range(0, reps.size, step):
             counts[start:start + step] += z[start:start + step] @ z.T
-    counts /= trace.n_samples
-    return canon, counts
+    return labels, group, counts
 
 
 def canonical_labels(alloc):
@@ -158,7 +168,7 @@ def binder_loss(alloc, sim):
     partition = canonical_labels(np.asarray(alloc).ravel())[None, :]
     diag = np.diagonal(sim)
     squares = 0.5 * (np.einsum("ij,ij->", sim, sim) - np.einsum("i,i->", diag, diag))
-    pairs, sums = _block_sums(partition, sim)
+    pairs, sums = _block_sums(partition, sim, np.ones(diag.size))
     return float(squares + pairs[0] - sums[0] + diag.sum())
 
 
@@ -180,22 +190,26 @@ def binder_estimate(trace, sim):
         raise ValueError("trace must contain at least one sample")
     sim = np.asarray(sim, dtype=float)
     scale = trace.n_samples if _is_multiple_of(sim, trace.n_samples) else None
-    t, _ = _binder_draw(canonical_labels(trace.alloc), sim, scale)
+    partitions = canonical_labels(trace.alloc)
+    t, _, _ = _binder_draw(partitions, sim, np.ones(trace.n_obs), scale or 1, scale)
     return trace.alloc[t].copy()
 
 
-def _binder_draw(canon, sim, scale):
-    """(t, count): first draw of the least-loss partition among the count distinct ones."""
+def _binder_draw(partitions, mat, sizes, weight, scale=None):
+    """(t, score, count): the first draw of the least score weight * P_c - B_c
+    (``_block_sums``) among the count distinct rows of ``partitions``."""
     first = {}
-    for t, row in enumerate(canon):
+    for t, row in enumerate(partitions):
         first.setdefault(row.tobytes(), t)
     first = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    pairs, sums = _block_sums(canon[first], sim, scale)
-    return int(first[np.argmin(pairs - sums)]), first.size
+    pairs, sums = _block_sums(partitions[first], mat, sizes, scale)
+    scores = weight * pairs - sums
+    best = np.argmin(scores)
+    return int(first[best]), scores[best], first.size
 
 
 def _block_width(n):
-    """Columns of a one-hot block of n observations, max(64, n // 8).
+    """Columns of a one-hot block of n items, max(64, n // 8).
 
     Wide enough that each product with the block does that many flops per
     entry of the (n, n) matrix it streams, and for n > 512 at most an eighth
@@ -209,7 +223,7 @@ def _indicator_blocks(labels):
 
     ``labels`` is (R, n) with non-negative integer entries.  Row r owns
     ``labels[r].max() + 1`` columns of the Fortran-ordered one-hot matrix
-    Z (n, columns); ``cols[r', i]`` is the column of observation i for the
+    Z (n, columns); ``cols[r', i]`` is the column of item i for the
     r'-th row of the block.  A block holds rows until Z reaches
     ``_block_width(n)`` columns (always at least one row).
     """
@@ -228,28 +242,28 @@ def _indicator_blocks(labels):
         start = stop
 
 
-def _block_sums(partitions, sim, scale=None):
-    """Same-block pair counts and similarity sums of canonical partitions.
+def _block_sums(partitions, mat, sizes, scale=None):
+    """(P, B) of partitions of items, item g standing for ``sizes[g]``
+    observations whose pairs with item h all have entry ``mat[g, h]``.
 
-    For each row c of ``partitions`` returns P_c, the number of pairs
-    i < j in one block, and B_c, the sum of ``sim[i, j]`` over ordered pairs
-    in one block (diagonal included).  With ``scale`` T, P_c is multiplied by
-    T and every block sum ``(sim @ Z)[i, k]`` is taken as the integer T times
-    it rounds to, so B_c is T times the exact sum when ``sim`` holds
-    multiples of 1/T (the rounding error of each block sum stays below 1/2
-    while n * n * T is far below 2**52).
+    For row c of ``partitions``, P_c counts the observation pairs i < j in
+    one block and B_c sums the entries of ordered pairs in one block (i, i
+    included).  With ``scale`` T, each block sum ``(mat @ Z)[g, k]`` is taken
+    as the integer T times it rounds to: T times the exact sum when ``mat``
+    holds multiples of 1/T and n * n * T is far below 2**52.
     """
-    n = partitions.shape[1]
+    items = partitions.shape[1]
     squared_sizes = np.empty(partitions.shape[0])
     sums = np.empty(partitions.shape[0])
     for rows, z, cols in _indicator_blocks(partitions):
-        # summing each observation's block size over i gives sum_k n_k^2
-        squared_sizes[rows] = z.sum(axis=0)[cols].sum(axis=1)
-        picked = (sim @ z)[np.arange(n), cols]
+        z *= sizes[:, None]
+        # each item's block size times the item's size, summed: sum_k n_k^2
+        squared_sizes[rows] = (z.sum(axis=0)[cols] * sizes).sum(axis=1)
+        picked = (mat @ z)[np.arange(items), cols]
         if scale is not None:
             picked = np.rint(picked * scale)
-        sums[rows] = picked.sum(axis=1)
-    return 0.5 * (squared_sizes - n) * (scale or 1), sums
+        sums[rows] = (picked * sizes).sum(axis=1)
+    return 0.5 * (squared_sizes - sizes.sum()), sums
 
 
 # _is_multiple_of reads an (n, n) matrix in blocks of rows of about this many

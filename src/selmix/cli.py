@@ -229,18 +229,17 @@ def _cmd_fit(args):
 
 
 def _cmd_analyze(args):
-    from .analysis import PosteriorTrace, binder_loss, partition_summary
-    from .io import read_trace, write_matrix_csv
+    from .analysis import PosteriorTrace, partition_summary
+    from .io import read_trace, write_matrix_csv, write_psm_csv
 
     merged = PosteriorTrace.concat(read_trace(p) for p in args.trace)
     if merged.n_obs == 0:
         raise ValueError("cannot analyze traces with zero observations")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    sim, draw, n_partitions = partition_summary(merged)
-    write_matrix_csv(out_dir / "psm.csv", sim, denominator=merged.n_samples)
-    partition = merged.alloc[draw]
-    write_matrix_csv(out_dir / "binder.csv", (partition + 1).reshape(1, -1))
+    counts, group, draw, loss, n_partitions = partition_summary(merged)
+    write_psm_csv(out_dir / "psm.csv", counts, group, merged.n_samples)
+    write_matrix_csv(out_dir / "binder.csv", merged.alloc[draw][None, :] + 1)
     write_json(
         out_dir / "summary.json",
         {
@@ -250,7 +249,7 @@ def _cmd_analyze(args):
             "mean_m_a": float(merged.m_allocated.mean()),
             "mean_gamma": float(merged.gamma.mean()),
             "mean_zeta": float(merged.zeta.mean()),
-            "binder_loss": binder_loss(partition, sim),
+            "binder_loss": loss,
             "n_unique_partitions": n_partitions,
         },
     )

@@ -1,4 +1,4 @@
-"""File formats: CSV datasets, newline-delimited JSON traces, summaries.
+"""File formats: CSV datasets and matrices, newline-delimited JSON traces, summaries.
 
 Traces are one JSON object per retained sample with keys m, m_a, alloc,
 gamma, zeta and optionally weights.  Allocation labels are 1-based on disk
@@ -22,6 +22,7 @@ __all__ = [
     "write_trace",
     "read_trace",
     "write_matrix_csv",
+    "write_psm_csv",
     "write_json",
     "read_json",
 ]
@@ -97,15 +98,14 @@ def write_trace(path, trace):
 def read_trace(path):
     """Load a newline-delimited JSON trace back into a PosteriorTrace.
 
-    Every record must be one the sampler writes: ``m`` a positive integer
-    below 2**63, ``alloc`` a list of integer labels in 1..m (empty for a
-    chain without data), ``m_a`` the number of distinct labels, ``gamma``
-    and ``zeta`` finite numbers, and ``weights``, when recorded, m numbers
-    in [0, 1] that sum to 1 within ``SIMPLEX_TOL``.  Each ValueError names
-    the file, the line and the key.
+    Every line must be a JSON object the sampler writes: ``m`` a positive
+    integer below 2**63, ``alloc`` a list of integer labels in 1..m (empty
+    for a chain without data), ``m_a`` the number of distinct labels,
+    ``gamma`` and ``zeta`` finite numbers, and ``weights``, on every record
+    or none, m numbers in [0, 1] that sum to 1 within ``SIMPLEX_TOL``.
+    Each ValueError names the file, the line and the key.
     """
-    m, m_a, alloc, gamma, zeta = [], [], [], [], []
-    weights = []
+    m, m_a, alloc, gamma, zeta, weights = [], [], [], [], [], []
     have_weights = None
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -116,9 +116,13 @@ def read_trace(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}: bad JSON on line {line_no}: {exc}") from None
+            where = f"{path}: line {line_no}"
+            if type(rec) is not dict:
+                raise ValueError(f"{where}: a record must be a JSON object")
             if have_weights is None:
                 have_weights = "weights" in rec
-            where = f"{path}: line {line_no}"
+            elif not have_weights and "weights" in rec:
+                raise ValueError(f"{where}: 'weights' recorded, the first record has none")
             for key in TRACE_KEYS + (("weights",) if have_weights else ()):
                 if key not in rec:
                     raise ValueError(f"{where}: missing key {key!r}")
@@ -186,55 +190,37 @@ def _weight_vector(value, m):
     return w if abs(w.sum() - 1.0) <= SIMPLEX_TOL else None
 
 
-def write_matrix_csv(path, mat, denominator=None):
-    """Write a matrix as plain CSV without a header (used for the PSM).
-
-    Cells are ``repr(float(v))`` and lines end in ``\r\n``, as the csv
-    module writes them.  With ``denominator`` T, every entry must be c / T
-    for an integer c in 0..T (a co-allocation frequency over T draws); rows
-    are then written by indexing a table of the T + 1 cell strings, which
-    gives the same bytes without formatting every cell.  Each distinct row
-    is checked and joined once: a first pass hashes every row, and a line
-    is kept only while a later row with the same hash is still to come.  A
-    kept line is written again only for a row equal to the one it was
-    built from, so a hash collision costs a line, never a wrong byte.
-    """
-    mat = np.atleast_2d(np.asarray(mat))
+def write_matrix_csv(path, mat):
+    """Write a matrix as plain CSV without a header (used for the Binder
+    partition): cells are ``repr(float(v))`` and lines end in ``\r\n``."""
     with open(path, "w", newline="") as fh:
-        if denominator is None:
-            writer = csv.writer(fh)
-            for row in mat:
-                writer.writerow([repr(float(v)) for v in row])
-            return
-        cells = np.array([repr(float(c / denominator)) for c in range(denominator + 1)], dtype=object)
-        keys = [_row_key(row) for row in mat]
-        last = {key: i for i, key in enumerate(keys)}
-        kept = {}  # key -> (index of the row the line was built from, line)
-        for i, (row, key) in enumerate(zip(mat, keys)):
-            source, line = kept.get(key, (None, None))
-            if source is None or not np.array_equal(mat[source], row):
-                line = _grid_line(path, row, cells, denominator)
-                if source is None and last[key] > i:
-                    kept[key] = (i, line)
-            if last[key] == i:
-                kept.pop(key, None)
+        writer = csv.writer(fh)
+        for row in np.atleast_2d(np.asarray(mat)):
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def write_psm_csv(path, counts, group, denominator):
+    """Write ``counts[np.ix_(group, group)] / T`` (T = ``denominator``, the
+    arrays of ``analysis.partition_summary``) as ``write_matrix_csv`` would.
+
+    Rows of one group are equal, so each group's line is joined once from a
+    table of the T + 1 cell strings and kept only until the group's last
+    row.  A written count that is not an integer in 0..T raises ValueError.
+    """
+    cells = np.array([repr(float(c / denominator)) for c in range(denominator + 1)], dtype=object)
+    last = {g: i for i, g in enumerate(group.tolist())}
+    kept = {}  # group -> its line, while a later row of the group is to come
+    with open(path, "w", newline="") as fh:
+        for i, g in enumerate(group.tolist()):
+            line = kept.pop(g, None)
+            if line is None:
+                row = counts[g, group]
+                if not np.array_equal(row, np.clip(np.rint(row), 0, denominator)):
+                    raise ValueError(f"{path}: counts are not integers in 0..{denominator}")
+                line = ",".join(cells[row.astype(np.intp)]) + "\r\n"
+            if last[g] > i:
+                kept[g] = line
             fh.write(line)
-
-
-def _row_key(row):
-    return hash(row.tobytes())
-
-
-def _grid_line(path, row, cells, denominator):
-    """One CSV line of a row whose entries are c / denominator, from the cell table."""
-    counts = np.rint(row * denominator)
-    if not (
-        np.array_equal(counts / denominator, row)
-        and 0 <= counts.min()
-        and counts.max() <= denominator
-    ):
-        raise ValueError(f"{path}: entries are not multiples of 1/{denominator} in [0, 1]")
-    return ",".join(cells[counts.astype(np.intp)]) + "\r\n"
 
 
 def write_json(path, payload):

@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import os
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -390,6 +391,17 @@ def binder_estimate_exact(trace):
     iu = np.triu_indices(trace.n_obs, 1)
     losses = [int(((t * s.astype(np.int64) - counts)[iu] ** 2).sum()) for s in same]
     return trace.alloc[int(np.argmin(losses))].copy()
+
+
+def binder_loss_exact(trace, alloc):
+    """The loss of ``alloc`` against the trace's own PSM as a Fraction:
+    sum_{i<j} (T * same_ij - count_ij)^2 over T^2, in integers."""
+    t = trace.n_samples
+    counts = sum((row[:, None] == row[None, :]).astype(np.int64) for row in trace.alloc)
+    alloc = np.asarray(alloc)
+    same = (alloc[:, None] == alloc[None, :]).astype(np.int64)
+    iu = np.triu_indices(trace.n_obs, 1)
+    return Fraction(int(((t * same - counts)[iu] ** 2).sum()), t * t)
 
 
 def write_matrix_csv_repr(path, mat):

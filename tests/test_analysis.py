@@ -3,6 +3,7 @@ cluster-count simulation, and repulsion-scale elicitation."""
 
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from selmix.analysis import (
     prior_ma_simulation,
 )
 from selmix.cli import cli_dispatch
-from selmix.io import read_json, write_trace
+from selmix.io import read_json, read_trace, write_trace
 from selmix.model import Hyperparams
 from selmix.planted import simulate_benchmark
 from selmix.sampler import SamplerConfig, run_sampler
@@ -201,6 +202,24 @@ class TestPartitionHelpers:
             printed.append(proc.stdout)
         assert printed[0] == printed[1]
 
+    def test_analyze_reports_the_exact_loss_whatever_the_blas_threads(self, tmp_path):
+        # T = 15 is not a power of two, so no c / T above 0 and below 1 is a
+        # binary fraction; the loss is the exact rational rounded once
+        rng = np.random.default_rng(32)
+        trace = make_trace(rng.integers(0, 3, size=(15, 40))[:, rng.integers(0, 40, size=400)])
+        path = tmp_path / "trace.ndjson"
+        write_trace(path, trace)
+        losses = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"threads{threads}"
+            subprocess.run([sys.executable, "-m", "selmix.cli", "analyze", "--trace", str(path),
+                            "--out-dir", str(out_dir)],
+                           env=H.child_env(OPENBLAS_NUM_THREADS=threads), check=True)
+            losses.append(read_json(out_dir / "summary.json")["binder_loss"])
+            partition = np.loadtxt(out_dir / "binder.csv", delimiter=",").astype(np.int64) - 1
+            assert losses[-1] == float(H.binder_loss_exact(read_trace(path), partition))
+        assert losses[0] == losses[1]
+
     def test_binder_loss_label_invariant(self):
         rng = np.random.default_rng(4)
         sim = rng.uniform(size=(6, 6))
@@ -211,32 +230,66 @@ class TestPartitionHelpers:
             binder_loss(perm[alloc], sim), rel=1e-12)
 
 
+def summary_traces(rng):
+    """Random traces with and without repeated PSM rows, a huge label, and
+    draws without observations."""
+    traces = [*random_traces(rng, 60, [1, 7, 150], (1, 40), (1, 6)),
+              *(make_trace(rng.integers(0, 20, size=(t, 301))) for t in (1, 7, 150))]
+    alloc = rng.integers(0, 4, size=(7, 50))
+    traces.append(make_trace(np.where(alloc == 2, 10**12, alloc)))
+    return traces + [empty_trace(t) for t in (1, 7, 150)]
+
+
 class TestPartitionSummary:
-    """One relabelling gives the PSM, the Binder draw and the partition count."""
+    """One relabelling gives the grouped co-counts, the Binder draw and its
+    loss, and the partition count."""
 
     def test_agrees_with_the_separate_summaries(self):
-        rng = np.random.default_rng(27)
-        traces = [*random_traces(rng, 60, [1, 7, 150], (1, 40), (1, 6)),
-                  *(make_trace(rng.integers(0, 20, size=(t, 301))) for t in (1, 7, 150))]
-        alloc = rng.integers(0, 4, size=(7, 50))
-        traces.append(make_trace(np.where(alloc == 2, 10**12, alloc)))
-        traces += [empty_trace(t) for t in (1, 7, 150)]
-        for trace in traces:
-            sim, t, count = partition_summary(trace)
-            np.testing.assert_array_equal(sim, posterior_similarity(trace), strict=True)
+        for trace in summary_traces(np.random.default_rng(27)):
+            counts, group, t, loss, count = partition_summary(trace)
+            sim = posterior_similarity(trace)
+            np.testing.assert_array_equal(
+                counts[np.ix_(group, group)] / trace.n_samples, sim, strict=True)
             np.testing.assert_array_equal(
                 trace.alloc[t], binder_estimate(trace, sim), strict=True)
+            assert loss == float(H.binder_loss_exact(trace, trace.alloc[t]))
+            assert loss == pytest.approx(binder_loss(trace.alloc[t], sim), rel=1e-12, abs=1e-9)
             canon = [canonical_labels(row).tobytes() for row in trace.alloc]
             assert canon.index(canon[t]) == t
             assert count == len(set(canon))
 
+    def test_rows_are_equal_exactly_within_a_group(self):
+        # two PSM rows are equal if and only if their observations share a
+        # label in every draw, which is what the groups are
+        for trace in summary_traces(np.random.default_rng(29)):
+            _, group, *_ = partition_summary(trace)
+            sim = posterior_similarity(trace)
+            rows_equal = (sim[:, None, :] == sim[None, :, :]).all(axis=2)
+            np.testing.assert_array_equal(rows_equal, group[:, None] == group[None, :])
+
     def test_counts_distinct_partitions(self):
         rows = [[1, 1, 0], [0, 0, 1], [0, 1, 1], [2, 2, 2], [5, 5, 3], [1, 0, 0]]
-        assert partition_summary(make_trace(rows))[2] == 3
+        assert partition_summary(make_trace(rows))[4] == 3
 
     def test_draws_without_observations_are_one_partition(self):
-        sim, t, count = partition_summary(empty_trace(3))
-        assert (sim.shape, t, count) == ((0, 0), 0, 1)
+        counts, group, t, loss, count = partition_summary(empty_trace(3))
+        assert (counts.shape, group.shape, t, loss, count) == ((0, 0), (0,), 0, 0.0, 1)
+
+    def test_holds_no_observation_by_observation_matrix(self):
+        # 3000 observations in 5 groups: the co-counts are (5, 5), where one
+        # (n, n) float64 matrix would take 72 MB
+        rng = np.random.default_rng(31)
+        n, t = 3000, 20
+        alloc = rng.integers(0, 3, size=(t, 5))[:, rng.integers(0, 5, size=n)]
+        trace = make_trace(alloc)
+        tracemalloc.start()
+        try:
+            counts, group, *_ = partition_summary(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 16
+        assert counts.shape == (5, 5) and group.shape == (n,)
 
     def test_analyze_relabels_the_merged_draws_once(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(28)
@@ -254,8 +307,7 @@ class TestPartitionSummary:
         for path in paths:
             argv += ["--trace", str(path)]
         assert cli_dispatch(argv) == 0
-        # the merged draws once; binder_loss relabels the reported draw alone
-        assert seen == [(18, 40), (40,)]
+        assert seen == [(18, 40)]
         assert read_json(tmp_path / "an" / "summary.json")["n_samples"] == 18
 
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 import helpers as H
-import selmix.io
 from selmix import __version__
 from selmix.analysis import PosteriorTrace, prior_ma_simulation
 from selmix.cli import cli_dispatch, hyperparams_from_dict
@@ -23,6 +22,7 @@ from selmix.io import (
     write_dataset,
     write_json,
     write_matrix_csv,
+    write_psm_csv,
     write_trace,
 )
 from selmix.model import shifted_poisson_log_pmf
@@ -161,6 +161,15 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match=f"unwritable.ndjson: line 2: '{key}'"):
             read_trace(path)
 
+    @pytest.mark.parametrize("line", ["5", '"record"', "[2, 1, [1, 1], 1.0, 1.0]"])
+    def test_line_that_is_not_an_object_reports_file_and_line(self, tmp_path, line):
+        # such a line once stopped analyze with "argument of type 'int' is not
+        # iterable", naming no file or line
+        path = tmp_path / "scalar.ndjson"
+        path.write_text(json.dumps(self.RECORD) + "\n" + line + "\n")
+        with pytest.raises(ValueError, match="scalar.ndjson: line 2: a record must be a JSON object"):
+            read_trace(path)
+
     def test_labels_above_m_report_file_line_and_key(self, tmp_path):
         path = self.write_records(tmp_path / "labels.ndjson", dict(self.RECORD, alloc=[1, 3]))
         with pytest.raises(ValueError, match="labels.ndjson: line 1: 'alloc' labels outside"):
@@ -210,14 +219,26 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match="weights.ndjson: line 3: missing key 'weights'"):
             read_trace(path)
 
+    def test_weights_added_after_line_one_report_file_line_and_key(self, tmp_path):
+        # line 1 decides whether the trace records weights; a later vector
+        # was once dropped unchecked
+        later = dict(self.RECORD, weights=[0.5, 0.7])
+        path = self.write_records(tmp_path / "weights.ndjson", self.RECORD, later)
+        with pytest.raises(ValueError, match="weights.ndjson: line 2: 'weights' recorded"):
+            read_trace(path)
 
-def _repeating_psm(t, n_atoms, atom_size, seed):
-    """A co-allocation matrix over t draws whose rows repeat: the observations
-    of one atom share a label in every draw, and atoms are shuffled apart."""
+
+def _repeating_counts(t, n_atoms, atom_size, seed):
+    """Co-counts over t draws between atoms of observations that share a label
+    in every draw, and the atom of each observation (atoms shuffled apart)."""
     rng = np.random.default_rng(seed)
-    alloc = np.repeat(rng.integers(0, 3, size=(t, n_atoms)), atom_size, axis=1)
-    alloc = alloc[:, rng.permutation(alloc.shape[1])]
-    return (alloc[:, :, None] == alloc[:, None, :]).sum(axis=0) / t
+    alloc = rng.integers(0, 3, size=(t, n_atoms))
+    counts = (alloc[:, :, None] == alloc[:, None, :]).sum(axis=0)
+    return counts, rng.permutation(np.repeat(np.arange(n_atoms), atom_size))
+
+
+def _distinct_counts(t, n, seed):
+    return np.random.default_rng(seed).integers(0, t + 1, size=(n, n)), np.arange(n)
 
 
 class TestMatrixAndJson:
@@ -227,57 +248,51 @@ class TestMatrixAndJson:
         write_matrix_csv(path, mat)
         np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", ndmin=2), mat)
 
-    def test_matrix_on_a_denominator_grid_writes_repr_bytes(self, tmp_path):
-        t = 7
-        mat = np.random.default_rng(4).integers(0, t + 1, size=(5, 9)) / t
-        write_matrix_csv(tmp_path / "table.csv", mat, denominator=t)
-        H.write_matrix_csv_repr(tmp_path / "repr.csv", mat)
+    def assert_psm_matches_the_oracle(self, tmp_path, counts, group, t):
+        write_psm_csv(tmp_path / "table.csv", counts, group, t)
+        H.write_matrix_csv_repr(tmp_path / "repr.csv", counts[np.ix_(group, group)] / t)
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "repr.csv").read_bytes()
+
+    def test_matrix_on_a_denominator_grid_writes_repr_bytes(self, tmp_path):
+        # groups that no observation belongs to are never written
+        rng = np.random.default_rng(4)
+        counts = rng.integers(0, 8, size=(9, 9))
+        self.assert_psm_matches_the_oracle(tmp_path, counts, rng.integers(0, 9, size=5), 7)
 
     def test_matrix_off_the_denominator_grid_rejected(self, tmp_path):
-        for bad in ([[0.5, 1.0 / 3.0]], [[0.0, 1.5]], [[-0.5, 1.0]], [[np.nan, 1.0]]):
-            with pytest.raises(ValueError):
-                write_matrix_csv(tmp_path / "bad.csv", np.array(bad), denominator=2)
-
-    @pytest.mark.parametrize("t,mat", [
-        (7, _repeating_psm(7, n_atoms=6, atom_size=9, seed=5)),
-        (7, np.random.default_rng(6).integers(0, 8, size=(30, 30)) / 7),
-        (3, np.array([[2.0 / 3.0]])),
-        (1, _repeating_psm(1, n_atoms=4, atom_size=5, seed=7)),
-        (149, _repeating_psm(149, n_atoms=5, atom_size=8, seed=8)),
-        (149, np.random.default_rng(9).integers(0, 150, size=(12, 40)) / 149),
-    ], ids=["repeating", "distinct", "1x1", "T=1", "repeating-T=149", "distinct-T=149"])
-    def test_denominator_writer_matches_the_oracle(self, tmp_path, t, mat):
-        write_matrix_csv(tmp_path / "table.csv", mat, denominator=t)
-        H.write_matrix_csv_repr(tmp_path / "repr.csv", mat)
-        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "repr.csv").read_bytes()
-
-    def test_colliding_row_keys_still_write_each_row(self, tmp_path, monkeypatch):
-        mat = _repeating_psm(5, n_atoms=7, atom_size=4, seed=10)
-        monkeypatch.setattr(selmix.io, "_row_key", lambda row: 0)
-        write_matrix_csv(tmp_path / "table.csv", mat, denominator=5)
-        H.write_matrix_csv_repr(tmp_path / "repr.csv", mat)
-        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "repr.csv").read_bytes()
-
-    @pytest.mark.parametrize("collide", [False, True])
-    def test_repeated_bad_row_rejected(self, tmp_path, monkeypatch, collide):
-        good, bad = [0.5, 1.0, 0.0], [0.5, 0.25, 1.0]
-        mat = np.array([good, good, bad, good, bad])
-        if collide:
-            monkeypatch.setattr(selmix.io, "_row_key", lambda row: 0)
         path = tmp_path / "bad.csv"
-        message = f"{path}: entries are not multiples of 1/2 in [0, 1]"
+        message = f"{path}: counts are not integers in 0..2"
+        for bad in (0.5, 3, -1, np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                write_psm_csv(path, np.array([[2.0, bad], [bad, 2.0]]), np.array([0, 1]), 2)
+
+    @pytest.mark.parametrize("t,counts,group", [
+        (7, *_repeating_counts(7, n_atoms=6, atom_size=9, seed=5)),
+        (7, *_distinct_counts(7, 30, seed=6)),
+        (3, np.array([[2]]), np.array([0])),
+        (1, *_repeating_counts(1, n_atoms=4, atom_size=5, seed=7)),
+        (149, *_repeating_counts(149, n_atoms=5, atom_size=8, seed=8)),
+        (149, *_distinct_counts(149, 40, seed=9)),
+    ], ids=["repeating", "distinct", "1x1", "T=1", "repeating-T=149", "distinct-T=149"])
+    def test_denominator_writer_matches_the_oracle(self, tmp_path, t, counts, group):
+        self.assert_psm_matches_the_oracle(tmp_path, counts, group, t)
+
+    def test_repeated_bad_row_rejected(self, tmp_path):
+        # the bad count is in the line of a group whose rows repeat
+        counts = np.array([[2, 1], [1, 3]])
+        path = tmp_path / "bad.csv"
+        message = f"{path}: counts are not integers in 0..2"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            write_matrix_csv(path, mat, denominator=2)
+            write_psm_csv(path, counts, np.array([0, 0, 1, 0, 1]), 2)
 
     def test_distinct_rows_keep_no_lines(self, tmp_path):
         # a writer that kept every line until the end would hold 400 of them
         t, n = 149, 400
-        mat = np.random.default_rng(11).integers(0, t + 1, size=(n, n)) / t
-        line_bytes = sys.getsizeof(",".join(repr(float(v)) for v in mat[0]) + "\r\n")
+        counts, group = _distinct_counts(t, n, seed=11)
+        line_bytes = sys.getsizeof(",".join(repr(float(c / t)) for c in counts[0]) + "\r\n")
         tracemalloc.start()
         try:
-            write_matrix_csv(tmp_path / "distinct.csv", mat, denominator=t)
+            write_psm_csv(tmp_path / "distinct.csv", counts, group, t)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
