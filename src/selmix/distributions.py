@@ -35,7 +35,7 @@ def pairwise_log_gap_sum(values):
     vals = np.asarray(values, dtype=float)
     rows, cols = _upper_pairs(vals.shape[0])
     gaps = np.abs(vals[rows] - vals[cols])
-    if (gaps == 0.0).any():
+    if np.count_nonzero(gaps) < gaps.size:
         return -np.inf
     return float(np.log(gaps).sum())
 
@@ -80,6 +80,16 @@ def invwishart_log_pdf(sigma, scale, df):
     )
 
 
+@lru_cache(maxsize=32)
+def _bartlett_slots(d):
+    """Flat indices, in a d x d matrix, of the diagonal and of the entries
+    below it in ``np.tril_indices(d, -1)`` order."""
+    rows, cols = np.tril_indices(d, -1)
+    slots = np.concatenate((np.arange(d) * (d + 1), rows * d + cols))
+    slots.setflags(write=False)
+    return slots
+
+
 def sample_invwishart(rng, scale, df):
     """Draw inverse-Wishart matrices by the Bartlett decomposition.
 
@@ -88,29 +98,29 @@ def sample_invwishart(rng, scale, df):
     matrix draws its d chi-squares and then its normal variates in turn, so
     a stack gives the same bits as one call per matrix in order; the
     inverses, factorisations and products are batched.  Requires every
-    df > d - 1; fractional degrees of freedom are fine because the Bartlett
-    diagonal uses chi-square variates with real-valued dof.  Raises
-    LinAlgError when any factorisation fails.
+    df > d - 1 (NaN is refused too); fractional degrees of freedom are fine
+    because the Bartlett diagonal uses chi-square variates with real-valued
+    dof.  Raises LinAlgError when any factorisation fails.
     """
     scale = np.asarray(scale, dtype=float)
     d = scale.shape[-1]
     scales = scale.reshape(-1, d, d)
     dfs = np.empty(len(scales))
     dfs[:] = df
-    if (dfs <= d - 1).any():
+    if np.count_nonzero(dfs > d - 1) < dfs.size:
         raise ValueError("degrees of freedom must exceed dim - 1")
     chol_prec = np.linalg.cholesky(np.linalg.inv(scales))
-    n_off = d * (d - 1) // 2
-    chi2 = np.empty((dfs.size, d))
-    normals = np.empty((dfs.size, n_off))
-    for i, row_dfs in enumerate((dfs[:, None] - np.arange(d)).tolist()):
-        chi2[i] = rng.chisquare(row_dfs)
-        normals[i] = rng.standard_normal(n_off)
-    bart = np.zeros(scales.shape)
-    diag = np.arange(d)
-    bart[:, diag, diag] = np.sqrt(chi2)
-    rows, cols = np.tril_indices(d, -1)
-    bart[:, rows, cols] = normals
-    root = chol_prec @ bart
+    # per matrix, its d chi-squares then its normals, drawn in that order
+    draws = np.empty((dfs.size, d * (d + 1) // 2))
+    for row, df_i in zip(draws, dfs.tolist()):
+        for k in range(d):
+            row[k] = rng.chisquare(df_i - k)
+        rng.standard_normal(out=row[d:])
+    np.sqrt(draws[:, :d], out=draws[:, :d])
+    bart = np.zeros((dfs.size, d * d))
+    bart[:, _bartlett_slots(d)] = draws
+    root = chol_prec @ bart.reshape(scales.shape)
     sigma = np.linalg.inv(root @ root.transpose(0, 2, 1))
-    return (0.5 * (sigma + sigma.transpose(0, 2, 1))).reshape(scale.shape)
+    sym = sigma + sigma.transpose(0, 2, 1)
+    sym *= 0.5
+    return sym.reshape(scale.shape)

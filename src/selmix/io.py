@@ -103,9 +103,13 @@ def read_trace(path):
     for a chain without data), ``m_a`` the number of distinct labels,
     ``gamma`` and ``zeta`` finite numbers, and ``weights``, on every record
     or none, m numbers in [0, 1] that sum to 1 within ``SIMPLEX_TOL``.
-    Each ValueError names the file, the line and the key.
+    Each ValueError names the file, the line and the key.  A first pass
+    counts the records, so the labels go straight into one (T, n) array.
     """
-    m, m_a, alloc, gamma, zeta, weights = [], [], [], [], [], []
+    with open(path) as fh:
+        n_records = sum(1 for line in fh if line.strip())
+    m, m_a, gamma, zeta, weights = [], [], [], [], []
+    alloc = None
     have_weights = None
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -132,10 +136,12 @@ def read_trace(path):
             # JSON true and false load as bools, which are ints to isinstance
             if type(alloc_rec) is not list or not set(map(type, alloc_rec)) <= {int}:
                 raise ValueError(f"{where}: 'alloc' must be a list of integer labels")
-            if alloc and len(alloc_rec) != alloc[0].size:
+            if alloc is None:
+                alloc = np.empty((n_records, len(alloc_rec)), dtype=np.int64)
+            elif len(alloc_rec) != alloc.shape[1]:
                 raise ValueError(
                     f"{where}: alloc has {len(alloc_rec)} labels, "
-                    f"the first record has {alloc[0].size}"
+                    f"the first record has {alloc.shape[1]}"
                 )
             # the distinct labels are checked as Python ints, before a label
             # beyond int64 can reach a conversion
@@ -155,17 +161,18 @@ def read_trace(path):
                     raise ValueError(
                         f"{where}: 'weights' must be {m_rec} numbers in [0, 1] that sum to 1")
                 weights.append(w)
+            alloc[len(m)] = alloc_rec
             m.append(m_rec)
             m_a.append(distinct)
-            alloc.append(np.asarray(alloc_rec, dtype=np.int64) - 1)
             gamma.append(float(rec["gamma"]))
             zeta.append(float(rec["zeta"]))
     if not m:
         raise ValueError(f"{path}: empty trace")
+    alloc -= 1  # 1-based on disk
     return PosteriorTrace(
         m=np.asarray(m, dtype=np.int64),
         m_allocated=np.asarray(m_a, dtype=np.int64),
-        alloc=np.vstack(alloc),
+        alloc=alloc,
         gamma=np.asarray(gamma),
         zeta=np.asarray(zeta),
         weights=weights if have_weights else None,

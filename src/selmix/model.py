@@ -211,30 +211,67 @@ def component_log_pdfs(y, state):
     (a Cholesky factor, ``solve_triangular`` on the residuals; kept as
     ``component_log_pdfs_ref`` in tests/helpers.py): one batched Cholesky
     factors every covariance, and each component makes the LAPACK
-    triangular solve that ``solve_triangular`` makes on a C-ordered factor.
+    triangular solve that ``solve_triangular`` makes on a C-ordered factor,
+    in place on its block of one array of residuals.
     """
     n, dim = y.shape
     if not (np.isfinite(y).all() and np.isfinite(state.mus).all()):
         raise ValueError("array must not contain infs or NaNs")
     chol = np.linalg.cholesky(state.sigmas)
     half_logdet = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    sq = np.empty((state.m, n))
-    for j in range(state.m):
-        z, info = dtrtrs(chol[j].T, (y - state.mus[j]).T, lower=0, trans=1, overwrite_b=1)
+    resid = y - state.mus[:, None, :]  # (m, n, d)
+    for j, rhs in enumerate(resid.transpose(0, 2, 1)):
+        z, info = dtrtrs(chol[j].T, rhs, lower=0, trans=1, overwrite_b=1)
         if info:
             raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-        sq[j] = (z * z).sum(axis=0)
-    out = -0.5 * sq.T - half_logdet - 0.5 * dim * LOG_2PI
+        if z is not rhs:  # the solve copied its right-hand side
+            rhs[...] = z
+    resid *= resid
     # row-major like the column-filled original, so reductions over a row
     # (logsumexp in log_likelihood) add in the same order
-    return np.ascontiguousarray(out)
+    out = np.empty((n, state.m))
+    np.multiply(_last_axis_sums(resid).T, -0.5, out=out)
+    out -= half_logdet
+    out -= 0.5 * dim * LOG_2PI
+    return out
+
+
+def _last_axis_sums(a):
+    """``a.sum(axis=-1)`` bit for bit, for a C-ordered ``a`` of non-negative
+    numbers, by additions of whole slices ``a[..., i]``.
+
+    numpy adds the k numbers along a contiguous axis in order when k < 8
+    and pairwise otherwise: eight running sums over blocks of 128, combined
+    as a tree, then the remainder in order; longer runs are split at a
+    multiple of 8 near the middle.  Summing a short axis of a large array
+    this way is several times faster than numpy's own reduction.
+    """
+    k = a.shape[-1]
+    if k > 128:
+        half = k // 2 - k // 2 % 8
+        return _last_axis_sums(a[..., :half]) + _last_axis_sums(a[..., half:])
+    if k < 8:
+        total = np.zeros(a.shape[:-1])
+        for i in range(k):
+            total += a[..., i]
+        return total
+    r = [a[..., c].copy() for c in range(8)]
+    for i in range(8, k - k % 8, 8):
+        for c in range(8):
+            r[c] += a[..., i + c]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for i in range(k - k % 8, k):
+        total += a[..., i]
+    return total
 
 
 def allocation_log_probs(y, state):
     """(n, m) matrix of log w_j + log N(y_i | mu_j, Sigma_j): the mixture
     density, unnormalized over j, that every data term is read from."""
+    log_p = component_log_pdfs(y, state)
     with np.errstate(divide="ignore"):
-        return component_log_pdfs(y, state) + np.log(state.weights)[None, :]
+        log_p += np.log(state.weights)
+    return log_p
 
 
 def log_likelihood(y, state):

@@ -36,7 +36,9 @@ allocations without data).  A step never writes into an array it did not
 create, and the blocks it leaves unchanged are shared with its input.
 Only two places write into a state's arrays: ``update_means``, into its own
 copy of the means, and ``_insert_component``/``_remove_component``, into
-their own copy of ``alloc``.
+their own copy of ``alloc``.  ``sweep`` groups the data by component once,
+after the allocation step: the means and covariance steps share that
+grouping, which is read-only, and every later step reuses its counts.
 """
 
 from __future__ import annotations
@@ -122,12 +124,13 @@ def _coord_ge_log_ratio(column, j, new, zeta):
     """Change in the (unnormalized) ensemble log density when one coordinate moves."""
     old = column[j]
     others = np.concatenate((column[:j], column[j + 1:]))
-    with np.errstate(divide="ignore"):
-        # -inf exactly when the move ties another coordinate
-        new_log_gaps = np.log(np.abs(others - new)).sum()
-        if new_log_gaps == -np.inf:
-            return -np.inf
-        term = float(new_log_gaps - np.log(np.abs(others - old)).sum())
+    # the gaps from the new and from the old value, one row each
+    gaps = np.abs(np.subtract.outer((new, old), others))
+    if np.count_nonzero(gaps) < gaps.size:
+        # the move ties another coordinate (-inf), or leaves a tie (+inf)
+        return -np.inf if np.count_nonzero(gaps[0]) < others.size else np.inf
+    new_log_gaps, old_log_gaps = np.log(gaps).sum(axis=1)
+    term = float(new_log_gaps - old_log_gaps)
     return zeta * term - 0.5 * zeta * (new * new - old * old)
 
 
@@ -195,7 +198,7 @@ def scale_log_accept(state, hyper, gamma_new, zeta_new):
     return float(la + np.log(new) - np.log(old))
 
 
-def birth_log_accept(state, hyper, w_new, mu_new, forced):
+def birth_log_accept(state, hyper, w_new, mu_new, forced, counts=None):
     """Log acceptance of inserting a non-allocated component.
 
     ``w_new`` is the proposed (m+1)-weight vector with the newborn's entry
@@ -205,23 +208,33 @@ def birth_log_accept(state, hyper, w_new, mu_new, forced):
     because no non-allocated component existed.  Under the default
     reversible bookkeeping the (m+1)/(m_na+1) factor pairs the uniform
     insertion-slot choice with the reverse move's uniform victim choice;
-    the append variant keeps only 1/(m_na+1).
+    the append variant keeps only 1/(m_na+1).  ``counts`` are
+    ``state.counts()``, counted here when not given.
     """
-    m, dim = state.m, state.dim
+    counts = state.counts() if counts is None else counts
+    return _birth_log_ratio(state.weights, state.mus, state.m - np.count_nonzero(counts),
+                            state, hyper, w_new, mu_new, forced)
+
+
+def _birth_log_ratio(weights, mus, m_na, state, hyper, w_new, mu_new, forced):
+    """``birth_log_accept`` from a state with ``weights`` and ``mus`` in place
+    of those of ``state`` (one component fewer, for a death's reverse birth)
+    and ``m_na`` non-allocated components; ``state`` gives the scales and n."""
+    m, dim = mus.shape
     g, z, a0 = state.gamma, state.zeta, hyper.alpha0
 
     la = np.log(hyper.lam) - np.log(m)
     la += sdir_log_norm_const(SdirParams(a0, g, m)) - sdir_log_norm_const(SdirParams(a0, g, m + 1))
-    la += repulsion_log_ratio(g, w_new, state.weights)
+    la += repulsion_log_ratio(g, w_new, weights)
     la += dim * (ge_log_norm_const(GeParams(z, m)) - ge_log_norm_const(GeParams(z, m + 1)))
-    cross = np.abs(state.mus - mu_new[None, :])
-    if (cross == 0.0).any():
+    cross = np.abs(mus - mu_new)
+    if np.count_nonzero(cross) < cross.size:
         return -np.inf
     la += z * float(np.log(cross).sum())
     la += np.log1p(-hyper.q_birth)
     if not forced:
         la -= np.log(hyper.q_birth)
-    la -= np.log(state.m_nonallocated + 1.0)
+    la -= np.log(m_na + 1.0)
     if hyper.birth_death == "reversible":
         la += np.log(m + 1.0)
     conc_total = m * a0 + state.n_obs
@@ -230,21 +243,24 @@ def birth_log_accept(state, hyper, w_new, mu_new, forced):
     return float(la)
 
 
-def death_log_accept(state, hyper, j, w_hat):
+def death_log_accept(state, hyper, j, w_hat, counts=None):
     """Log acceptance of deleting non-allocated component ``j``.
 
     Minus the log acceptance of the birth that undoes it: the reduced state
-    regrowing component ``j`` with the current weights and location.  Death
-    from a single-component state is impossible because the component count
-    prior has no mass below one.
+    (weights ``w_hat``, component ``j`` gone) regrowing component ``j`` with
+    the current weights and location.  Death from a single-component state
+    is impossible because the component count prior has no mass below one.
+    ``counts`` are ``state.counts()``, counted here when not given.
     """
     if state.m == 1:
         return -np.inf
-    if state.counts()[j]:
+    counts = state.counts() if counts is None else counts
+    if counts[j]:
         raise ValueError("death move targets a non-allocated component")
-    reduced = _remove_component(state, j, w_hat)
-    forced = state.m_nonallocated == 1
-    return -birth_log_accept(reduced, hyper, state.weights, state.mus[j], forced)
+    m_na = state.m - np.count_nonzero(counts)
+    mus = np.concatenate((state.mus[:j], state.mus[j + 1:]))
+    return -_birth_log_ratio(w_hat, mus, m_na - 1, state, hyper, state.weights, state.mus[j],
+                             m_na == 1)
 
 
 def _insert_component(state, slot, weights, mu, sigma):
@@ -273,12 +289,16 @@ def _remove_component(state, j, weights):
 # sweep steps
 # ---------------------------------------------------------------------------
 
-def _grouped_points(y, alloc, counts):
-    """Per component, the rows of ``y`` that ``y[alloc == j]`` selects, in the
-    same order, as slices of one stably sorted copy."""
-    ys = y[np.argsort(alloc, kind="stable")]
+def _grouped_points(y, state):
+    """``(counts, groups)``: the allocation counts of ``state`` and, per
+    component, the rows of ``y`` that ``y[state.alloc == j]`` selects, in the
+    same order, as slices of one stably sorted copy.  ``sweep`` makes it once
+    for the means and covariance steps, which share it, so it is read-only."""
+    counts = state.counts()
+    ys = y[np.argsort(state.alloc, kind="stable")]
+    ys.flags.writeable = False
     ends = np.cumsum(counts).tolist()
-    return [ys[end - c:end] for c, end in zip(counts.tolist(), ends)]
+    return counts, [ys[end - c:end] for c, end in zip(counts.tolist(), ends)]
 
 
 def update_allocations(y, state, rng):
@@ -286,24 +306,24 @@ def update_allocations(y, state, rng):
     if state.n_obs == 0:
         return state
     log_p = allocation_log_probs(y, state)
-    gumbel = rng.gumbel(size=log_p.shape)
-    return dataclasses.replace(state, alloc=np.argmax(log_p + gumbel, axis=1).astype(np.int64))
+    log_p += rng.gumbel(size=log_p.shape)
+    return dataclasses.replace(state, alloc=np.argmax(log_p, axis=1).astype(np.int64, copy=False))
 
 
-def update_means(y, state, rng, step_mu):
+def update_means(y, state, rng, step_mu, grouped=None):
     """Coordinate-wise Metropolis pass over all component means.
 
     Allocated components take Gaussian random-walk proposals with variance
     ``step_mu``; non-allocated components are refreshed by independence
     proposals from N(0, 2*m + 1/zeta), wide enough to cover the ensemble
-    bulk and dominate its tails.  Returns the new state and the tuple
+    bulk and dominate its tails.  ``grouped`` is ``_grouped_points(y,
+    state)``, made here when not given.  Returns the new state and the tuple
     (rw_accepts, rw_attempts, refresh_accepts, refresh_attempts).
     """
+    counts, groups = _grouped_points(y, state) if grouped is None else grouped
     out = dataclasses.replace(state, mus=state.mus.copy())
     rw_sd = np.sqrt(step_mu)
     refresh_sd = np.sqrt(2.0 * out.m + 1.0 / out.zeta)
-    counts = out.counts()
-    groups = _grouped_points(y, out.alloc, counts)
     precs = np.linalg.inv(out.sigmas)
     rw_acc = rw_att = ref_acc = ref_att = 0
     for j in range(out.m):
@@ -327,29 +347,35 @@ def update_means(y, state, rng, step_mu):
     return out, (rw_acc, rw_att, ref_acc, ref_att)
 
 
-def update_covariances(y, state, hyper, rng):
+def update_covariances(y, state, hyper, rng, grouped=None):
     """Gibbs draw of every covariance from its inverse-Wishart full conditional.
 
     An allocated component draws from IW(v0 + S_j, nu0 + n_j), S_j being the
     scatter of its n_j points about its mean; a non-allocated component draws
     from the prior IW(v0, nu0).  One stacked ``sample_invwishart`` call draws
     them all; a failed factorisation raises LinAlgError, which ``run_sampler``
-    reports as a SamplerError naming the sweep.
+    reports as a SamplerError naming the sweep.  ``grouped`` is as in
+    ``update_means``.
     """
-    counts = state.counts()
-    groups = _grouped_points(y, state.alloc, counts)
+    counts, groups = _grouped_points(y, state) if grouped is None else grouped
+    allocated = np.flatnonzero(counts)
+    scatter = np.empty((allocated.size, state.dim, state.dim))
+    for s_j, j in zip(scatter, allocated.tolist()):
+        resid = groups[j] - state.mus[j]
+        np.matmul(resid.T, resid, out=s_j)
+    scatter += hyper.v0
+    sym = scatter + scatter.transpose(0, 2, 1)
+    sym *= 0.5
     scales = np.empty((state.m, state.dim, state.dim))
     scales[:] = hyper.v0
-    for j in np.flatnonzero(counts):
-        resid = groups[j] - state.mus[j]
-        scale = resid.T @ resid + hyper.v0
-        scales[j] = 0.5 * (scale + scale.T)
+    scales[allocated] = sym
     return dataclasses.replace(state, sigmas=sample_invwishart(rng, scales, hyper.nu0 + counts))
 
 
-def update_weights(state, hyper, rng):
-    """Independence proposal from Dirichlet(alpha0 + counts); repulsion decides."""
-    w_new = rng.dirichlet(hyper.alpha0 + state.counts())
+def update_weights(state, hyper, rng, counts=None):
+    """Independence proposal from Dirichlet(alpha0 + counts); repulsion decides.
+    ``counts`` are ``state.counts()``, counted here when not given."""
+    w_new = rng.dirichlet(hyper.alpha0 + (state.counts() if counts is None else counts))
     if np.log(rng.random()) < weights_log_accept(state, w_new):
         return dataclasses.replace(state, weights=w_new), True
     return state, False
@@ -371,17 +397,18 @@ def update_scale(state, hyper, rng, key, step_gamma):
     return state, False
 
 
-def birth_death_step(y, state, hyper, rng):
+def birth_death_step(y, state, hyper, rng, counts=None):
     """One birth or death proposal on the non-allocated components.
 
     Birth is chosen with probability q (with probability one when every
     component is allocated) and inserts the newborn at a uniformly chosen
     slot, or at the last slot under the append bookkeeping; death picks its
     victim uniformly among the non-allocated.  Weights are redrawn wholesale
-    from the matching Dirichlet in both directions.  Returns
+    from the matching Dirichlet in both directions.  ``counts`` are
+    ``state.counts()``, counted here when not given.  Returns
     (state, move, accepted).
     """
-    counts = state.counts()
+    counts = state.counts() if counts is None else counts
     candidates = np.flatnonzero(counts == 0)
     forced = candidates.size == 0
     alpha_post = hyper.alpha0 + counts
@@ -390,17 +417,18 @@ def birth_death_step(y, state, hyper, rng):
             slot = int(rng.integers(state.m + 1))
         else:
             slot = state.m
-        w_new = rng.dirichlet(np.insert(alpha_post, slot, hyper.alpha0))
+        alpha_new = np.concatenate((alpha_post[:slot], [hyper.alpha0], alpha_post[slot:]))
+        w_new = rng.dirichlet(alpha_new)
         mu_new = rng.normal(0.0, 1.0 / np.sqrt(state.zeta), size=state.dim)
         sigma_new = sample_invwishart(rng, hyper.v0, hyper.nu0)
-        la = birth_log_accept(state, hyper, w_new, mu_new, forced)
+        la = birth_log_accept(state, hyper, w_new, mu_new, forced, counts)
         if np.log(rng.random()) < la:
             return _insert_component(state, slot, w_new, mu_new, sigma_new), "birth", True
         return state, "birth", False
 
     j = int(candidates[rng.integers(candidates.size)])
-    w_hat = rng.dirichlet(np.delete(alpha_post, j))
-    la = death_log_accept(state, hyper, j, w_hat)
+    w_hat = rng.dirichlet(np.concatenate((alpha_post[:j], alpha_post[j + 1:])))
+    la = death_log_accept(state, hyper, j, w_hat, counts)
     if np.log(rng.random()) < la:
         return _remove_component(state, j, w_hat), "death", True
     return state, "death", False
@@ -464,17 +492,22 @@ def _adapted(step, accepted, attempted):
 def sweep(y, state, hyper, rng, step_mu, step_gamma):
     """One sweep: allocations, means, covariances, weights, each free scale
     (gamma first) and a birth or death move.  Returns (state, counts), where
-    ``counts`` maps each counter the sweep touched to (accepts, attempts)."""
+    ``counts`` maps each counter the sweep touched to (accepts, attempts).
+
+    Only the first step moves the allocations, so the steps after it share
+    one grouping of the data and one count per component."""
     state = update_allocations(y, state, rng)
-    state, means = update_means(y, state, rng, step_mu)  # random walk, then refresh
-    state = update_covariances(y, state, hyper, rng)
-    state, w_acc = update_weights(state, hyper, rng)
+    grouped = _grouped_points(y, state)
+    alloc_counts = grouped[0]
+    state, means = update_means(y, state, rng, step_mu, grouped)  # random walk, then refresh
+    state = update_covariances(y, state, hyper, rng, grouped)
+    state, w_acc = update_weights(state, hyper, rng, alloc_counts)
     counts = {"means": means[:2], "means_refresh": means[2:], "weights": (int(w_acc), 1)}
     for key in ("gamma", "zeta"):
         if getattr(hyper, f"{key}_free"):
             state, s_acc = update_scale(state, hyper, rng, key, step_gamma)
             counts[key] = (int(s_acc), 1)
-    state, move, bd_acc = birth_death_step(y, state, hyper, rng)
+    state, move, bd_acc = birth_death_step(y, state, hyper, rng, alloc_counts)
     counts[move] = (int(bd_acc), 1)
     return state, counts
 

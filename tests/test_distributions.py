@@ -101,7 +101,7 @@ class TestInverseWishartSampler:
         b = sample_invwishart(np.random.default_rng(5), scale, 4.0)
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("d", [1, 2, 5])
+    @pytest.mark.parametrize("d", [1, 2, 5, 9])
     def test_stack_equals_single_draws_in_order(self, d):
         r = np.random.default_rng(40 + d)
         for m in range(1, 7):
@@ -129,7 +129,7 @@ class TestInverseWishartSampler:
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_too_few_degrees_of_freedom_anywhere_in_the_stack(self, d):
         scales = np.tile(np.eye(d), (3, 1, 1))
-        for bad in (d - 1.0, d - 1.5):
+        for bad in (d - 1.0, d - 1.5, np.nan):
             for j in range(3):
                 dfs = np.full(3, d + 2.0)
                 dfs[j] = bad

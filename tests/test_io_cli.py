@@ -109,6 +109,24 @@ class TestTraceFiles:
         assert back.alloc.dtype == np.int64
         np.testing.assert_array_equal(back.m, trace.m)
 
+    def test_labels_are_held_once(self, tmp_path):
+        # read_trace fills one (T, n) array; stacking one array per record
+        # at the end held every label twice
+        rng = np.random.default_rng(3)
+        alloc = rng.integers(0, 3, size=(400, 1000))
+        trace = PosteriorTrace(m=np.full(400, 3), m_allocated=np.full(400, 3), alloc=alloc,
+                               gamma=np.ones(400), zeta=np.ones(400), weights=None)
+        path = tmp_path / "long.ndjson"
+        write_trace(path, trace)
+        tracemalloc.start()
+        try:
+            back = read_trace(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.alloc, alloc, strict=True)
+        assert peak < 1.5 * alloc.nbytes
+
     def test_labels_are_one_based_on_disk(self, tmp_path):
         trace = self.make_trace()
         path = tmp_path / "trace.ndjson"

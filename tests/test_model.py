@@ -12,6 +12,7 @@ from selmix.ensemble import GeParams, ge_log_density
 from selmix.model import (
     Hyperparams,
     MixtureState,
+    _last_axis_sums,
     component_log_pdfs,
     log_complete_joint,
     log_likelihood,
@@ -76,6 +77,31 @@ class TestLikelihood:
         for j in range(3):
             want = stats.multivariate_normal.logpdf(y, state.mus[j], state.sigmas[j])
             np.testing.assert_allclose(got[:, j], want, rtol=1e-10)
+
+    def test_component_log_pdfs_when_the_solve_copies(self, monkeypatch):
+        # the densities are read from the residuals the solves overwrite in
+        # place; a solve that returns a copy instead gives the same bits
+        import selmix.model as model_mod
+        from helpers import component_log_pdfs_ref
+
+        solve = model_mod.dtrtrs
+        monkeypatch.setattr(model_mod, "dtrtrs",
+                            lambda a, b, **kw: solve(a, b.copy(order="F"), **kw))
+        rng = np.random.default_rng(12)
+        for dim in (1, 2, 9):
+            state = random_state(rng, 4, dim, 30)
+            y = rng.normal(size=(30, dim))
+            np.testing.assert_array_equal(component_log_pdfs(y, state),
+                                          component_log_pdfs_ref(y, state))
+
+    def test_last_axis_sums_are_numpys_bit_for_bit(self):
+        # the squared residuals' sums are taken slice by slice; numpy adds
+        # 8 or more numbers pairwise, and splits runs longer than 128
+        rng = np.random.default_rng(11)
+        for k in [*range(41), 127, 128, 129, 136, 257, 1000] * 5:
+            a = rng.normal(size=(3, 17, k)) * np.exp(rng.normal(0.0, 4.0, size=(3, 17, 1)))
+            a *= a
+            np.testing.assert_array_equal(_last_axis_sums(a), a.sum(axis=-1), strict=True)
 
     def test_log_likelihood_is_mixture_logsumexp(self):
         rng = np.random.default_rng(9)

@@ -639,7 +639,9 @@ class TestBookkeepingContrast:
 
 
 def equivalence_case(rng, dim, n, m=None, empty=(), **hyper_kwargs):
-    m = int(rng.integers(2, 6)) if m is None else m
+    # m up to 12 and dim 9 (EQUIVALENCE_SHAPES): numpy sums 8 or more
+    # numbers pairwise, so a re-laid-out reduction can differ only there
+    m = int(rng.integers(2, 13)) if m is None else m
     hyper = H.random_hyper(rng, dim, **hyper_kwargs)
     state = H.random_state(rng, m, dim, n, force_empty=[j for j in empty if j < m - 1])
     y = rng.normal(0.0, 2.0, size=(n, dim))
@@ -662,7 +664,7 @@ def twin_generators(seed):
     return np.random.default_rng(seed), np.random.default_rng(seed)
 
 
-EQUIVALENCE_SHAPES = [(dim, n) for dim in (1, 2, 5) for n in (0, 3, 40)]
+EQUIVALENCE_SHAPES = [(dim, n) for dim in (1, 2, 5, 9) for n in (0, 3, 40)]
 
 
 class TestFastSweepMatchesReference:
@@ -808,9 +810,11 @@ class TestMeanRatioMatchesTheSolve:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 6])
     def test_ties_and_empty_components_are_exact(self, dim):
+        # an empty component's ratio is the ensemble term alone, summed over
+        # m - 1 gaps: at m = 12 numpy sums them pairwise
         rng = np.random.default_rng(1400 + dim)
-        for _ in range(20):
-            y, state, _ = equivalence_case(rng, dim, 12, m=3, empty=[0])
+        for m in [3] * 20 + [12] * 20:
+            y, state, _ = equivalence_case(rng, dim, 12, m=m, empty=[0])
             d = int(rng.integers(dim))
             tie = self.both(state, y, 1, d, state.mus[2, d])
             assert tie == (-np.inf, -np.inf)
@@ -1039,28 +1043,24 @@ class TestStepsShareUnchangedBlocks:
 
     @pytest.mark.parametrize("bookkeeping", ["reversible", "append"])
     @pytest.mark.parametrize("zeta_mode", ["fixed", "gamma", "ratio"])
-    def test_chain_on_read_only_states(self, bookkeeping, zeta_mode, monkeypatch):
-        # every step runs on a state whose arrays refuse writes, and the
+    def test_chain_on_read_only_states(self, bookkeeping, zeta_mode):
+        # sweep runs on read-only data and on a state whose arrays refuse
+        # writes (the grouping its steps share is read-only too), and the
         # chain that initial_state and sweep draw from one generator is the
         # one run_sampler draws from the same seed, with the same counts
-        import selmix.sampler as sampler_mod
-
         y = np.random.default_rng(1502).normal(0.0, 3.0, size=(30, 2))
         hyper = Hyperparams(zeta_mode=zeta_mode, zeta_fixed=0.5, birth_death=bookkeeping,
                             burn_in=0, thin=1, n_samples=60)
         config = SamplerConfig(hyper=hyper, seed=63, record_weights=True)
         want, diag = run_sampler(y, config)
-        for name in ("update_allocations", "update_means", "update_covariances",
-                     "update_weights", "update_scale", "birth_death_step"):
-            monkeypatch.setattr(sampler_mod, name, lambda *args, step=getattr(sampler_mod, name):
-                                step(*[H.read_only_state(a) if isinstance(a, MixtureState) else a
-                                       for a in args]))
+        y.flags.writeable = False
         hyper = hyper.resolved(2)
         rng = np.random.default_rng(config.seed)
         state = initial_state(y, hyper, rng)
         accepts, attempts = dict.fromkeys(diag.accepts, 0), dict.fromkeys(diag.attempts, 0)
         for t in range(hyper.n_samples):
-            state, counts = sweep(y, state, hyper, rng, hyper.step_mu, hyper.step_gamma)
+            state, counts = sweep(y, H.read_only_state(state), hyper, rng,
+                                  hyper.step_mu, hyper.step_gamma)
             for key, (acc, att) in counts.items():
                 accepts[key] += acc
                 attempts[key] += att
@@ -1071,6 +1071,27 @@ class TestStepsShareUnchangedBlocks:
         assert (accepts, attempts) == (diag.accepts, diag.attempts)
         assert len(set(want.m.tolist())) > 1
         assert attempts["gamma"] and attempts["birth"] and attempts["death"]
+
+    def test_one_sort_per_sweep(self, monkeypatch):
+        # the means and covariance steps share the grouping that sweep makes
+        # once, after the allocation step, and cannot write into it
+        import selmix.sampler as sampler_mod
+
+        grouped_points, made = sampler_mod._grouped_points, []
+
+        def spy(y, state):
+            made.append(grouped_points(y, state))
+            return made[-1]
+
+        monkeypatch.setattr(sampler_mod, "_grouped_points", spy)
+        rng = np.random.default_rng(1503)
+        for dim, n in EQUIVALENCE_SHAPES:
+            y, state, hyper = read_only_case(rng, dim, n, empty=[1])
+            made.clear()
+            sweep(y, state, hyper, rng, hyper.step_mu, hyper.step_gamma)
+            assert len(made) == 1
+            counts, groups = made[0]
+            assert counts.sum() == n and not any(g.flags.writeable for g in groups)
 
 
 class TestCovarianceFailure:
