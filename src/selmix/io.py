@@ -103,11 +103,11 @@ def read_trace(path):
     for a chain without data), ``m_a`` the number of distinct labels,
     ``gamma`` and ``zeta`` finite numbers, and ``weights``, on every record
     or none, m numbers in [0, 1] that sum to 1 within ``SIMPLEX_TOL``.
-    Each ValueError names the file, the line and the key.  A first pass
-    counts the records, so the labels go straight into one (T, n) array.
+    Each ValueError names the file, the line and the key.  The file is read
+    once, so a pipe will do: the labels go straight into one (T, n) array,
+    which doubles its rows in place (a realloc) as records come in and is
+    cut to T rows at the end.
     """
-    with open(path) as fh:
-        n_records = sum(1 for line in fh if line.strip())
     m, m_a, gamma, zeta, weights = [], [], [], [], []
     alloc = None
     have_weights = None
@@ -137,7 +137,7 @@ def read_trace(path):
             if type(alloc_rec) is not list or not set(map(type, alloc_rec)) <= {int}:
                 raise ValueError(f"{where}: 'alloc' must be a list of integer labels")
             if alloc is None:
-                alloc = np.empty((n_records, len(alloc_rec)), dtype=np.int64)
+                alloc = np.empty((16, len(alloc_rec)), dtype=np.int64)
             elif len(alloc_rec) != alloc.shape[1]:
                 raise ValueError(
                     f"{where}: alloc has {len(alloc_rec)} labels, "
@@ -161,6 +161,8 @@ def read_trace(path):
                     raise ValueError(
                         f"{where}: 'weights' must be {m_rec} numbers in [0, 1] that sum to 1")
                 weights.append(w)
+            if len(m) == len(alloc):
+                alloc.resize((2 * len(alloc), alloc.shape[1]), refcheck=False)
             alloc[len(m)] = alloc_rec
             m.append(m_rec)
             m_a.append(distinct)
@@ -168,6 +170,7 @@ def read_trace(path):
             zeta.append(float(rec["zeta"]))
     if not m:
         raise ValueError(f"{path}: empty trace")
+    alloc.resize((len(m), alloc.shape[1]), refcheck=False)
     alloc -= 1  # 1-based on disk
     return PosteriorTrace(
         m=np.asarray(m, dtype=np.int64),

@@ -237,30 +237,16 @@ def component_log_pdfs(y, state):
 
 
 def _last_axis_sums(a):
-    """``a.sum(axis=-1)`` bit for bit, for a C-ordered ``a`` of non-negative
-    numbers, by additions of whole slices ``a[..., i]``.
-
-    numpy adds the k numbers along a contiguous axis in order when k < 8
-    and pairwise otherwise: eight running sums over blocks of 128, combined
-    as a tree, then the remainder in order; longer runs are split at a
-    multiple of 8 near the middle.  Summing a short axis of a large array
-    this way is several times faster than numpy's own reduction.
-    """
+    """``a.sum(axis=-1)`` bit for bit.  numpy adds fewer than 8 numbers along
+    a contiguous axis in order, so a short axis is summed by additions of
+    whole slices ``a[..., i]``, several times faster than numpy's own
+    reduction over a large array; 8 or more go to numpy, which adds them
+    pairwise."""
     k = a.shape[-1]
-    if k > 128:
-        half = k // 2 - k // 2 % 8
-        return _last_axis_sums(a[..., :half]) + _last_axis_sums(a[..., half:])
-    if k < 8:
-        total = np.zeros(a.shape[:-1])
-        for i in range(k):
-            total += a[..., i]
-        return total
-    r = [a[..., c].copy() for c in range(8)]
-    for i in range(8, k - k % 8, 8):
-        for c in range(8):
-            r[c] += a[..., i + c]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for i in range(k - k % 8, k):
+    if k >= 8:
+        return a.sum(axis=-1)
+    total = np.zeros(a.shape[:-1])
+    for i in range(k):
         total += a[..., i]
     return total
 

@@ -293,8 +293,10 @@ def _grouped_points(y, state):
     """``(counts, groups)``: the allocation counts of ``state`` and, per
     component, the rows of ``y`` that ``y[state.alloc == j]`` selects, in the
     same order, as slices of one stably sorted copy.  ``sweep`` makes it once
-    for the means and covariance steps, which share it, so it is read-only."""
+    for the steps after the allocation step, which share it, so it is
+    read-only."""
     counts = state.counts()
+    counts.flags.writeable = False
     ys = y[np.argsort(state.alloc, kind="stable")]
     ys.flags.writeable = False
     ends = np.cumsum(counts).tolist()
@@ -310,17 +312,17 @@ def update_allocations(y, state, rng):
     return dataclasses.replace(state, alloc=np.argmax(log_p, axis=1).astype(np.int64, copy=False))
 
 
-def update_means(y, state, rng, step_mu, grouped=None):
+def update_means(y, state, rng, step_mu, grouped):
     """Coordinate-wise Metropolis pass over all component means.
 
     Allocated components take Gaussian random-walk proposals with variance
     ``step_mu``; non-allocated components are refreshed by independence
     proposals from N(0, 2*m + 1/zeta), wide enough to cover the ensemble
     bulk and dominate its tails.  ``grouped`` is ``_grouped_points(y,
-    state)``, made here when not given.  Returns the new state and the tuple
-    (rw_accepts, rw_attempts, refresh_accepts, refresh_attempts).
+    state)``.  Returns the new state and the tuple (rw_accepts, rw_attempts,
+    refresh_accepts, refresh_attempts).
     """
-    counts, groups = _grouped_points(y, state) if grouped is None else grouped
+    counts, groups = grouped
     out = dataclasses.replace(state, mus=state.mus.copy())
     rw_sd = np.sqrt(step_mu)
     refresh_sd = np.sqrt(2.0 * out.m + 1.0 / out.zeta)
@@ -347,17 +349,17 @@ def update_means(y, state, rng, step_mu, grouped=None):
     return out, (rw_acc, rw_att, ref_acc, ref_att)
 
 
-def update_covariances(y, state, hyper, rng, grouped=None):
+def update_covariances(y, state, hyper, rng, grouped):
     """Gibbs draw of every covariance from its inverse-Wishart full conditional.
 
     An allocated component draws from IW(v0 + S_j, nu0 + n_j), S_j being the
     scatter of its n_j points about its mean; a non-allocated component draws
     from the prior IW(v0, nu0).  One stacked ``sample_invwishart`` call draws
     them all; a failed factorisation raises LinAlgError, which ``run_sampler``
-    reports as a SamplerError naming the sweep.  ``grouped`` is as in
-    ``update_means``.
+    reports as a SamplerError naming the sweep.  ``grouped`` is
+    ``_grouped_points(y, state)``.
     """
-    counts, groups = _grouped_points(y, state) if grouped is None else grouped
+    counts, groups = grouped
     allocated = np.flatnonzero(counts)
     scatter = np.empty((allocated.size, state.dim, state.dim))
     for s_j, j in zip(scatter, allocated.tolist()):
@@ -372,10 +374,10 @@ def update_covariances(y, state, hyper, rng, grouped=None):
     return dataclasses.replace(state, sigmas=sample_invwishart(rng, scales, hyper.nu0 + counts))
 
 
-def update_weights(state, hyper, rng, counts=None):
+def update_weights(state, hyper, rng, counts):
     """Independence proposal from Dirichlet(alpha0 + counts); repulsion decides.
-    ``counts`` are ``state.counts()``, counted here when not given."""
-    w_new = rng.dirichlet(hyper.alpha0 + (state.counts() if counts is None else counts))
+    ``counts`` are ``state.counts()``."""
+    w_new = rng.dirichlet(hyper.alpha0 + counts)
     if np.log(rng.random()) < weights_log_accept(state, w_new):
         return dataclasses.replace(state, weights=w_new), True
     return state, False
@@ -397,7 +399,7 @@ def update_scale(state, hyper, rng, key, step_gamma):
     return state, False
 
 
-def birth_death_step(y, state, hyper, rng, counts=None):
+def birth_death_step(y, state, hyper, rng, counts):
     """One birth or death proposal on the non-allocated components.
 
     Birth is chosen with probability q (with probability one when every
@@ -405,10 +407,8 @@ def birth_death_step(y, state, hyper, rng, counts=None):
     slot, or at the last slot under the append bookkeeping; death picks its
     victim uniformly among the non-allocated.  Weights are redrawn wholesale
     from the matching Dirichlet in both directions.  ``counts`` are
-    ``state.counts()``, counted here when not given.  Returns
-    (state, move, accepted).
+    ``state.counts()``.  Returns (state, move, accepted).
     """
-    counts = state.counts() if counts is None else counts
     candidates = np.flatnonzero(counts == 0)
     forced = candidates.size == 0
     alpha_post = hyper.alpha0 + counts

@@ -611,9 +611,9 @@ def mean_refresh_log_accept_ref(state, j, d, mu_new, proposal_sd):
     return float(la + 0.5 * (mu_new * mu_new - old * old) / proposal_sd**2)
 
 
-def update_means_ref(y, state, rng, step_mu, grouped=None):
-    """The per-component means step; it groups the points itself and ignores
-    the sweep's ``grouped``."""
+def update_means_ref(y, state, rng, step_mu, grouped):
+    """The per-component means step; it selects each component's points
+    itself and ignores the sweep's ``grouped``."""
     out = copy.deepcopy(state)
     rw_sd = np.sqrt(step_mu)
     refresh_sd = np.sqrt(2.0 * out.m + 1.0 / out.zeta)
@@ -640,7 +640,7 @@ def update_means_ref(y, state, rng, step_mu, grouped=None):
     return out, (rw_acc, rw_att, ref_acc, ref_att)
 
 
-def update_covariances_ref(y, state, hyper, rng, grouped=None):
+def update_covariances_ref(y, state, hyper, rng, grouped):
     """The per-component covariance step; it ignores the sweep's ``grouped``."""
     out = copy.deepcopy(state)
     counts = out.counts()
@@ -842,7 +842,7 @@ def death_log_accept_ref(state, hyper, j, w_hat):
     return float(la)
 
 
-def birth_death_step_ref(y, state, hyper, rng, counts=None):
+def birth_death_step_ref(y, state, hyper, rng, counts):
     """The birth-death step with the term-by-term ratios; it counts the
     allocations itself and ignores the sweep's ``counts``."""
     counts = state.counts()

@@ -2,9 +2,11 @@
 
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -126,6 +128,40 @@ class TestTraceFiles:
             tracemalloc.stop()
         np.testing.assert_array_equal(back.alloc, alloc, strict=True)
         assert peak < 1.5 * alloc.nbytes
+
+    def test_trace_read_through_a_pipe(self, tmp_path):
+        # the file is read once, so a trace streamed through a pipe loads;
+        # 37 records take the label array past two doublings
+        rng = np.random.default_rng(4)
+        alloc = rng.integers(0, 3, size=(37, 8))
+        trace = PosteriorTrace(m=np.full(37, 3), m_allocated=np.array([np.unique(row).size
+                                                                         for row in alloc]),
+                               alloc=alloc, gamma=rng.uniform(0.5, 2.0, size=37),
+                               zeta=np.ones(37), weights=None)
+        path, fifo = tmp_path / "trace.ndjson", tmp_path / "pipe"
+        write_trace(path, trace)
+        os.mkfifo(fifo)
+        got = {}
+
+        def read():
+            try:
+                got["trace"] = read_trace(fifo)
+            except Exception as exc:
+                got["error"] = exc
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        with open(fifo, "w") as fh:
+            fh.write(path.read_text())
+        reader.join(timeout=30)
+        if reader.is_alive():  # a second open waits for a writer: give it one
+            with open(fifo, "w"):
+                pass
+            reader.join()
+            pytest.fail("read_trace opened the pipe twice")
+        assert "error" not in got, got.get("error")
+        np.testing.assert_array_equal(got["trace"].alloc, alloc, strict=True)
+        np.testing.assert_array_equal(got["trace"].gamma, trace.gamma)
 
     def test_labels_are_one_based_on_disk(self, tmp_path):
         trace = self.make_trace()

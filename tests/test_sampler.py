@@ -17,6 +17,7 @@ from selmix.model import Hyperparams, MixtureState, allocation_log_probs, compon
 from selmix.sampler import (
     SamplerConfig,
     SamplerError,
+    _grouped_points,
     birth_death_step,
     birth_log_accept,
     death_log_accept,
@@ -347,7 +348,8 @@ class TestSweepSteps:
         hyper = H.random_hyper(rng, 2)
         state = H.random_state(rng, 3, 2, 12, force_empty=[2])
         y = rng.normal(size=(12, 2))
-        out, (rw_acc, rw_att, ref_acc, ref_att) = update_means(y, state, rng, hyper.step_mu)
+        out, (rw_acc, rw_att, ref_acc, ref_att) = update_means(
+            y, state, rng, hyper.step_mu, _grouped_points(y, state))
         assert rw_att == 2 * 2 and ref_att == 1 * 2
         assert 0 <= rw_acc <= rw_att and 0 <= ref_acc <= ref_att
         np.testing.assert_array_equal(out.alloc, state.alloc)
@@ -365,7 +367,8 @@ class TestSweepSteps:
             sigmas=np.eye(2)[None, :, :], alloc=np.zeros(n, dtype=np.int64),
             gamma=1.0, zeta=0.1,
         )
-        draws = np.mean([update_covariances(y, state, hyper, rng).sigmas[0]
+        grouped = _grouped_points(y, state)
+        draws = np.mean([update_covariances(y, state, hyper, rng, grouped).sigmas[0]
                          for _ in range(400)], axis=0)
         resid = y - state.mus[0]
         scale = resid.T @ resid + hyper.v0
@@ -377,7 +380,7 @@ class TestSweepSteps:
         hyper = H.random_hyper(rng, 2)
         state = H.random_state(rng, 4, 2, 10, gamma=0.0)
         for _ in range(25):
-            out, accepted = update_weights(state, hyper, rng)
+            out, accepted = update_weights(state, hyper, rng, state.counts())
             assert accepted
             state = out
 
@@ -420,7 +423,7 @@ class TestBirthDeathStep:
         state = H.random_state(rng, 3, 2, 30)
         for _ in range(200):
             out, move, accepted = birth_death_step(
-                np.empty((30, 2)), state, hyper, rng)
+                np.empty((30, 2)), state, hyper, rng, state.counts())
             H.validate_state(out)
             if move == "birth" and accepted:
                 assert out.m == state.m + 1
@@ -439,7 +442,7 @@ class TestBirthDeathStep:
         for _ in range(300):
             state = H.random_state(rng, 4, 2, 20, force_empty=[1])
             out, move, accepted = birth_death_step(
-                np.empty((20, 2)), state, hyper, rng)
+                np.empty((20, 2)), state, hyper, rng, state.counts())
             H.validate_state(out)
             if move == "death" and accepted:
                 assert out.m == state.m - 1
@@ -455,7 +458,7 @@ class TestBirthDeathStep:
         state = H.random_state(rng, 2, 1, 10)
         assert state.m_nonallocated == 0
         for _ in range(10):
-            _, move, _ = birth_death_step(np.empty((10, 1)), state, hyper, rng)
+            _, move, _ = birth_death_step(np.empty((10, 1)), state, hyper, rng, state.counts())
             assert move == "birth"
 
     def test_append_bookkeeping_always_appends(self):
@@ -464,7 +467,8 @@ class TestBirthDeathStep:
         state = H.random_state(rng, 3, 1, 15)
         seen_birth = False
         for _ in range(300):
-            out, move, accepted = birth_death_step(np.empty((15, 1)), state, hyper, rng)
+            out, move, accepted = birth_death_step(np.empty((15, 1)), state, hyper, rng,
+                                                   state.counts())
             if move == "birth" and accepted:
                 seen_birth = True
                 np.testing.assert_array_equal(out.mus[:state.m], state.mus)
@@ -697,8 +701,9 @@ class TestFastSweepMatchesReference:
             step = float(rng.choice([0.01, 0.25, 4.0]))
             r1, r2 = twin_generators(trial)
             before = copy.deepcopy(state)
-            got, got_counts = update_means(y, state, r1, step)
-            want, want_counts = H.update_means_ref(y, state, r2, step)
+            grouped = _grouped_points(y, state)
+            got, got_counts = update_means(y, state, r1, step, grouped)
+            want, want_counts = H.update_means_ref(y, state, r2, step, grouped)
             assert_states_equal(got, want)
             assert got_counts == want_counts
             assert r1.bit_generator.state == r2.bit_generator.state
@@ -711,8 +716,9 @@ class TestFastSweepMatchesReference:
             y, state, hyper = read_only_case(rng, dim, n, empty=[0, 2])
             r1, r2 = twin_generators(trial)
             before = copy.deepcopy(state)
-            got = update_covariances(y, state, hyper, r1)
-            assert_states_equal(got, H.update_covariances_ref(y, state, hyper, r2))
+            grouped = _grouped_points(y, state)
+            got = update_covariances(y, state, hyper, r1, grouped)
+            assert_states_equal(got, H.update_covariances_ref(y, state, hyper, r2, grouped))
             assert r1.bit_generator.state == r2.bit_generator.state
             assert_states_equal(state, before)
 
@@ -738,8 +744,9 @@ class TestFastSweepMatchesReference:
                                              birth_death=bookkeeping)
             r1, r2 = twin_generators(trial)
             before = copy.deepcopy(state)
-            got, move, accepted = birth_death_step(y, state, hyper, r1)
-            want, want_move, want_accepted = H.birth_death_step_ref(y, state, hyper, r2)
+            counts = _grouped_points(y, state)[0]
+            got, move, accepted = birth_death_step(y, state, hyper, r1, counts)
+            want, want_move, want_accepted = H.birth_death_step_ref(y, state, hyper, r2, counts)
             assert (move, accepted) == (want_move, want_accepted)
             assert_states_equal(got, want)
             assert r1.bit_generator.state == r2.bit_generator.state
@@ -1008,9 +1015,10 @@ class TestStepsShareUnchangedBlocks:
                 assert_shares(out, state, "weights", "mus", "sigmas")
             else:
                 assert out is state
-            out, _ = update_means(y, state, rng, hyper.step_mu)
+            grouped = _grouped_points(y, state)
+            out, _ = update_means(y, state, rng, hyper.step_mu, grouped)
             assert_shares(out, state, "weights", "sigmas", "alloc")
-            out = update_covariances(y, state, hyper, rng)
+            out = update_covariances(y, state, hyper, rng, grouped)
             assert_shares(out, state, "weights", "mus", "alloc")
 
     def test_rejected_moves_return_their_input(self):
@@ -1019,7 +1027,8 @@ class TestStepsShareUnchangedBlocks:
         for trial in range(200):
             dim, n = EQUIVALENCE_SHAPES[trial % len(EQUIVALENCE_SHAPES)]
             y, state, hyper = read_only_case(rng, dim, n, empty=[1, 4], zeta_mode="gamma")
-            out, accepted = update_weights(state, hyper, rng)
+            counts = _grouped_points(y, state)[0]
+            out, accepted = update_weights(state, hyper, rng, counts)
             if accepted:
                 assert_shares(out, state, "mus", "sigmas", "alloc")
             else:
@@ -1033,7 +1042,7 @@ class TestStepsShareUnchangedBlocks:
             else:
                 assert out is state
             outcomes["scale"].add(accepted)
-            out, move, accepted = birth_death_step(y, state, hyper, rng)
+            out, move, accepted = birth_death_step(y, state, hyper, rng, counts)
             if accepted:
                 assert_shares(out, state)
             else:
@@ -1043,24 +1052,43 @@ class TestStepsShareUnchangedBlocks:
 
     @pytest.mark.parametrize("bookkeeping", ["reversible", "append"])
     @pytest.mark.parametrize("zeta_mode", ["fixed", "gamma", "ratio"])
-    def test_chain_on_read_only_states(self, bookkeeping, zeta_mode):
-        # sweep runs on read-only data and on a state whose arrays refuse
-        # writes (the grouping its steps share is read-only too), and the
-        # chain that initial_state and sweep draw from one generator is the
-        # one run_sampler draws from the same seed, with the same counts
+    def test_chain_on_read_only_states(self, bookkeeping, zeta_mode, monkeypatch):
+        # sweep runs on read-only data, and every step on a state whose
+        # arrays refuse writes and on read-only counts and groups, the ones
+        # made inside the sweep included; the chain that initial_state and
+        # sweep draw from one generator is the one run_sampler draws from
+        # the same seed, with the same counts
+        import selmix.sampler as sampler_mod
+
+        def read_only(arg):
+            if isinstance(arg, MixtureState):
+                return H.read_only_state(arg)
+            if isinstance(arg, np.ndarray):
+                view = arg.view()
+                view.flags.writeable = False
+                return view
+            if isinstance(arg, tuple):  # a grouping: counts and groups
+                return tuple(read_only(a) for a in arg)
+            if isinstance(arg, list):
+                return [read_only(a) for a in arg]
+            return arg
+
         y = np.random.default_rng(1502).normal(0.0, 3.0, size=(30, 2))
         hyper = Hyperparams(zeta_mode=zeta_mode, zeta_fixed=0.5, birth_death=bookkeeping,
                             burn_in=0, thin=1, n_samples=60)
         config = SamplerConfig(hyper=hyper, seed=63, record_weights=True)
         want, diag = run_sampler(y, config)
+        for name in ("update_allocations", "update_means", "update_covariances",
+                     "update_weights", "update_scale", "birth_death_step"):
+            monkeypatch.setattr(sampler_mod, name, lambda *args, step=getattr(sampler_mod, name):
+                                step(*map(read_only, args)))
         y.flags.writeable = False
         hyper = hyper.resolved(2)
         rng = np.random.default_rng(config.seed)
         state = initial_state(y, hyper, rng)
         accepts, attempts = dict.fromkeys(diag.accepts, 0), dict.fromkeys(diag.attempts, 0)
         for t in range(hyper.n_samples):
-            state, counts = sweep(y, H.read_only_state(state), hyper, rng,
-                                  hyper.step_mu, hyper.step_gamma)
+            state, counts = sweep(y, state, hyper, rng, hyper.step_mu, hyper.step_gamma)
             for key, (acc, att) in counts.items():
                 accepts[key] += acc
                 attempts[key] += att
@@ -1073,8 +1101,8 @@ class TestStepsShareUnchangedBlocks:
         assert attempts["gamma"] and attempts["birth"] and attempts["death"]
 
     def test_one_sort_per_sweep(self, monkeypatch):
-        # the means and covariance steps share the grouping that sweep makes
-        # once, after the allocation step, and cannot write into it
+        # the steps after the allocation step share the grouping that sweep
+        # makes once, and cannot write into it
         import selmix.sampler as sampler_mod
 
         grouped_points, made = sampler_mod._grouped_points, []
@@ -1091,7 +1119,8 @@ class TestStepsShareUnchangedBlocks:
             sweep(y, state, hyper, rng, hyper.step_mu, hyper.step_gamma)
             assert len(made) == 1
             counts, groups = made[0]
-            assert counts.sum() == n and not any(g.flags.writeable for g in groups)
+            assert counts.sum() == n and not counts.flags.writeable
+            assert not any(g.flags.writeable for g in groups)
 
 
 class TestCovarianceFailure:
