@@ -100,25 +100,52 @@ def sample_invwishart(rng, scale, df):
     inverses, factorisations and products are batched.  Requires every
     df > d - 1 (NaN is refused too); fractional degrees of freedom are fine
     because the Bartlett diagonal uses chi-square variates with real-valued
-    dof.  Raises LinAlgError when any factorisation fails.
+    dof.  Raises LinAlgError when any factorisation fails.  The draw is
+    ``invwishart_from_variates(scale, bartlett_variates(rng, d, df))``; a
+    caller that may not keep its matrix can draw the variates alone and form
+    the matrix later.
     """
     scale = np.asarray(scale, dtype=float)
     d = scale.shape[-1]
-    scales = scale.reshape(-1, d, d)
-    dfs = np.empty(len(scales))
+    dfs = np.empty(scale.size // (d * d))
     dfs[:] = df
-    if np.count_nonzero(dfs > d - 1) < dfs.size:
+    return invwishart_from_variates(scale, bartlett_variates(rng, d, dfs))
+
+
+def bartlett_variates(rng, d, df):
+    """The random variates of inverse-Wishart draws in dimension ``d``, one
+    row per matrix and one matrix per entry of ``df`` (a scalar gives one):
+    the d chi-squares, with df, df - 1, ..., df - d + 1 degrees of freedom,
+    then the d(d-1)/2 normals, drawn matrix by matrix in that order.
+    Requires every df > d - 1 (NaN is refused too) before drawing any."""
+    dfs = np.asarray(df, dtype=float).reshape(-1).tolist()
+    if not all(df_i > d - 1 for df_i in dfs):
         raise ValueError("degrees of freedom must exceed dim - 1")
-    chol_prec = np.linalg.cholesky(np.linalg.inv(scales))
-    # per matrix, its d chi-squares then its normals, drawn in that order
-    draws = np.empty((dfs.size, d * (d + 1) // 2))
-    for row, df_i in zip(draws, dfs.tolist()):
+    n_normal = d * (d - 1) // 2
+    draws = []
+    for df_i in dfs:
         for k in range(d):
-            row[k] = rng.chisquare(df_i - k)
-        rng.standard_normal(out=row[d:])
-    np.sqrt(draws[:, :d], out=draws[:, :d])
-    bart = np.zeros((dfs.size, d * d))
-    bart[:, _bartlett_slots(d)] = draws
+            draws.append(rng.chisquare(df_i - k))
+        # a scalar call draws the variate an array call of one would, for less
+        if n_normal == 1:
+            draws.append(rng.standard_normal())
+        elif n_normal:
+            draws += rng.standard_normal(n_normal).tolist()
+    return np.array(draws).reshape(len(dfs), -1)
+
+
+def invwishart_from_variates(scale, variates):
+    """The inverse-Wishart matrices that ``variates``
+    (``bartlett_variates``) give with scale ``scale``, one (d, d) matrix or
+    a stack with one matrix per row of ``variates``; the result has the
+    shape of ``scale``.  Raises LinAlgError when any factorisation fails."""
+    scale = np.asarray(scale, dtype=float)
+    d = scale.shape[-1]
+    scales = scale.reshape(-1, d, d)
+    chol_prec = np.linalg.cholesky(np.linalg.inv(scales))
+    bart = np.zeros((len(variates), d * d))
+    bart[:, _bartlett_slots(d)] = variates
+    np.sqrt(bart[:, :: d + 1], out=bart[:, :: d + 1])
     root = chol_prec @ bart.reshape(scales.shape)
     sigma = np.linalg.inv(root @ root.transpose(0, 2, 1))
     sym = sigma + sigma.transpose(0, 2, 1)

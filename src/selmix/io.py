@@ -86,12 +86,12 @@ def write_trace(path, trace):
             record = {
                 "m": int(trace.m[i]),
                 "m_a": int(trace.m_allocated[i]),
-                "alloc": [int(a) + 1 for a in trace.alloc[i]],
+                "alloc": (trace.alloc[i] + 1).tolist(),
                 "gamma": float(trace.gamma[i]),
                 "zeta": float(trace.zeta[i]),
             }
             if trace.weights is not None:
-                record["weights"] = [float(w) for w in trace.weights[i]]
+                record["weights"] = np.asarray(trace.weights[i], dtype=float).tolist()
             fh.write(json.dumps(record) + "\n")
 
 

@@ -50,7 +50,14 @@ import numpy as np
 from scipy.special import gammaln
 
 from .analysis import PosteriorTrace
-from .distributions import LOG_2PI, gamma_log_pdf, pairwise_log_gap_sum, sample_invwishart
+from .distributions import (
+    LOG_2PI,
+    bartlett_variates,
+    gamma_log_pdf,
+    invwishart_from_variates,
+    pairwise_log_gap_sum,
+    sample_invwishart,
+)
 from .ensemble import GeParams, ge_log_density, ge_log_norm_const, sample_ge
 from .model import Hyperparams, MixtureState, allocation_log_probs, weight_prior_log_density
 from .selberg import SdirParams, sdir_log_norm_const
@@ -121,16 +128,36 @@ def repulsion_log_ratio(gamma, w_num, w_den):
 
 
 def _coord_ge_log_ratio(column, j, new, zeta):
-    """Change in the (unnormalized) ensemble log density when one coordinate moves."""
-    old = column[j]
-    others = np.concatenate((column[:j], column[j + 1:]))
-    # the gaps from the new and from the old value, one row each
-    gaps = np.abs(np.subtract.outer((new, old), others))
-    if np.count_nonzero(gaps) < gaps.size:
-        # the move ties another coordinate (-inf), or leaves a tie (+inf)
-        return -np.inf if np.count_nonzero(gaps[0]) < others.size else np.inf
-    new_log_gaps, old_log_gaps = np.log(gaps).sum(axis=1)
-    term = float(new_log_gaps - old_log_gaps)
+    """Change in the (unnormalized) ensemble log density when one coordinate
+    moves: -inf when the move ties another coordinate, else +inf when it
+    leaves a tie.  numpy adds fewer than 8 numbers in order, and its log of
+    one number has the bits of its log of an array, so fewer than 8 gaps are
+    taken one by one on Python floats; 8 or more go to numpy as one array."""
+    others = column.tolist()
+    old = others.pop(j)
+    new = float(new)
+    if len(others) >= 8:
+        # the gaps from the new and from the old value, one row each
+        gaps = np.abs(np.subtract.outer((new, old), others))
+        if np.count_nonzero(gaps) < gaps.size:
+            return -np.inf if np.count_nonzero(gaps[0]) < len(others) else np.inf
+        new_log_gaps, old_log_gaps = np.log(gaps).sum(axis=1)
+        term = float(new_log_gaps - old_log_gaps)
+    else:
+        new_log_gaps = old_log_gaps = 0.0
+        leaves_tie = False
+        for v in others:
+            new_gap, old_gap = abs(new - v), abs(old - v)
+            if new_gap == 0.0:
+                return -np.inf
+            if old_gap == 0.0:
+                leaves_tie = True
+                continue
+            new_log_gaps += float(np.log(new_gap))
+            old_log_gaps += float(np.log(old_gap))
+        if leaves_tie:
+            return np.inf
+        term = new_log_gaps - old_log_gaps
     return zeta * term - 0.5 * zeta * (new * new - old * old)
 
 
@@ -140,13 +167,18 @@ def mean_rw_log_accept(state, j, d, mu_new, n, point_sum, prec):
     The ensemble prior change in dimension ``d`` plus the likelihood change
     of the ``n`` points of component ``j``, which sum to ``point_sum``:
     h (prec r)_d - n h^2 prec_dd / 2 for a step h, with ``prec`` the inverse
-    covariance and r = point_sum - n mu_j.
+    covariance and r = point_sum - n mu_j.  ``point_sum`` and ``prec`` may be
+    arrays or (nested) lists; the term is formed on Python floats, the dot
+    product added in order, so it is exactly 0 when n = 0.
     """
     la = _coord_ge_log_ratio(state.mus[:, d], j, mu_new, state.zeta)
-    h = mu_new - state.mus[j, d]
-    resid_sum = point_sum - n * state.mus[j]
-    la += h * (prec[d] @ resid_sum) - 0.5 * n * h * h * prec[d, d]
-    return float(la)
+    mu = state.mus[j].tolist()
+    h = mu_new - mu[d]
+    row = prec[d]
+    dot = 0.0
+    for p, s, mu_k in zip(row, point_sum, mu):
+        dot += p * (s - n * mu_k)
+    return float(la + (h * dot - 0.5 * n * h * h * row[d]))
 
 
 def mean_refresh_log_accept(state, j, d, mu_new, proposal_sd):
@@ -269,8 +301,8 @@ def _insert_component(state, slot, weights, mu, sigma):
     alloc[alloc >= slot] += 1
     return dataclasses.replace(
         state, m=state.m + 1, weights=weights, alloc=alloc,
-        mus=np.insert(state.mus, slot, mu, axis=0),
-        sigmas=np.insert(state.sigmas, slot, sigma, axis=0),
+        mus=np.concatenate((state.mus[:slot], [mu], state.mus[slot:])),
+        sigmas=np.concatenate((state.sigmas[:slot], [sigma], state.sigmas[slot:])),
     )
 
 
@@ -280,8 +312,8 @@ def _remove_component(state, j, weights):
     alloc[alloc > j] -= 1
     return dataclasses.replace(
         state, m=state.m - 1, weights=weights, alloc=alloc,
-        mus=np.delete(state.mus, j, axis=0),
-        sigmas=np.delete(state.sigmas, j, axis=0),
+        mus=np.concatenate((state.mus[:j], state.mus[j + 1:])),
+        sigmas=np.concatenate((state.sigmas[:j], state.sigmas[j + 1:])),
     )
 
 
@@ -294,10 +326,12 @@ def _grouped_points(y, state):
     component, the rows of ``y`` that ``y[state.alloc == j]`` selects, in the
     same order, as slices of one stably sorted copy.  ``sweep`` makes it once
     for the steps after the allocation step, which share it, so it is
-    read-only."""
+    read-only.  The labels are sorted as the narrowest unsigned type that
+    holds m, for which numpy's stable sort is a radix sort; a stable sort
+    gives one permutation, whatever the type."""
     counts = state.counts()
     counts.flags.writeable = False
-    ys = y[np.argsort(state.alloc, kind="stable")]
+    ys = y[np.argsort(state.alloc.astype(np.min_scalar_type(state.m)), kind="stable")]
     ys.flags.writeable = False
     ends = np.cumsum(counts).tolist()
     return counts, [ys[end - c:end] for c, end in zip(counts.tolist(), ends)]
@@ -323,20 +357,22 @@ def update_means(y, state, rng, step_mu, grouped):
     refresh_accepts, refresh_attempts).
     """
     counts, groups = grouped
-    out = dataclasses.replace(state, mus=state.mus.copy())
-    rw_sd = np.sqrt(step_mu)
+    mus = state.mus.copy()
+    out = dataclasses.replace(state, mus=mus)
+    rw_sd = float(np.sqrt(step_mu))
     refresh_sd = np.sqrt(2.0 * out.m + 1.0 / out.zeta)
     precs = np.linalg.inv(out.sigmas)
     rw_acc = rw_att = ref_acc = ref_att = 0
-    for j in range(out.m):
-        if counts[j]:
-            n, point_sum = len(groups[j]), groups[j].sum(axis=0)
+    for j, n in enumerate(counts.tolist()):
+        if n:
+            # per component: its statistics as Python floats, for every coordinate
+            point_sum, prec = groups[j].sum(axis=0).tolist(), precs[j].tolist()
             for d in range(out.dim):
-                prop = out.mus[j, d] + rw_sd * rng.standard_normal()
-                la = mean_rw_log_accept(out, j, d, prop, n, point_sum, precs[j])
+                prop = mus.item(j, d) + rw_sd * rng.standard_normal()
+                la = mean_rw_log_accept(out, j, d, prop, n, point_sum, prec)
                 rw_att += 1
                 if np.log(rng.random()) < la:
-                    out.mus[j, d] = prop
+                    mus[j, d] = prop
                     rw_acc += 1
         else:
             for d in range(out.dim):
@@ -344,7 +380,7 @@ def update_means(y, state, rng, step_mu, grouped):
                 la = mean_refresh_log_accept(out, j, d, prop, refresh_sd)
                 ref_att += 1
                 if np.log(rng.random()) < la:
-                    out.mus[j, d] = prop
+                    mus[j, d] = prop
                     ref_acc += 1
     return out, (rw_acc, rw_att, ref_acc, ref_att)
 
@@ -406,11 +442,14 @@ def birth_death_step(y, state, hyper, rng, counts):
     component is allocated) and inserts the newborn at a uniformly chosen
     slot, or at the last slot under the append bookkeeping; death picks its
     victim uniformly among the non-allocated.  Weights are redrawn wholesale
-    from the matching Dirichlet in both directions.  ``counts`` are
-    ``state.counts()``.  Returns (state, move, accepted).
+    from the matching Dirichlet in both directions.  A birth draws the
+    newborn's covariance from the prior IW(v0, nu0), which cancels in its
+    ratio: its variates are drawn before the accept coin, in the order
+    ``sample_invwishart`` draws them, and the matrix is formed only when the
+    birth is kept.  ``counts`` are ``state.counts()``.  Returns (state,
+    move, accepted).
     """
-    candidates = np.flatnonzero(counts == 0)
-    forced = candidates.size == 0
+    forced = np.count_nonzero(counts) == state.m
     alpha_post = hyper.alpha0 + counts
     if forced or rng.random() < hyper.q_birth:
         if hyper.birth_death == "reversible":
@@ -420,12 +459,14 @@ def birth_death_step(y, state, hyper, rng, counts):
         alpha_new = np.concatenate((alpha_post[:slot], [hyper.alpha0], alpha_post[slot:]))
         w_new = rng.dirichlet(alpha_new)
         mu_new = rng.normal(0.0, 1.0 / np.sqrt(state.zeta), size=state.dim)
-        sigma_new = sample_invwishart(rng, hyper.v0, hyper.nu0)
+        sigma_variates = bartlett_variates(rng, state.dim, hyper.nu0)
         la = birth_log_accept(state, hyper, w_new, mu_new, forced, counts)
         if np.log(rng.random()) < la:
+            sigma_new = invwishart_from_variates(hyper.v0, sigma_variates)
             return _insert_component(state, slot, w_new, mu_new, sigma_new), "birth", True
         return state, "birth", False
 
+    candidates = np.flatnonzero(counts == 0)
     j = int(candidates[rng.integers(candidates.size)])
     w_hat = rng.dirichlet(np.concatenate((alpha_post[:j], alpha_post[j + 1:])))
     la = death_log_accept(state, hyper, j, w_hat, counts)

@@ -818,15 +818,21 @@ class TestMeanRatioMatchesTheSolve:
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 6])
     def test_ties_and_empty_components_are_exact(self, dim):
         # an empty component's ratio is the ensemble term alone, summed over
-        # m - 1 gaps: at m = 12 numpy sums them pairwise
+        # m - 1 gaps: in order on Python floats below 8 gaps (m <= 8),
+        # pairwise by numpy from 8 on
         rng = np.random.default_rng(1400 + dim)
-        for m in [3] * 20 + [12] * 20:
+        for m in [m for m in range(2, 21) for _ in range(6)]:
             y, state, _ = equivalence_case(rng, dim, 12, m=m, empty=[0])
             d = int(rng.integers(dim))
-            tie = self.both(state, y, 1, d, state.mus[2, d])
+            tie = self.both(state, y, 1, d, state.mus[0, d])
             assert tie == (-np.inf, -np.inf)
             got, want = self.both(state, y, 0, d, state.mus[0, d] + rng.normal())
             assert got == want
+            # leaving a tie: component 1 moves off the value it shares with 0
+            mus = state.mus.copy()
+            mus[1, d] = mus[0, d]
+            tied = H.replace_state(state, mus=mus)
+            assert self.both(tied, y, 1, d, mus[1, d] + 1.0) == (np.inf, np.inf)
 
 
 class TestRatiosArePure:

@@ -5,12 +5,15 @@
 Runs ``run_sampler`` in this process on the planted data (n = 300, d = 2,
 ``simulate_benchmark(1)``) and the tall data (n = 3000, d = 5,
 ``bench/workloads.make_tall(1)``), gamma = 1 and zeta = 0.1, with every step
-that ``sampler.sweep`` calls through a module global wrapped in a timer.
-Each round runs one chain per workload, seeds 1, 2, ... in turn; the table
-gives the median over rounds of each step's time and of the whole chain
-(timed without the wrappers, in a separate run of the same seed), in
-microseconds per sweep.  ``--src`` names the ``src`` directory whose
-``selmix`` is imported, so two checkouts can be timed by one script.
+that ``sampler.sweep`` calls through a module global wrapped in a timer,
+the grouping of the data (``_grouped_points``) included.  Each round runs
+one chain per workload, seeds 1, 2, ... in turn; the table gives the median
+over rounds of each step's time and of the whole chain (timed without the
+wrappers, in a separate run of the same seed), in microseconds per sweep.
+The last row, ``unattributed``, is the median of the chain minus the timed
+steps: the sweep's own code, the chain driver and the start of the chain.
+``--src`` names the ``src`` directory whose ``selmix`` is imported, so two
+checkouts can be timed by one script.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # neither workload moves a scale, so update_scale is not timed
-STEPS = ("update_allocations", "update_means", "update_covariances", "update_weights",
-         "birth_death_step")
+STEPS = ("update_allocations", "_grouped_points", "update_means", "update_covariances",
+         "update_weights", "birth_death_step")
 WORKLOADS = {"planted": (400, 600), "tall": (100, 150)}  # (burn-in, retained) sweeps
 
 
@@ -55,7 +58,7 @@ def main(argv=None):
         return step
 
     originals = {name: getattr(sampler, name) for name in STEPS}
-    rows = {name: {key: [] for key in STEPS + ("chain",)} for name in WORKLOADS}
+    rows = {name: {key: [] for key in STEPS + ("chain", "unattributed")} for name in WORKLOADS}
     for r in range(args.rounds):
         for name, (burn, keep) in WORKLOADS.items():
             hyper = Hyperparams(gamma_fixed=1.0, zeta_fixed=0.1, burn_in=burn, thin=1,
@@ -75,8 +78,10 @@ def main(argv=None):
                     setattr(sampler, step, fn)
             for step in STEPS:
                 rows[name][step].append(1e6 * spent[step] / sweeps)
+            rows[name]["unattributed"].append(
+                rows[name]["chain"][-1] - 1e6 * sum(spent.values()) / sweeps)
     print(f"{'us per sweep':20s}" + "".join(f"{name:>10s}" for name in WORKLOADS))
-    for key in STEPS + ("chain",):
+    for key in STEPS + ("chain", "unattributed"):
         print(f"{key:20s}" + "".join(f"{np.median(rows[name][key]):10.1f}" for name in WORKLOADS))
 
 

@@ -1,0 +1,154 @@
+"""Fixed-seed fits of two source trees, compared byte for byte.
+
+    python tools/trace_identity.py --src A/src --src B/src
+
+Runs one fixed set of 32 seeded fits with the ``selmix`` of each ``--src``
+directory (each names a ``src`` directory, as in ``tools/step_cost.py``),
+every fit in its own child process with ``OPENBLAS_NUM_THREADS=1``, and
+compares the sha256 of every trace and ``summary.json`` each fit writes.
+The set covers four kinds of run:
+
+- ``planted``: ``selmix fit`` with the flags of the ``planted`` bench
+  workload (``bench/workloads.py``) on ``selmix simulate`` data, with the
+  bench's data and chain seeds for workload seeds 1-3, chain operations 1-4;
+  operation 4 adds ``--record-weights``.  Operation 1 is the bench's
+  fingerprint fit.
+- ``tall``: ``selmix fit`` with the ``tall`` workload's flags on
+  ``make_tall`` data, workload seeds 1-2, operations 1-3.
+- ``hyper``: ``selmix fit`` with the ``hyper`` workload's flags (two chains,
+  ``--zeta-mode gamma``), workload seeds 1-3, operations 1-2.
+- ``prior``: a chain without data (``run_sampler`` on a (0, 2) array, then
+  ``write_trace``, with its acceptance counts as JSON), seeds 1-8,
+  alternating fixed zeta and ``zeta_mode="gamma"``.
+
+The input data are made once, with the first tree.  A prior chain writes
+its acceptance counts to ``counts.json`` in place of ``summary.json``;
+``manifest.json``, which names the package version, is not compared.  The
+tool prints one line per fit and exits 1 if any file differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import WORKLOADS, chain_seed, data_seed  # noqa: E402
+
+PRIOR_FIT = """
+import dataclasses, json, sys
+import numpy as np
+from selmix.io import write_trace
+from selmix.model import Hyperparams
+from selmix.sampler import SamplerConfig, run_sampler
+out, seed, zeta_mode = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+hyper = Hyperparams(gamma_fixed=1.0, zeta_mode=zeta_mode, zeta_fixed=0.5,
+                    burn_in=200, thin=2, n_samples=200)
+trace, diag = run_sampler(np.empty((0, 2)), SamplerConfig(hyper, seed=seed, record_weights=True))
+write_trace(out + "/trace_chain0.ndjson", trace)
+with open(out + "/counts.json", "w") as fh:
+    json.dump(dataclasses.asdict(diag), fh, sort_keys=True)
+"""
+TALL_DATA = """
+import sys
+from selmix.io import write_dataset
+from workloads import make_tall
+write_dataset(sys.argv[1], make_tall(int(sys.argv[2])))
+"""
+
+
+def child(src, args, cwd):
+    """Run ``python <args>`` with ``src`` and ``bench/`` on the path."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join((str(src), str(ROOT / "bench"))))
+    proc = subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env,
+                          capture_output=True, text=True)
+    if proc.returncode:
+        raise SystemExit(f"{' '.join(map(str, args))} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+
+
+def selmix(src, argv, cwd):
+    child(src, ["-m", "selmix.cli", *argv], cwd)
+
+
+def fits():
+    """(name, kind, workload seed, operation or chain seed, record weights)."""
+    for seed in (1, 2, 3):
+        for op in (1, 2, 3, 4):
+            yield f"planted-s{seed}-op{op}", "planted", seed, op, op == 4
+    for seed in (1, 2):
+        for op in (1, 2, 3):
+            yield f"tall-s{seed}-op{op}", "tall", seed, op, False
+    for seed in (1, 2, 3):
+        for op in (1, 2):
+            yield f"hyper-s{seed}-op{op}", "hyper", seed, op, False
+    for seed in range(1, 9):
+        yield f"prior-s{seed}", "prior", seed, seed, True
+
+
+def make_data(src, work):
+    """One CSV per (kind, workload seed), written with the first tree."""
+    paths = {}
+    for _, kind, seed, _, _ in fits():
+        if kind == "prior" or (kind, seed) in paths:
+            continue
+        path = work / f"data-{kind}-s{seed}.csv"
+        if kind == "tall":
+            child(src, ["-c", TALL_DATA, path, data_seed(seed)], work)
+        else:
+            selmix(src, ["simulate", "--seed", data_seed(seed), "--out", path], work)
+        paths[kind, seed] = path
+    return paths
+
+
+def run_fit(src, out, fit, data):
+    _, kind, seed, op, weights = fit
+    out.mkdir(parents=True)
+    if kind == "prior":
+        child(src, ["-c", PRIOR_FIT, out, op, ("fixed", "gamma")[op % 2]], out)
+        return
+    argv = ["fit", "--data", data[kind, seed], "--out-dir", out,
+            "--seed", chain_seed(seed, op), *WORKLOADS[kind].fit_flags]
+    selmix(src, argv + ["--record-weights"] if weights else argv, out)
+
+
+def digests(out):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", type=Path, action="append", required=True,
+                        help="a src directory; give it twice")
+    args = parser.parse_args(argv)
+    if len(args.src) != 2:
+        parser.error("give --src exactly twice")
+    srcs = [src.resolve() for src in args.src]
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="trace-identity-") as tmp:
+        work = Path(tmp)
+        data = make_data(srcs[0], work)
+        for fit in fits():
+            outs = [work / f"tree{i}" / fit[0] for i in range(2)]
+            for src, out in zip(srcs, outs):
+                run_fit(src, out, fit, data)
+            a, b = (digests(out) for out in outs)
+            same = a == b and len(a) >= 2
+            differ += not same
+            print(f"{fit[0]:18s} {'same' if same else 'DIFFERENT'}  {len(a)} files"
+                  + "".join(f"  {k} {v[:12]}" for k, v in a.items() if k.startswith("trace")))
+    print(f"{differ} of {sum(1 for _ in fits())} fits differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
