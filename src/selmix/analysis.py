@@ -66,14 +66,9 @@ class PosteriorTrace:
         weights = None
         if all(t.weights is not None for t in traces):
             weights = [w for t in traces for w in t.weights]
-        return cls(
-            m=np.concatenate([t.m for t in traces]),
-            m_allocated=np.concatenate([t.m_allocated for t in traces]),
-            alloc=np.vstack([t.alloc for t in traces]),
-            gamma=np.concatenate([t.gamma for t in traces]),
-            zeta=np.concatenate([t.zeta for t in traces]),
-            weights=weights,
-        )
+        arrays = {name: np.concatenate([getattr(t, name) for t in traces])
+                  for name in ("m", "m_allocated", "alloc", "gamma", "zeta")}
+        return cls(**arrays, weights=weights)
 
     @property
     def n_samples(self):

@@ -134,8 +134,12 @@ def build_parser():
     return parser
 
 
-def _parse_vector(text):
-    return np.asarray([float(v) for v in text.split(",")], dtype=float)
+def _parse_vector(text, flag):
+    """The comma-separated numbers that ``flag`` was given, as an array."""
+    try:
+        return np.asarray([float(v) for v in text.split(",")], dtype=float)
+    except ValueError:
+        raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
 def _cmd_simulate(args):
@@ -162,7 +166,9 @@ def _fit_config(args):
     for key in _hyper_keys() + run_keys:
         value = getattr(args, key)
         if value is not None:
-            payload[key] = np.diag(_parse_vector(value)).tolist() if key == "v0" else value
+            if key == "v0":
+                value = np.diag(_parse_vector(value, "--v0-diag")).tolist()
+            payload[key] = value
     payload.setdefault("seed", 0)
     payload.setdefault("chains", 1)
     payload.setdefault("record_weights", False)
@@ -277,8 +283,7 @@ def _cmd_elicit_zeta(args):
 
     y = read_dataset(args.data)
     rng = np.random.default_rng(args.seed)
-    grid = [float(z) for z in args.grid.split(",")]
-    chosen = elicit_zeta(y, args.k, grid, rng, reps=args.reps)
+    chosen = elicit_zeta(y, args.k, _parse_vector(args.grid, "--grid"), rng, reps=args.reps)
     print(f"{chosen:.12g}")
     return 0
 
@@ -306,12 +311,12 @@ DIST_QUANTITIES = {
         SDIR, lambda a: selmix.sdir_moments(_sdir(a), k=a.k).product_moment_k),
     "sdir-log-const": (SDIR, lambda a: selmix.sdir_log_norm_const(_sdir(a))),
     "sdir-log-pdf": (
-        SDIR + ("w",), lambda a: selmix.sdir_log_density(_parse_vector(a.w), _sdir(a))),
+        SDIR + ("w",), lambda a: selmix.sdir_log_density(_parse_vector(a.w, "--w"), _sdir(a))),
     "dispersion": (
         SDIR + ("tau",), lambda a: selmix.internal_dispersion_expectation(_sdir(a), a.tau)),
     "ge-log-const": (("zeta", "m"), lambda a: selmix.ge_log_norm_const(_ge(a))),
     "ge-log-pdf": (
-        ("zeta", "m", "x"), lambda a: selmix.ge_log_density(_parse_vector(a.x), _ge(a))),
+        ("zeta", "m", "x"), lambda a: selmix.ge_log_density(_parse_vector(a.x, "--x"), _ge(a))),
     "count-log-pmf": (("m", "lam"), lambda a: selmix.shifted_poisson_log_pmf(a.m, a.lam)),
 }
 

@@ -388,25 +388,22 @@ def update_means(y, state, rng, step_mu, grouped):
 def update_covariances(y, state, hyper, rng, grouped):
     """Gibbs draw of every covariance from its inverse-Wishart full conditional.
 
-    An allocated component draws from IW(v0 + S_j, nu0 + n_j), S_j being the
-    scatter of its n_j points about its mean; a non-allocated component draws
-    from the prior IW(v0, nu0).  One stacked ``sample_invwishart`` call draws
-    them all; a failed factorisation raises LinAlgError, which ``run_sampler``
-    reports as a SamplerError naming the sweep.  ``grouped`` is
-    ``_grouped_points(y, state)``.
+    Component j draws from IW(v0 + S_j, nu0 + n_j), S_j being the scatter of
+    its n_j points about its mean.  A non-allocated component has S_j = 0 and
+    draws from the prior IW(v0, nu0): v0 equals its transpose exactly, so
+    symmetrising the stack keeps it.  One stacked ``sample_invwishart`` call
+    draws them all; a failed factorisation raises LinAlgError, which
+    ``run_sampler`` reports as a SamplerError naming the sweep.  ``grouped``
+    is ``_grouped_points(y, state)``.
     """
     counts, groups = grouped
-    allocated = np.flatnonzero(counts)
-    scatter = np.empty((allocated.size, state.dim, state.dim))
-    for s_j, j in zip(scatter, allocated.tolist()):
-        resid = groups[j] - state.mus[j]
-        np.matmul(resid.T, resid, out=s_j)
-    scatter += hyper.v0
-    sym = scatter + scatter.transpose(0, 2, 1)
-    sym *= 0.5
     scales = np.empty((state.m, state.dim, state.dim))
-    scales[:] = hyper.v0
-    scales[allocated] = sym
+    for s_j, points, mu in zip(scales, groups, state.mus):
+        resid = points - mu
+        np.matmul(resid.T, resid, out=s_j)
+    scales += hyper.v0
+    scales = scales + scales.transpose(0, 2, 1)
+    scales *= 0.5
     return dataclasses.replace(state, sigmas=sample_invwishart(rng, scales, hyper.nu0 + counts))
 
 
@@ -578,16 +575,14 @@ def run_sampler(y, config):
     seen_accepts, seen_attempts = dict(accepts), dict(attempts)
 
     burn, thin, n_keep = hyper.burn_in, hyper.thin, hyper.n_samples
-    total = burn + thin * n_keep
-    m_out = np.empty(n_keep, dtype=np.int64)
-    ma_out = np.empty(n_keep, dtype=np.int64)
-    alloc_out = np.empty((n_keep, y.shape[0]), dtype=np.int64)
-    gamma_out = np.empty(n_keep)
-    zeta_out = np.empty(n_keep)
-    weights_out = [] if config.record_weights else None
+    trace = PosteriorTrace(
+        m=np.empty(n_keep, dtype=np.int64), m_allocated=np.empty(n_keep, dtype=np.int64),
+        alloc=np.empty((n_keep, y.shape[0]), dtype=np.int64),
+        gamma=np.empty(n_keep), zeta=np.empty(n_keep),
+        weights=[] if config.record_weights else None,
+    )
 
-    kept = 0
-    for t in range(total):
+    for t in range(burn + thin * n_keep):
         try:
             state, counts = sweep(y, state, hyper, rng, step_mu, step_gamma)
         except Exception as exc:
@@ -604,20 +599,16 @@ def run_sampler(y, config):
             step_gamma = _adapted(step_gamma, *window["gamma" if hyper.gamma_free else "zeta"])
             seen_accepts, seen_attempts = dict(accepts), dict(attempts)
 
-        if t >= burn and (t - burn) % thin == thin - 1:
-            m_out[kept] = state.m
-            ma_out[kept] = state.m_allocated
-            alloc_out[kept] = state.alloc
-            gamma_out[kept] = state.gamma
-            zeta_out[kept] = state.zeta
-            if weights_out is not None:
-                weights_out.append(state.weights)
-            kept += 1
+        i, phase = divmod(t - burn, thin)
+        if t >= burn and phase == thin - 1:
+            trace.m[i] = state.m
+            trace.m_allocated[i] = state.m_allocated
+            trace.alloc[i] = state.alloc
+            trace.gamma[i] = state.gamma
+            trace.zeta[i] = state.zeta
+            if trace.weights is not None:
+                trace.weights.append(state.weights)
 
-    trace = PosteriorTrace(
-        m=m_out, m_allocated=ma_out, alloc=alloc_out,
-        gamma=gamma_out, zeta=zeta_out, weights=weights_out,
-    )
     diag = StepDiagnostics(
         accepts=accepts, attempts=attempts,
         step_mu_final=step_mu, step_gamma_final=step_gamma,

@@ -687,6 +687,14 @@ class TestCli:
          "zeta = 1e+307 overflows the ensemble constant at m = 2"),
         (["dist", "ge-log-pdf", "--zeta", "1e307", "--m", "2", "--x", "1e100,-1e100"],
          "zeta = 1e+307 overflows the ensemble constant at m = 2"),
+        (["fit", "--data", "d.csv", "--out-dir", "unused.csv", "--v0-diag", "1,x"],
+         "--v0-diag must be comma-separated numbers, got '1,x'"),
+        (["dist", "sdir-log-pdf", "--alpha", "1", "--gamma", "1", "--m", "3", "--w", "0.2,,0.8"],
+         "--w must be comma-separated numbers, got '0.2,,0.8'"),
+        (["dist", "ge-log-pdf", "--zeta", "1", "--m", "2", "--x", "1,two"],
+         "--x must be comma-separated numbers, got '1,two'"),
+        (["elicit-zeta", "--data", "d.csv", "--k", "3", "--grid", "0.1,abc"],
+         "--grid must be comma-separated numbers, got '0.1,abc'"),
     ])
     def test_unusable_parameter_names_the_field(self, capsys, tmp_path, monkeypatch,
                                                 args, message):

@@ -1106,6 +1106,37 @@ class TestStepsShareUnchangedBlocks:
         assert len(set(want.m.tolist())) > 1
         assert attempts["gamma"] and attempts["birth"] and attempts["death"]
 
+    def test_kept_draws_follow_burn_in_and_thinning(self):
+        # without adaptation the k-th retained draw is the state after sweep
+        # burn + k * thin - 1 (0-based, k = 1..n_samples), and the counters
+        # cover every sweep, burn-in included
+        burn, thin, n_keep = 7, 3, 10
+        y = np.random.default_rng(1504).normal(0.0, 3.0, size=(25, 2))
+        hyper = Hyperparams(zeta_mode="gamma", zeta_fixed=0.5, adapt=False,
+                            burn_in=burn, thin=thin, n_samples=n_keep)
+        config = SamplerConfig(hyper=hyper, seed=64, record_weights=True)
+        got, diag = run_sampler(y, config)
+        hyper = hyper.resolved(2)
+        rng = np.random.default_rng(config.seed)
+        state = initial_state(y, hyper, rng)
+        accepts, attempts = dict.fromkeys(diag.accepts, 0), dict.fromkeys(diag.attempts, 0)
+        kept_sweeps, want = {burn + k * thin - 1 for k in range(1, n_keep + 1)}, []
+        for t in range(burn + thin * n_keep):
+            state, counts = sweep(y, state, hyper, rng, hyper.step_mu, hyper.step_gamma)
+            for key, (acc, att) in counts.items():
+                accepts[key] += acc
+                attempts[key] += att
+            if t in kept_sweeps:
+                want.append(state)
+        assert got.n_samples == len(got.weights) == len(want) == n_keep
+        for k, state in enumerate(want):
+            assert (state.m, state.m_allocated) == (got.m[k], got.m_allocated[k])
+            assert (state.gamma, state.zeta) == (got.gamma[k], got.zeta[k])
+            np.testing.assert_array_equal(state.alloc, got.alloc[k], strict=True)
+            np.testing.assert_array_equal(state.weights, got.weights[k], strict=True)
+        assert (accepts, attempts) == (diag.accepts, diag.attempts)
+        assert (diag.step_mu_final, diag.step_gamma_final) == (hyper.step_mu, hyper.step_gamma)
+
     def test_one_sort_per_sweep(self, monkeypatch):
         # the steps after the allocation step share the grouping that sweep
         # makes once, and cannot write into it

@@ -2,11 +2,11 @@
 
     python tools/trace_identity.py --src A/src --src B/src
 
-Runs one fixed set of 32 seeded fits with the ``selmix`` of each ``--src``
+Runs one fixed set of 34 seeded fits with the ``selmix`` of each ``--src``
 directory (each names a ``src`` directory, as in ``tools/step_cost.py``),
 every fit in its own child process with ``OPENBLAS_NUM_THREADS=1``, and
 compares the sha256 of every trace and ``summary.json`` each fit writes.
-The set covers four kinds of run:
+The set covers six kinds of run:
 
 - ``planted``: ``selmix fit`` with the flags of the ``planted`` bench
   workload (``bench/workloads.py``) on ``selmix simulate`` data, with the
@@ -20,6 +20,14 @@ The set covers four kinds of run:
 - ``prior``: a chain without data (``run_sampler`` on a (0, 2) array, then
   ``write_trace``, with its acceptance counts as JSON), seeds 1-8,
   alternating fixed zeta and ``zeta_mode="gamma"``.
+- ``lam``: the ``planted`` fit of workload seed 1, operation 1, with
+  ``--lam 12``.  Its chain holds 9 or more components in most sweeps, so
+  the means step mostly takes the array branch of
+  ``sampler._coord_ge_log_ratio`` (8 or more gaps), which the fits above
+  reach only in their largest states.
+- ``wide``: a fit with gamma = 1 and zeta = 0.1 on fixed-seed d = 9 data
+  (``WIDE_DATA``, three clusters of n = 300 in all), the only fit in which
+  ``model._last_axis_sums`` sums 8 or more terms, which it leaves to numpy.
 
 The input data are made once, with the first tree.  A prior chain writes
 its acceptance counts to ``counts.json`` in place of ``summary.json``;
@@ -56,12 +64,28 @@ write_trace(out + "/trace_chain0.ndjson", trace)
 with open(out + "/counts.json", "w") as fh:
     json.dump(dataclasses.asdict(diag), fh, sort_keys=True)
 """
+WIDE_DATA = """
+import sys
+import numpy as np
+from selmix.io import write_dataset
+rng = np.random.default_rng(int(sys.argv[2]))
+centres = rng.normal(0.0, 4.0, size=(3, 9))
+write_dataset(sys.argv[1], centres[rng.integers(3, size=300)] + rng.standard_normal((300, 9)))
+"""
 TALL_DATA = """
 import sys
 from selmix.io import write_dataset
 from workloads import make_tall
 write_dataset(sys.argv[1], make_tall(int(sys.argv[2])))
 """
+
+# the ``selmix fit`` flags of each kind of fit besides --data, --out-dir and --seed
+FIT_FLAGS = {
+    **{name: workload.fit_flags for name, workload in WORKLOADS.items()},
+    "lam": WORKLOADS["planted"].fit_flags + ("--lam", "12"),
+    "wide": ("--gamma", "1", "--zeta", "0.1", "--burn-in", "100", "--thin", "2",
+             "--n-samples", "100"),
+}
 
 
 def child(src, args, cwd):
@@ -92,6 +116,8 @@ def fits():
             yield f"hyper-s{seed}-op{op}", "hyper", seed, op, False
     for seed in range(1, 9):
         yield f"prior-s{seed}", "prior", seed, seed, True
+    yield "lam-s1-op1", "lam", 1, 1, False
+    yield "wide-s1", "wide", 1, 1, False
 
 
 def make_data(src, work):
@@ -101,8 +127,9 @@ def make_data(src, work):
         if kind == "prior" or (kind, seed) in paths:
             continue
         path = work / f"data-{kind}-s{seed}.csv"
-        if kind == "tall":
-            child(src, ["-c", TALL_DATA, path, data_seed(seed)], work)
+        if kind in ("tall", "wide"):
+            script = TALL_DATA if kind == "tall" else WIDE_DATA
+            child(src, ["-c", script, path, data_seed(seed)], work)
         else:
             selmix(src, ["simulate", "--seed", data_seed(seed), "--out", path], work)
         paths[kind, seed] = path
@@ -116,7 +143,7 @@ def run_fit(src, out, fit, data):
         child(src, ["-c", PRIOR_FIT, out, op, ("fixed", "gamma")[op % 2]], out)
         return
     argv = ["fit", "--data", data[kind, seed], "--out-dir", out,
-            "--seed", chain_seed(seed, op), *WORKLOADS[kind].fit_flags]
+            "--seed", chain_seed(seed, op), *FIT_FLAGS[kind]]
     selmix(src, argv + ["--record-weights"] if weights else argv, out)
 
 
