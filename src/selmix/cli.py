@@ -13,21 +13,40 @@ Each subcommand imports the modules it runs.  Only ``fit`` loads the
 sampler; ``prior-ma``, ``elicit-zeta`` and ``dist`` load the model or the
 closed-form modules they evaluate, and with them scipy.  ``simulate``,
 ``analyze``, ``--version`` and ``--help`` run on numpy alone.
+
+BLAS threads: where this module is the entry point (``selmix`` or ``python
+-m selmix.cli``), it sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads,
+unless the caller set it.  Every BLAS or LAPACK call of ``fit`` works on a
+d x d matrix or a d x n_j panel, where a second thread saves nothing, while
+OpenBLAS's idle workers spin and starve the other processes of a
+multi-chain or multi-seed study.  ``analyze`` multiplies G x G co-counts
+(G distinct groups of observations), which more threads do speed up when
+G runs into the thousands and CPUs are free.  ``OPENBLAS_NUM_THREADS=2``
+(or any value) in the environment still wins; ``OMP_NUM_THREADS`` alone no
+longer sets the BLAS thread count, because OpenBLAS reads
+``OPENBLAS_NUM_THREADS`` first.
+A process that imported numpy before this module (a test run, a notebook)
+keeps its environment as it is, since OpenBLAS has already started there.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
-import numpy as np
+# read by OpenBLAS when numpy and scipy load it, so only before numpy's import
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import selmix
+import numpy as np  # noqa: E402
 
-from . import __version__
-from .io import read_json, write_json
+import selmix  # noqa: E402
+
+from . import __version__  # noqa: E402
+from .io import read_json, write_json  # noqa: E402
 
 RNG_NAME = "numpy.random.PCG64"
 
@@ -142,11 +161,20 @@ def _parse_vector(text, flag):
         raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
+def _integer(value, flag, least):
+    """``value`` given for ``flag`` (on the command line or in a config), checked
+    to be an integer of at least ``least`` (0 or 1)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        kind = "non-negative" if least == 0 else "positive"
+        raise ValueError(f"{flag} must be a {kind} integer, got {value!r}")
+    return value
+
+
 def _cmd_simulate(args):
     from .io import write_dataset
     from .planted import simulate_benchmark
 
-    y, labels = simulate_benchmark(args.seed, n_obs=args.n)
+    y, labels = simulate_benchmark(_integer(args.seed, "--seed", 0), n_obs=args.n)
     write_dataset(args.out, y)
     if args.labels_out:
         write_dataset(args.labels_out, (labels + 1).reshape(-1, 1).astype(float), header=["label"])
@@ -189,14 +217,13 @@ def _cmd_fit(args):
     from .sampler import SamplerConfig, run_sampler
 
     payload = _fit_config(args)
+    seed = _integer(payload["seed"], "--seed", 0)
+    chains = _integer(payload["chains"], "--chains", 1)
     hyper = hyperparams_from_dict(payload)
     y = read_dataset(payload["data"])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    seed, chains = int(payload["seed"]), int(payload["chains"])
-    if chains < 1:
-        raise ValueError("chains must be >= 1")
     summary = {"chains": {}, "seed": seed, "n_chains": chains}
     m_allocated = []
     for i in range(chains):
@@ -265,7 +292,7 @@ def _cmd_analyze(args):
 def _cmd_prior_ma(args):
     from .analysis import prior_ma_simulation
 
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_integer(args.seed, "--seed", 0))
     probs = prior_ma_simulation(args.alpha0, args.gamma, args.m, args.n, args.reps, rng)
     lines = [f"{k},{repr(float(p))}" for k, p in enumerate(probs)]
     text = "\n".join(lines) + "\n"
@@ -282,7 +309,7 @@ def _cmd_elicit_zeta(args):
     from .io import read_dataset
 
     y = read_dataset(args.data)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_integer(args.seed, "--seed", 0))
     chosen = elicit_zeta(y, args.k, _parse_vector(args.grid, "--grid"), rng, reps=args.reps)
     print(f"{chosen:.12g}")
     return 0

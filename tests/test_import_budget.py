@@ -4,7 +4,8 @@ sampler, the model or the ensemble.
 
 Each command runs in a fresh interpreter that then lists the modules it
 loaded.  ``fit`` runs the same way, as a control that the listing sees the
-sampler when it is loaded.
+sampler when it is loaded.  The same children check the BLAS thread default
+that ``selmix.cli`` sets when it is imported before numpy.
 """
 
 import json
@@ -23,24 +24,51 @@ from selmix.io import write_dataset
 HEAVY = ("selmix.sampler", "selmix.model", "selmix.selberg", "selmix.ensemble")
 
 CHILD = """
-import json, sys
+import json, os, sys
 from selmix.cli import cli_dispatch
 code = cli_dispatch(sys.argv[1:])
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy" or m in {heavy!r}]
-print(json.dumps({{"code": code, "loaded": sorted(loaded)}}))
+tasks = "/proc/self/task"
+threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
+print(json.dumps({{"code": code, "loaded": sorted(loaded), "environ": dict(os.environ),
+                  "threads": threads}}))
 """.format(heavy=HEAVY)
+
+
+def child_env(**changes):
+    """This process's environment with ``src`` on PYTHONPATH; a ``None`` value removes a key."""
+    src = str(Path(selmix.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    for key, value in changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
+def child_report(argv, cwd, env=None, prelude=""):
+    """Run ``prelude`` then ``cli_dispatch(argv)`` in a fresh interpreter; return
+    (stdout, report), where the report holds the exit code, the loaded modules,
+    the child's final ``os.environ`` and its thread count (``None`` without /proc)."""
+    proc = subprocess.run([sys.executable, "-c", prelude + CHILD, *argv], capture_output=True,
+                          text=True, cwd=cwd, env=child_env() if env is None else env,
+                          check=True)
+    *printed, last = proc.stdout.splitlines()
+    return "\n".join(printed), json.loads(last)
 
 
 def run_child(argv, cwd):
     """Run ``cli_dispatch(argv)`` in a fresh interpreter; return (stdout, exit code, loaded)."""
-    src = str(Path(selmix.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], capture_output=True,
-                          text=True, cwd=cwd, env=env, check=True)
-    *printed, last = proc.stdout.splitlines()
-    report = json.loads(last)
-    return "\n".join(printed), report["code"], report["loaded"]
+    printed, report = child_report(argv, cwd)
+    return printed, report["code"], report["loaded"]
+
+
+def fit_argv(out_dir):
+    return ["fit", "--data", "y.csv", "--out-dir", out_dir, "--seed", "3",
+            "--gamma", "1.0", "--zeta", "0.5", "--burn-in", "20", "--thin", "1",
+            "--n-samples", "10"]
 
 
 @pytest.fixture(scope="module")
@@ -48,10 +76,7 @@ def fitted(tmp_path_factory):
     """A small seeded fit run in a child; returns (its fit dir, code, loaded modules)."""
     root = tmp_path_factory.mktemp("budget")
     write_dataset(root / "y.csv", np.random.default_rng(0).normal(size=(40, 2)))
-    argv = ["fit", "--data", "y.csv", "--out-dir", "fit", "--seed", "3",
-            "--gamma", "1.0", "--zeta", "0.5", "--burn-in", "20", "--thin", "1",
-            "--n-samples", "10"]
-    _, code, loaded = run_child(argv, root)
+    _, code, loaded = run_child(fit_argv("fit"), root)
     return root, code, loaded
 
 
@@ -94,3 +119,31 @@ def test_prior_ma_loads_neither_sampler_model_nor_ensemble(tmp_path):
     assert len(printed.splitlines()) == 9
     assert "selmix.selberg" in loaded
     assert not {"selmix.sampler", "selmix.model", "selmix.ensemble"} & set(loaded)
+
+
+def test_fit_child_runs_one_blas_thread_by_default(fitted):
+    root, _, _ = fitted
+    _, report = child_report(fit_argv("blas1"), root,
+                             env=child_env(OPENBLAS_NUM_THREADS=None))
+    assert report["code"] == 0
+    assert report["environ"]["OPENBLAS_NUM_THREADS"] == "1"
+    if sys.platform.startswith("linux"):
+        assert report["threads"] == 1
+
+
+def test_callers_blas_thread_count_wins(fitted):
+    root, _, _ = fitted
+    _, report = child_report(fit_argv("blas2"), root,
+                             env=child_env(OPENBLAS_NUM_THREADS="2"))
+    assert report["code"] == 0
+    assert report["environ"]["OPENBLAS_NUM_THREADS"] == "2"
+
+
+def test_environment_untouched_when_numpy_loaded_first(tmp_path):
+    # the prelude prints the environment as it stands before selmix.cli is imported
+    prelude = "import json, os, numpy\nprint(json.dumps(dict(os.environ)))\n"
+    printed, report = child_report(["--version"], tmp_path,
+                                   env=child_env(OPENBLAS_NUM_THREADS=None), prelude=prelude)
+    assert report["code"] == 0
+    assert report["environ"] == json.loads(printed.splitlines()[0])
+    assert "OPENBLAS_NUM_THREADS" not in report["environ"]

@@ -559,6 +559,42 @@ class TestCli:
         summary = read_json(an_dir / "summary.json")
         assert summary["n_samples"] == 60
 
+    def test_chains_run_as_separate_fits_match_one_multi_chain_fit(self, benchmark_csv,
+                                                                   tmp_path):
+        # chain i of ``--seed s --chains k`` is the one chain of ``--seed s^i``, so
+        # the chains of a study can run as concurrent processes
+        assert cli_dispatch(tiny_fit_args(benchmark_csv, tmp_path / "both",
+                                          extra=["--seed", "5", "--chains", "2"])) == 0
+        for seed in (5, 4):
+            assert cli_dispatch(tiny_fit_args(benchmark_csv, tmp_path / f"s{seed}",
+                                              extra=["--seed", str(seed)])) == 0
+        together = [tmp_path / "both" / f"trace_chain{i}.ndjson" for i in (0, 1)]
+        apart = [tmp_path / f"s{seed}" / "trace_chain0.ndjson" for seed in (5, 4)]
+        for a, b in zip(together, apart):
+            assert a.read_bytes() == b.read_bytes()
+        for name, traces in (("an_both", together), ("an_apart", apart)):
+            argv = ["analyze", "--out-dir", str(tmp_path / name)]
+            for path in traces:
+                argv += ["--trace", str(path)]
+            assert cli_dispatch(argv) == 0
+        for name in ("psm.csv", "binder.csv", "summary.json"):
+            assert ((tmp_path / "an_both" / name).read_bytes()
+                    == (tmp_path / "an_apart" / name).read_bytes())
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("seed", 2.5, "--seed must be a non-negative integer, got 2.5"),
+        ("chains", True, "--chains must be a positive integer, got True"),
+    ])
+    def test_seed_and_chains_in_config_must_be_integers(self, benchmark_csv, tmp_path,
+                                                         capsys, key, value, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        args = ["fit", "--data", str(benchmark_csv), "--out-dir", str(tmp_path / "fit"),
+                "--config", str(config)]
+        assert cli_dispatch(args) == 1
+        assert capsys.readouterr().err == f"selmix: error: {message}\n"
+        assert not (tmp_path / "fit").exists()
+
     def test_analyze_outputs_match_loop_references(self, benchmark_csv, tmp_path):
         fit_dir, an_dir = tmp_path / "fit", tmp_path / "an"
         assert cli_dispatch(tiny_fit_args(benchmark_csv, fit_dir, extra=["--chains", "2"])) == 0
@@ -695,6 +731,16 @@ class TestCli:
          "--x must be comma-separated numbers, got '1,two'"),
         (["elicit-zeta", "--data", "d.csv", "--k", "3", "--grid", "0.1,abc"],
          "--grid must be comma-separated numbers, got '0.1,abc'"),
+        (["fit", "--data", "d.csv", "--out-dir", "unused.csv", "--chains", "0"],
+         "--chains must be a positive integer, got 0"),
+        (["fit", "--data", "d.csv", "--out-dir", "unused.csv", "--seed", "-1"],
+         "--seed must be a non-negative integer, got -1"),
+        (["simulate", "--seed", "-1", "--out", "unused.csv"],
+         "--seed must be a non-negative integer, got -1"),
+        (["prior-ma", "--gamma", "1", "--m", "3", "--seed", "-2", "--out", "unused.csv"],
+         "--seed must be a non-negative integer, got -2"),
+        (["elicit-zeta", "--data", "d.csv", "--k", "3", "--seed", "-1"],
+         "--seed must be a non-negative integer, got -1"),
     ])
     def test_unusable_parameter_names_the_field(self, capsys, tmp_path, monkeypatch,
                                                 args, message):
