@@ -1,6 +1,7 @@
 """File formats and the command-line interface."""
 
 import dataclasses
+import gc
 import json
 import os
 import re
@@ -889,8 +890,48 @@ class TestCli:
         assert cli_dispatch(["dist", "sdir-mean", "--alpha", "1"]) == 1
         capsys.readouterr()
 
-    def test_console_entry_point(self):
-        proc = subprocess.run([sys.executable, "-m", "selmix.cli", "--version"],
-                              capture_output=True, text=True, env=H.child_env())
+    def test_console_entry_point(self, tmp_path):
+        def run(*argv):
+            return subprocess.run([sys.executable, "-m", "selmix.cli", *argv],
+                                  capture_output=True, text=True, env=H.child_env())
+
+        proc = run("--version")
         assert proc.returncode == 0
         assert "selmix" in proc.stdout
+        proc = run("fit", "--out-dir", str(tmp_path / "fit"))  # no data
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("selmix: error:")
+        proc = run("bogus-command")
+        assert proc.returncode == 2
+        assert "invalid choice" in proc.stderr
+
+
+# runs ``main()`` with the arguments after ``-c``, then reports the collector
+# as ``main()`` left it, whether it exited or raised
+MAIN_CHILD = """
+import gc, json
+from selmix.cli import main
+try:
+    main()
+finally:
+    print(json.dumps({"enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}))
+"""
+
+
+class TestCollectorPolicy:
+    """The collector is off and the heap frozen in ``main()`` alone."""
+
+    def test_main_turns_the_collector_off_and_freezes(self, benchmark_csv, tmp_path):
+        proc = subprocess.run(
+            [sys.executable, "-c", MAIN_CHILD, *tiny_fit_args(benchmark_csv, tmp_path / "fit")],
+            capture_output=True, text=True, env=H.child_env())
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["enabled"] is False
+        assert report["frozen"] > 0
+        assert read_trace(tmp_path / "fit" / "trace_chain0.ndjson").n_samples == 30
+
+    def test_cli_dispatch_keeps_the_collector(self, benchmark_csv, tmp_path):
+        before = gc.isenabled(), gc.get_freeze_count()
+        assert cli_dispatch(tiny_fit_args(benchmark_csv, tmp_path / "fit")) == 0
+        assert (gc.isenabled(), gc.get_freeze_count()) == before

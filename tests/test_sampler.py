@@ -3,6 +3,7 @@ the end-to-end chain driver."""
 
 import copy
 import dataclasses
+import gc
 import warnings
 
 import numpy as np
@@ -10,9 +11,10 @@ import pytest
 from scipy import stats
 
 import helpers as H
+from selmix.analysis import elicit_zeta, partition_summary, prior_ma_simulation
 from selmix.distributions import pairwise_log_gap_sum, sample_invwishart
 from selmix.ensemble import GeParams, ge_log_norm_const
-from selmix.io import write_trace
+from selmix.io import read_trace, write_trace
 from selmix.model import Hyperparams, MixtureState, allocation_log_probs, component_log_pdfs
 from selmix.sampler import (
     SamplerConfig,
@@ -1182,3 +1184,49 @@ class TestCovarianceFailure:
         with pytest.raises(SamplerError, match=r"^sweep 2 failed: forced$") as info:
             run_sampler(y, SamplerConfig(hyper=hyper, seed=7))
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def _chain(y, seed, record_weights=False, **kwargs):
+    hyper = Hyperparams(burn_in=60, thin=2, n_samples=60, **kwargs)
+    return lambda tmp_path: run_sampler(y, SamplerConfig(hyper, seed, record_weights))
+
+
+def _summarised_trace(tmp_path):
+    trace, _ = run_sampler(np.random.default_rng(7).normal(size=(40, 2)), SamplerConfig(
+        Hyperparams(gamma_fixed=1.0, burn_in=20, thin=1, n_samples=30), seed=8))
+    write_trace(tmp_path / "trace.ndjson", trace)
+    return partition_summary(read_trace(tmp_path / "trace.ndjson"))
+
+
+_DATA = np.random.default_rng(1601).normal(0.0, 3.0, size=(50, 2))
+
+
+class TestNoReferenceCycles:
+    """The command line runs with the collector off (``selmix.cli.main``).
+    That is safe only while the work that grows with the run length frees
+    everything by reference counting: after each path below, run once more
+    with the collector off, a collection finds nothing unreachable."""
+
+    @pytest.mark.parametrize("run", [
+        _chain(_DATA, 1, gamma_fixed=1.0),
+        _chain(_DATA, 2, zeta_mode="gamma"),
+        _chain(_DATA, 3, zeta_mode="ratio", birth_death="append"),
+        _chain(np.empty((0, 1)), 4),
+        _chain(_DATA, 5, record_weights=True),
+        lambda tmp_path: prior_ma_simulation(1.0, 1.0, 5, 100, 500,
+                                             np.random.default_rng(6)),
+        lambda tmp_path: elicit_zeta(_DATA, 3, [0.1, 1.0], np.random.default_rng(7), reps=50),
+        _summarised_trace,
+    ], ids=["fixed-scales", "gamma-zeta", "ratio-append", "no-data", "record-weights",
+            "prior-ma", "elicit-zeta", "read-trace-and-summary"])
+    def test_no_unreachable_objects(self, run, tmp_path):
+        run(tmp_path)  # first use: imports and caches, which the process keeps anyway
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run(tmp_path)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
