@@ -93,20 +93,31 @@ def posterior_similarity(trace):
 def partition_summary(trace):
     """``(counts, group, t, loss, count)``: ``counts[np.ix_(group, group)] / T``
     is ``posterior_similarity(trace)`` (see ``_grouped_counts``), ``t`` the
-    draw ``binder_estimate`` picks against it, ``loss`` its ``binder_loss``
-    and ``count`` the number of distinct partitions.  Each partition coarsens
-    the groups, so it is scored on them, weighted by their sizes, as the
-    integer T * P_c - B_c of ``binder_estimate``; T**2 times the loss is
+    earliest draw of least ``binder_loss`` against it, ``loss`` that loss
+    and ``count`` the number of distinct partitions.
+
+    Up to a term that no partition changes, T times the loss of partition c
+    is the integer T * P_c - B_c, with P_c its number of same-block pairs
+    and B_c the co-count summed over ordered same-block pairs (i, i
+    included), so exact ties are seen as ties.  Each distinct partition
+    coarsens the groups, so it is scored once, on them, weighted by their
+    sizes (``_block_sums``).  T**2 times the loss is
     T * score + (sum_ij C_ij**2 + n * T**2) / 2, divided by T**2 once.
     """
     labels, group, counts = _grouped_counts(trace)
     n_samples = trace.n_samples
     sizes = np.bincount(group, minlength=counts.shape[0])
-    t, score, count = _binder_draw(labels, counts, sizes, n_samples)
+    first = {}
+    for t, row in enumerate(labels):
+        first.setdefault(row.tobytes(), t)
+    first = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    pairs, sums = _block_sums(labels[first], counts, sizes)
+    scores = n_samples * pairs - sums
+    best = np.argmin(scores)
     # each row sum is an integer at most n * T**2, exact while below 2**53
     squares = int(np.einsum("gh,gh,h->g", counts, counts, sizes).astype(np.int64) @ sizes)
-    twice = 2 * n_samples * int(score) + squares + trace.n_obs * n_samples**2
-    return counts, group, t, twice // 2 / n_samples**2, count
+    twice = 2 * n_samples * int(scores[best]) + squares + trace.n_obs * n_samples**2
+    return counts, group, int(first[best]), twice // 2 / n_samples**2, first.size
 
 
 def _grouped_counts(trace):
@@ -167,40 +178,18 @@ def binder_loss(alloc, sim):
     return float(squares + pairs[0] - sums[0] + diag.sum())
 
 
-def binder_estimate(trace, sim):
-    """Sampled partition minimizing the pairwise squared loss against ``sim``.
+def binder_estimate(trace):
+    """Sampled partition closest in ``binder_loss`` to the trace's own
+    posterior similarity (least-squares clustering, Dahl 2006).
 
-    Ties break toward the earliest sample.  Returns the allocation vector
-    exactly as sampled (labels included), though the choice itself depends
-    only on the induced partition.
-
-    Up to a term that no partition changes, the loss of partition c is
-    P_c - B_c, with P_c its number of same-block pairs and B_c the sum of
-    ``sim`` over ordered same-block pairs (i, i included).  Each distinct
-    sampled partition is scored once.  When every entry of ``sim`` is c / T
-    for the trace's T draws (as ``posterior_similarity`` returns), the
-    scores are computed as exact integers, so exact ties are seen as ties.
+    Ties break toward the earliest sample, and the scores are exact
+    integers (``partition_summary``), so exact ties are seen as ties.
+    Returns the allocation vector exactly as sampled (labels included),
+    though the choice itself depends only on the induced partition.
+    Against another similarity S the draw is
+    ``min(trace.alloc, key=lambda a: binder_loss(a, S))``.
     """
-    if trace.n_samples < 1:
-        raise ValueError("trace must contain at least one sample")
-    sim = np.asarray(sim, dtype=float)
-    scale = trace.n_samples if _is_multiple_of(sim, trace.n_samples) else None
-    partitions = canonical_labels(trace.alloc)
-    t, _, _ = _binder_draw(partitions, sim, np.ones(trace.n_obs), scale or 1, scale)
-    return trace.alloc[t].copy()
-
-
-def _binder_draw(partitions, mat, sizes, weight, scale=None):
-    """(t, score, count): the first draw of the least score weight * P_c - B_c
-    (``_block_sums``) among the count distinct rows of ``partitions``."""
-    first = {}
-    for t, row in enumerate(partitions):
-        first.setdefault(row.tobytes(), t)
-    first = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    pairs, sums = _block_sums(partitions[first], mat, sizes, scale)
-    scores = weight * pairs - sums
-    best = np.argmin(scores)
-    return int(first[best]), scores[best], first.size
+    return trace.alloc[partition_summary(trace)[2]].copy()
 
 
 def _block_width(n):
@@ -237,15 +226,13 @@ def _indicator_blocks(labels):
         start = stop
 
 
-def _block_sums(partitions, mat, sizes, scale=None):
+def _block_sums(partitions, mat, sizes):
     """(P, B) of partitions of items, item g standing for ``sizes[g]``
     observations whose pairs with item h all have entry ``mat[g, h]``.
 
     For row c of ``partitions``, P_c counts the observation pairs i < j in
     one block and B_c sums the entries of ordered pairs in one block (i, i
-    included).  With ``scale`` T, each block sum ``(mat @ Z)[g, k]`` is taken
-    as the integer T times it rounds to: T times the exact sum when ``mat``
-    holds multiples of 1/T and n * n * T is far below 2**52.
+    included).
     """
     items = partitions.shape[1]
     squared_sizes = np.empty(partitions.shape[0])
@@ -254,27 +241,8 @@ def _block_sums(partitions, mat, sizes, scale=None):
         z *= sizes[:, None]
         # each item's block size times the item's size, summed: sum_k n_k^2
         squared_sizes[rows] = (z.sum(axis=0)[cols] * sizes).sum(axis=1)
-        picked = (mat @ z)[np.arange(items), cols]
-        if scale is not None:
-            picked = np.rint(picked * scale)
-        sums[rows] = (picked * sizes).sum(axis=1)
+        sums[rows] = ((mat @ z)[np.arange(items), cols] * sizes).sum(axis=1)
     return 0.5 * (squared_sizes - sizes.sum()), sums
-
-
-# _is_multiple_of reads an (n, n) matrix in blocks of rows of about this many
-# entries, so its temporaries stay near 128 kB each
-_ROW_BLOCK_ENTRIES = 1 << 14
-
-
-def _is_multiple_of(sim, denominator):
-    """True when every entry of ``sim`` is c / denominator for an integer c."""
-    sim = np.asarray(sim)
-    step = max(1, _ROW_BLOCK_ENTRIES // max(sim.shape[1], 1))
-    for start in range(0, sim.shape[0], step):
-        block = sim[start:start + step]
-        if not np.array_equal(np.rint(block * denominator) / denominator, block):
-            return False
-    return True
 
 
 def prior_ma_simulation(alpha0, gamma, m, n, reps, rng):

@@ -231,6 +231,11 @@ def _cmd_fit(args):
     payload = _fit_config(args)
     seed = _integer(payload["seed"], "--seed", 0)
     chains = _integer(payload["chains"], "--chains", 1)
+    if not isinstance(payload["data"], str):
+        raise ValueError(f"data must be a path, got {payload['data']!r}")
+    record_weights = payload["record_weights"]
+    if not isinstance(record_weights, bool):
+        raise ValueError(f"record_weights must be true or false, got {record_weights!r}")
     hyper = hyperparams_from_dict(payload)
     y = read_dataset(payload["data"])
     out_dir = Path(args.out_dir)
@@ -239,9 +244,7 @@ def _cmd_fit(args):
     summary = {"chains": {}, "seed": seed, "n_chains": chains}
     m_allocated = []
     for i in range(chains):
-        config = SamplerConfig(
-            hyper=hyper, seed=seed ^ i, record_weights=bool(payload["record_weights"])
-        )
+        config = SamplerConfig(hyper=hyper, seed=seed ^ i, record_weights=record_weights)
         trace, diag = run_sampler(y, config)
         write_trace(out_dir / f"trace_chain{i}.ndjson", trace)
         summary["chains"][str(i)] = {
@@ -260,10 +263,10 @@ def _cmd_fit(args):
     manifest = hyperparams_to_dict(hyper.resolved(y.shape[1]))
     manifest.update(
         {
-            "data": str(payload["data"]),
+            "data": payload["data"],
             "seed": seed,
             "chains": chains,
-            "record_weights": bool(payload["record_weights"]),
+            "record_weights": record_weights,
             "version": __version__,
             "rng": RNG_NAME,
         }

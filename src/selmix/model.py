@@ -19,6 +19,7 @@ the sampler is tested against.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,8 +88,9 @@ class Hyperparams:
     "ratio" (zeta tied to rho * gamma).  ``step_mu`` and ``step_gamma`` are
     proposal variances.
 
-    Every number in use must be finite and in range, and the run lengths
-    must be integers; each ValueError names its field.
+    Every number in use must be a real number (not a bool), finite and in
+    range, the run lengths must be integers (not bools) and ``adapt`` a
+    bool; each ValueError names its field.
 
     Each covariance has an inverse-Wishart(v0, nu0) prior; ``resolved``
     fills in v0 = I and nu0 = d and requires both finite, v0 symmetric
@@ -144,6 +146,12 @@ class Hyperparams:
         positive += {
             "fixed": ["zeta_fixed"], "gamma": ["zeta_shape", "zeta_rate"], "ratio": ["rho"],
         }[self.zeta_mode]
+        in_use = positive + ["q_birth"] + [
+            name for name in ("gamma_fixed", "nu0") if getattr(self, name) is not None]
+        for name in in_use:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         for name in positive:
             require_finite(name, getattr(self, name))
             if not getattr(self, name) > 0.0:
@@ -156,10 +164,19 @@ class Hyperparams:
             raise ValueError("q_birth must lie strictly between 0 and 1")
         for name, low in (("burn_in", 0), ("thin", 1), ("n_samples", 1)):
             value = getattr(self, name)
-            if not hasattr(value, "__index__") or value < low:  # what operator.index takes
+            # what operator.index takes, bools aside
+            if isinstance(value, bool) or not hasattr(value, "__index__") or value < low:
                 raise ValueError(f"{name} must be an integer >= {low}")
+        if not isinstance(self.adapt, (bool, np.bool_)):
+            raise ValueError(f"adapt must be true or false, got {self.adapt!r}")
         if self.v0 is not None:
-            self.v0 = np.asarray(self.v0, dtype=float)
+            try:
+                v0 = np.asarray(self.v0)
+            except ValueError:  # rows of unequal length
+                v0 = np.asarray(None)
+            if v0.dtype.kind not in "iuf":
+                raise ValueError(f"v0 must be a matrix of numbers, got {self.v0!r}")
+            self.v0 = np.asarray(v0, dtype=float)
 
     @property
     def gamma_free(self):

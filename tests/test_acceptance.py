@@ -350,7 +350,7 @@ def test_criterion_11_partition_estimate_is_exhaustive_minimum():
             m=m, m_allocated=np.array([len(set(a)) for a in alloc]),
             alloc=alloc, gamma=np.ones(30), zeta=np.ones(30), weights=None)
         sim = posterior_similarity(trace)
-        estimate = binder_estimate(trace, sim)
+        estimate = binder_estimate(trace)
         best = min(binder_loss(a, sim) for a in alloc)
         assert binder_loss(estimate, sim) == pytest.approx(best, abs=1e-12)
         assert any(np.array_equal(canonical_labels(estimate),

@@ -36,7 +36,7 @@ alloc = rng.integers(0, 6, size=(10, 3000))
 trace = PosteriorTrace(m=np.full(10, 6), m_allocated=np.full(10, 6), alloc=alloc,
                        gamma=np.zeros(10), zeta=np.ones(10))
 sim = posterior_similarity(trace)
-print(repr(binder_loss(binder_estimate(trace, sim), sim)))
+print(repr(binder_loss(binder_estimate(trace), sim)))
 """
 
 
@@ -251,7 +251,7 @@ class TestPartitionSummary:
             np.testing.assert_array_equal(
                 counts[np.ix_(group, group)] / trace.n_samples, sim, strict=True)
             np.testing.assert_array_equal(
-                trace.alloc[t], binder_estimate(trace, sim), strict=True)
+                trace.alloc[t], binder_estimate(trace), strict=True)
             assert loss == float(H.binder_loss_exact(trace, trace.alloc[t]))
             assert loss == pytest.approx(binder_loss(trace.alloc[t], sim), rel=1e-12, abs=1e-9)
             canon = [canonical_labels(row).tobytes() for row in trace.alloc]
@@ -323,7 +323,7 @@ class TestBinderEstimate:
             alloc = rng.integers(0, 3, size=(t, 4))
             trace = make_trace(alloc)
             sim = posterior_similarity(trace)
-            est = binder_estimate(trace, sim)
+            est = binder_estimate(trace)
             assert binder_loss(est, sim) == pytest.approx(
                 self.brute_force(trace, sim), rel=1e-12)
             # the estimate is one of the sampled partitions
@@ -341,7 +341,7 @@ class TestBinderEstimate:
         for trace in traces:
             sim = posterior_similarity(trace)
             np.testing.assert_array_equal(
-                binder_estimate(trace, sim), H.binder_estimate_scan(trace, sim))
+                binder_estimate(trace), H.binder_estimate_scan(trace, sim))
 
     def test_matches_exact_oracle(self):
         # for other T the float scan can split an exact tie the wrong way
@@ -353,7 +353,7 @@ class TestBinderEstimate:
         traces += [make_trace(rng.integers(0, 20, size=(7, n))) for n in (301, 1025)]
         for trace in traces:
             np.testing.assert_array_equal(
-                binder_estimate(trace, posterior_similarity(trace)), H.binder_estimate_exact(trace))
+                binder_estimate(trace), H.binder_estimate_exact(trace))
 
     def test_exact_tie_goes_to_earliest_draw(self):
         # swapping observations 1 and 2 maps [0,0,1] to [0,1,0] and fixes
@@ -362,16 +362,16 @@ class TestBinderEstimate:
         for shift in range(3):
             rolled = rows[shift:] + rows[:shift]
             trace = make_trace(rolled)
-            est = binder_estimate(trace, posterior_similarity(trace))
+            est = binder_estimate(trace)
             np.testing.assert_array_equal(est, rolled[0])
         # with T = 4 the oracle's float losses tie exactly as well
         trace = make_trace([[1, 1, 0, 0], [0, 1, 0, 1], [0, 0, 1, 1], [1, 0, 1, 0]])
         sim = posterior_similarity(trace)
-        np.testing.assert_array_equal(binder_estimate(trace, sim), [1, 1, 0, 0])
+        np.testing.assert_array_equal(binder_estimate(trace), [1, 1, 0, 0])
         np.testing.assert_array_equal(H.binder_estimate_scan(trace, sim), [1, 1, 0, 0])
 
     def test_similarity_not_on_the_trace_grid(self):
-        # a similarity that is not c / T for the trace's T is scored in floats
+        # the documented one-liner scores the draws against any similarity
         rng = np.random.default_rng(26)
         for _ in range(20):
             trace = make_trace(rng.integers(0, 3, size=(6, 10)))
@@ -379,7 +379,8 @@ class TestBinderEstimate:
             sim = 0.5 * (sim + sim.T)
             np.fill_diagonal(sim, 1.0)
             np.testing.assert_array_equal(
-                binder_estimate(trace, sim), H.binder_estimate_scan(trace, sim))
+                min(trace.alloc, key=lambda a: binder_loss(a, sim)),
+                H.binder_estimate_scan(trace, sim))
 
     def test_prior_only_chain_gets_the_empty_draw(self):
         # a chain run without data records one empty allocation per draw
@@ -387,15 +388,13 @@ class TestBinderEstimate:
         trace, _ = run_sampler(np.empty((0, 1)), SamplerConfig(hyper=hyper, seed=3))
         assert trace.alloc.shape == (3, 0)
         sim = posterior_similarity(trace)
-        est = binder_estimate(trace, sim)
+        est = binder_estimate(trace)
         np.testing.assert_array_equal(est, trace.alloc[0], strict=True)
         assert binder_loss(est, sim) == 0.0
 
     def test_recovers_exact_modal_partition(self):
         rows = [[0, 0, 1, 1]] * 8 + [[0, 1, 0, 1]] * 2
-        trace = make_trace(rows)
-        sim = posterior_similarity(trace)
-        est = binder_estimate(trace, sim)
+        est = binder_estimate(make_trace(rows))
         np.testing.assert_array_equal(canonical_labels(est), [0, 0, 1, 1])
 
 
@@ -428,11 +427,28 @@ class TestPriorClusterCount:
         assert means[1] < means[0]
 
 
+    @pytest.mark.parametrize("n,reps", [(0, 10), (10, 0), (-1, 10)])
+    def test_needs_observations_and_replicates(self, n, reps):
+        with pytest.raises(ValueError, match="^n and reps must be >= 1$"):
+            prior_ma_simulation(1.0, 1.0, 3, n, reps, np.random.default_rng(0))
+
+
 class TestElicitation:
     def test_center_gap_frozen_example(self):
         centers = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 5.0]])
         gaps = center_gap_by_dimension(centers)
         np.testing.assert_allclose(gaps, [2.0, 10.0 / 3.0], rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_center_gap_needs_two_centers(self, k):
+        with pytest.raises(ValueError, match="^need at least two centers$"):
+            center_gap_by_dimension(np.zeros((k, 2)))
+
+    @pytest.mark.parametrize("grid", [[], [0.1, 0.0], [-1.0]])
+    def test_grid_must_hold_positive_values(self, grid):
+        with pytest.raises(ValueError, match="^zeta grid must hold positive values$"):
+            elicit_zeta(np.random.default_rng(3).normal(size=(20, 2)), 3, grid,
+                        np.random.default_rng(4))
 
     def test_wider_spread_selects_smaller_zeta(self):
         rng = np.random.default_rng(12)

@@ -52,6 +52,16 @@ class TestLogDensities:
             assert invwishart_log_pdf(x, scale, df) == pytest.approx(
                 stats.invwishart.logpdf(x, df=df, scale=scale), rel=1e-11)
 
+    @pytest.mark.parametrize("x", [0.0, -0.0, -1.5, -np.inf])
+    def test_gamma_density_is_zero_off_the_positive_axis(self, x):
+        assert gamma_log_pdf(x, 2.0, 1.5) == -np.inf
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_invwishart_needs_more_than_d_minus_1_degrees_of_freedom(self, d):
+        with pytest.raises(ValueError, match="^degrees of freedom must exceed dim - 1$"):
+            invwishart_log_pdf(np.eye(d), np.eye(d), d - 1)
+        assert np.isfinite(invwishart_log_pdf(np.eye(d), np.eye(d), d - 0.5))
+
     def test_log_2pi(self):
         assert LOG_2PI == pytest.approx(np.log(2.0 * np.pi), rel=1e-15)
 

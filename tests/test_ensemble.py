@@ -122,6 +122,11 @@ class TestSampling:
         assert a.shape == (50, 4)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_needs_a_draw(self, n):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            sample_ge(GeParams(1.0, 3), n, np.random.default_rng(0))
+
     def test_single_coordinate_is_standard_gaussian_scaled(self):
         zeta = 2.0
         draws = sample_ge(GeParams(zeta, 1), 4000, np.random.default_rng(8))

@@ -71,6 +71,12 @@ class TestDatasetFiles:
         with pytest.raises(ValueError):
             read_dataset(path)
 
+    def test_file_without_a_header_rejected(self, tmp_path):
+        path = tmp_path / "nothing.csv"
+        path.write_text("")
+        with pytest.raises(ValueError, match=r"nothing\.csv: empty file$"):
+            read_dataset(path)
+
 
 class TestTraceFiles:
     def make_trace(self):
@@ -188,6 +194,22 @@ class TestTraceFiles:
         return path
 
     RECORD = {"m": 2, "m_a": 1, "alloc": [1, 1], "gamma": 1.0, "zeta": 1.0}
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        record = json.dumps(self.RECORD)
+        path = tmp_path / "blank.ndjson"
+        path.write_text(f"\n{record}\n  \t\n{record}\n\nnot json\n")
+        # the broken line is still counted among all the file's lines
+        with pytest.raises(ValueError, match="line 6"):
+            read_trace(path)
+        path.write_text(f"\n{record}\n  \t\n{record}\n\n")
+        np.testing.assert_array_equal(read_trace(path).alloc, [[0, 0], [0, 0]], strict=True)
+
+    def test_blank_lines_alone_are_an_empty_trace(self, tmp_path):
+        path = tmp_path / "blank.ndjson"
+        path.write_text("\n  \n\t\n")
+        with pytest.raises(ValueError, match=r"blank\.ndjson: empty trace$"):
+            read_trace(path)
 
     def test_missing_key_reports_file_line_and_key(self, tmp_path):
         for key in self.RECORD:
@@ -596,6 +618,34 @@ class TestCli:
         assert capsys.readouterr().err == f"selmix: error: {message}\n"
         assert not (tmp_path / "fit").exists()
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("record_weights", "no", "record_weights must be true or false, got 'no'"),
+        ("adapt", "false", "adapt must be true or false, got 'false'"),
+        ("burn_in", True, "burn_in must be an integer >= 0"),
+        ("thin", True, "thin must be an integer >= 1"),
+        ("nu0", "3", "nu0 must be a number, got '3'"),
+        ("lam", "3", "lam must be a number, got '3'"),
+        ("alpha0", "1", "alpha0 must be a number, got '1'"),
+        ("gamma_fixed", "1", "gamma_fixed must be a number, got '1'"),
+        ("step_mu", True, "step_mu must be a number, got True"),
+        ("q_birth", "0.5", "q_birth must be a number, got '0.5'"),
+        ("v0", "x", "v0 must be a matrix of numbers, got 'x'"),
+        ("v0", [["1", "0"], ["0", "1"]], "v0 must be a matrix of numbers, got [['1', '0'], "
+                                         "['0', '1']]"),
+        ("v0", [[1, 0], [0]], "v0 must be a matrix of numbers, got [[1, 0], [0]]"),
+        ("data", 0, "data must be a path, got 0"),
+    ])
+    def test_config_value_of_the_wrong_type_names_the_field(self, benchmark_csv, tmp_path,
+                                                             capsys, key, value, message):
+        # each is refused before the dataset is read or the output directory made
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": str(benchmark_csv), "burn_in": 2, "thin": 1,
+                                      "n_samples": 2, key: value}))
+        args = ["fit", "--out-dir", str(tmp_path / "fit"), "--config", str(config)]
+        assert cli_dispatch(args) == 1
+        assert capsys.readouterr().err == f"selmix: error: {message}\n"
+        assert not (tmp_path / "fit").exists()
+
     def test_analyze_outputs_match_loop_references(self, benchmark_csv, tmp_path):
         fit_dir, an_dir = tmp_path / "fit", tmp_path / "an"
         assert cli_dispatch(tiny_fit_args(benchmark_csv, fit_dir, extra=["--chains", "2"])) == 0
@@ -683,6 +733,14 @@ class TestCli:
         probs = prior_ma_simulation(1.0, 3.0, 8, 100, 10000, np.random.default_rng(4))
         want = "".join(f"{k},{repr(float(p))}\n" for k, p in enumerate(probs))
         assert capsys.readouterr().out == want
+
+    def test_prior_ma_out_writes_the_printed_table(self, tmp_path, capsys):
+        argv = ["prior-ma", "--gamma", "3", "--m", "8", "--reps", "500", "--seed", "4"]
+        assert cli_dispatch(argv) == 0
+        printed = capsys.readouterr().out
+        assert cli_dispatch(argv + ["--out", str(tmp_path / "ma.csv")]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "ma.csv").read_text() == printed
 
     def test_elicit_zeta_prints_choice(self, benchmark_csv, capsys):
         code = cli_dispatch(["elicit-zeta", "--data", str(benchmark_csv),

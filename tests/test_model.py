@@ -78,6 +78,16 @@ class TestLikelihood:
             want = stats.multivariate_normal.logpdf(y, state.mus[j], state.sigmas[j])
             np.testing.assert_allclose(got[:, j], want, rtol=1e-10)
 
+    @pytest.mark.parametrize("where", ["y", "mus"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_component_log_pdfs_refuse_non_finite_input(self, where, bad):
+        rng = np.random.default_rng(8)
+        state = random_state(rng, 3, 2, 10)
+        y = rng.normal(size=(10, 2))
+        (y if where == "y" else state.mus)[1, 0] = bad
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            component_log_pdfs(y, state)
+
     def test_component_log_pdfs_when_the_solve_copies(self, monkeypatch):
         # the densities are read from the residuals the solves overwrite in
         # place; a solve that returns a copy instead gives the same bits
@@ -291,6 +301,11 @@ class TestHyperparams:
         # redraw NaN Dirichlet weights forever
         with pytest.raises(ValueError, match=f"^{message}$"):
             Hyperparams(**kwargs)
+
+    def test_numbers_of_any_real_type_are_accepted(self):
+        hyper = Hyperparams(alpha0=1, lam=np.float32(3.0), nu0=np.int64(2), q_birth=0.5,
+                            v0=[[1, 0], [0, 1]], adapt=np.False_).resolved(2)
+        assert hyper.nu0 == 2.0 and hyper.v0.dtype == float
 
     def test_zero_gamma_and_unused_zeta_fixed_are_accepted(self):
         Hyperparams(gamma_fixed=0.0)

@@ -217,6 +217,9 @@ class TestValidation:
             validate_weights(np.array([0.7, -0.2, 0.5]))
         with pytest.raises(ValueError):
             validate_weights(np.array([0.5, 0.5]), m=3)
+        for w in ([[0.5, 0.5]], []):
+            with pytest.raises(ValueError, match="^weights must form a non-empty vector$"):
+                validate_weights(np.array(w))
         # NaN compares False with both bounds and must still be refused
         for w in ([np.nan, 0.5, 0.5], [0.5, 0.5, np.nan], [np.nan]):
             with pytest.raises(ValueError, match=r"^weights must lie in \[0, 1\]$"):
@@ -241,6 +244,16 @@ class TestValidation:
     def test_non_finite_parameters_name_the_field(self, alpha, gamma, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             SdirParams(alpha, gamma, 3)
+
+    @pytest.mark.parametrize("k", [0, -1, 1.5])
+    def test_moment_order_must_be_a_positive_integer(self, k):
+        with pytest.raises(ValueError, match="^k must be a positive integer$"):
+            sdir_moments(SdirParams(1.0, 1.0, 3), k=k)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_sampler_needs_a_draw(self, n):
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            sample_sdir(SdirParams(1.0, 1.0, 3), n, np.random.default_rng(0))
 
     @pytest.mark.parametrize("tau,message", [
         (np.inf, "tau must be finite"),

@@ -6,7 +6,9 @@ Runs one fixed set of 34 seeded fits with the ``selmix`` of each ``--src``
 directory (each names a ``src`` directory, as in ``tools/step_cost.py``),
 every fit in its own child process with ``OPENBLAS_NUM_THREADS=1``, and
 compares the sha256 of every trace and ``summary.json`` each fit writes.
-The set covers six kinds of run:
+After each fit that has data, ``selmix analyze`` of the same tree reads its
+traces, and the sha256 of its ``psm.csv``, ``binder.csv`` and
+``summary.json`` are compared too.  The set covers six kinds of run:
 
 - ``planted``: ``selmix fit`` with the flags of the ``planted`` bench
   workload (``bench/workloads.py``) on ``selmix simulate`` data, with the
@@ -29,10 +31,21 @@ The set covers six kinds of run:
   (``WIDE_DATA``, three clusters of n = 300 in all), the only fit in which
   ``model._last_axis_sums`` sums 8 or more terms, which it leaves to numpy.
 
+A trace records decisions (allocations, counts, scales), so arithmetic
+that flips no accept coin or argmax leaves it as it was.  So one more child
+per tree runs ``initial_state`` and then 300 ``sweep`` calls on each of
+three chains, the ``planted``, ``lam`` and ``wide`` data and priors above,
+and hashes the bytes of ``weights``, ``mus``, ``sigmas``, ``alloc``,
+``gamma`` and ``zeta`` after every sweep into one sha256 per chain.  A
+last-bit change in the component densities flips no draw in such a chain,
+so the bytes of ``log_complete_joint`` of each state go into the digest
+too.
+
 The input data are made once, with the first tree.  A prior chain writes
 its acceptance counts to ``counts.json`` in place of ``summary.json``;
 ``manifest.json``, which names the package version, is not compared.  The
-tool prints one line per fit and exits 1 if any file differs, else 0.
+tool prints one line per fit and per sweep chain and exits 1 if any file
+or chain digest differs, else 0.
 """
 
 from __future__ import annotations
@@ -43,6 +56,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,6 +86,25 @@ rng = np.random.default_rng(int(sys.argv[2]))
 centres = rng.normal(0.0, 4.0, size=(3, 9))
 write_dataset(sys.argv[1], centres[rng.integers(3, size=300)] + rng.standard_normal((300, 9)))
 """
+SWEEP_DIGESTS = """
+import hashlib, sys
+import numpy as np
+from selmix.io import read_dataset
+from selmix.model import Hyperparams, log_complete_joint
+from selmix.sampler import initial_state, sweep
+for path, seed, lam in zip(*[iter(sys.argv[1:])] * 3):
+    y = read_dataset(path)
+    hyper = Hyperparams(lam=float(lam), gamma_fixed=1.0, zeta_fixed=0.1).resolved(y.shape[1])
+    rng = np.random.default_rng(int(seed))
+    state = initial_state(y, hyper, rng)
+    digest = hashlib.sha256()
+    for _ in range(300):
+        state, _ = sweep(y, state, hyper, rng, hyper.step_mu, hyper.step_gamma)
+        for block in (state.weights, state.mus, state.sigmas, state.alloc, state.gamma, state.zeta,
+                      log_complete_joint(y, state, hyper)):
+            digest.update(np.ascontiguousarray(block).tobytes())
+    print(digest.hexdigest())
+"""
 TALL_DATA = """
 import sys
 from selmix.io import write_dataset
@@ -89,7 +122,8 @@ FIT_FLAGS = {
 
 
 def child(src, args, cwd):
-    """Run ``python <args>`` with ``src`` and ``bench/`` on the path."""
+    """Run ``python <args>`` with ``src`` and ``bench/`` on the path; returns
+    its standard output."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join((str(src), str(ROOT / "bench"))))
     proc = subprocess.run([sys.executable, *map(str, args)], cwd=cwd, env=env,
@@ -97,6 +131,7 @@ def child(src, args, cwd):
     if proc.returncode:
         raise SystemExit(f"{' '.join(map(str, args))} exited {proc.returncode}:\n"
                          f"{proc.stderr[-2000:]}")
+    return proc.stdout
 
 
 def selmix(src, argv, cwd):
@@ -145,11 +180,27 @@ def run_fit(src, out, fit, data):
     argv = ["fit", "--data", data[kind, seed], "--out-dir", out,
             "--seed", chain_seed(seed, op), *FIT_FLAGS[kind]]
     selmix(src, argv + ["--record-weights"] if weights else argv, out)
+    argv = ["analyze", "--out-dir", out / "analyze"]
+    for trace in sorted(out.glob("trace_chain*.ndjson")):
+        argv += ["--trace", trace]
+    selmix(src, argv, out)
+
+
+# (name, kind of data, lam) of each sweep chain, all on workload seed 1
+SWEEP_CHAINS = (("planted", "planted", 3), ("lam", "lam", 12), ("wide", "wide", 3))
+
+
+def sweep_digests(src, data, work):
+    """One sha256 per chain of ``SWEEP_CHAINS``, over its states after every sweep."""
+    argv = ["-c", SWEEP_DIGESTS]
+    for _, kind, lam in SWEEP_CHAINS:
+        argv += [data[kind, 1], chain_seed(1, 1), lam]
+    return child(src, argv, work).split()
 
 
 def digests(out):
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in sorted(out.iterdir()) if p.name != "manifest.json"}
+    return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
 
 
 def main(argv=None):
@@ -160,6 +211,7 @@ def main(argv=None):
     if len(args.src) != 2:
         parser.error("give --src exactly twice")
     srcs = [src.resolve() for src in args.src]
+    start = time.perf_counter()
     differ = 0
     with tempfile.TemporaryDirectory(prefix="trace-identity-") as tmp:
         work = Path(tmp)
@@ -173,8 +225,15 @@ def main(argv=None):
             differ += not same
             print(f"{fit[0]:18s} {'same' if same else 'DIFFERENT'}  {len(a)} files"
                   + "".join(f"  {k} {v[:12]}" for k, v in a.items() if k.startswith("trace")))
-    print(f"{differ} of {sum(1 for _ in fits())} fits differ")
-    return 1 if differ else 0
+        chains = zip(SWEEP_CHAINS, *(sweep_digests(src, data, work) for src in srcs),
+                     strict=True)
+        chains_differ = 0
+        for (name, _, _), a, b in chains:
+            chains_differ += a != b
+            print(f"sweeps-{name:11s} {'same' if a == b else 'DIFFERENT'}  300 states  {a[:12]}")
+    print(f"{differ} of {sum(1 for _ in fits())} fits and {chains_differ} of "
+          f"{len(SWEEP_CHAINS)} sweep chains differ ({time.perf_counter() - start:.0f} s)")
+    return 1 if differ or chains_differ else 0
 
 
 if __name__ == "__main__":
