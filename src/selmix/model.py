@@ -73,10 +73,6 @@ class MixtureState:
     def m_allocated(self):
         return int((self.counts() > 0).sum())
 
-    @property
-    def m_nonallocated(self):
-        return self.m - self.m_allocated
-
 
 @dataclass
 class Hyperparams:
@@ -88,9 +84,9 @@ class Hyperparams:
     "ratio" (zeta tied to rho * gamma).  ``step_mu`` and ``step_gamma`` are
     proposal variances.
 
-    Every number in use must be a real number (not a bool), finite and in
-    range, the run lengths must be integers (not bools) and ``adapt`` a
-    bool; each ValueError names its field.
+    Every number that is set must be a real number (not a bool), and every
+    number in use finite and in range; the run lengths must be integers (not
+    bools) and ``adapt`` a bool.  Each ValueError names its field.
 
     Each covariance has an inverse-Wishart(v0, nu0) prior; ``resolved``
     fills in v0 = I and nu0 = d and requires both finite, v0 symmetric
@@ -136,8 +132,14 @@ class Hyperparams:
             raise ValueError("zeta_mode must be 'fixed', 'gamma' or 'ratio'")
         if self.birth_death not in ("reversible", "append"):
             raise ValueError("birth_death must be 'reversible' or 'append'")
-        # every number in use must be finite and in range (NaN fails the
-        # range check); a hyperprior that is not in use is not checked
+        # every number that is set (a field annotated float) must be a real
+        # number; those in use must also be finite and in range (NaN fails the
+        # range check), so a hyperprior that is not in use is only typed
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type.startswith("float") and value is not None and (
+                    isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{field.name} must be a number, got {value!r}")
         positive = ["alpha0", "lam", "step_mu", "step_gamma"]
         if self.gamma_free:
             positive += ["gamma_shape", "gamma_rate"]
@@ -146,12 +148,6 @@ class Hyperparams:
         positive += {
             "fixed": ["zeta_fixed"], "gamma": ["zeta_shape", "zeta_rate"], "ratio": ["rho"],
         }[self.zeta_mode]
-        in_use = positive + ["q_birth"] + [
-            name for name in ("gamma_fixed", "nu0") if getattr(self, name) is not None]
-        for name in in_use:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
         for name in positive:
             require_finite(name, getattr(self, name))
             if not getattr(self, name) > 0.0:

@@ -36,9 +36,10 @@ allocations without data).  A step never writes into an array it did not
 create, and the blocks it leaves unchanged are shared with its input.
 Only two places write into a state's arrays: ``update_means``, into its own
 copy of the means, and ``_insert_component``/``_remove_component``, into
-their own copy of ``alloc``.  ``sweep`` groups the data by component once,
-after the allocation step: the means and covariance steps share that
-grouping, which is read-only, and every later step reuses its counts.
+their own copy of ``alloc``.  The data go only to the allocation step and
+``_grouped_points``, which ``sweep`` calls once after it: the means and
+covariance steps share that read-only grouping, and every later step and
+ratio takes its counts.
 """
 
 from __future__ import annotations
@@ -230,7 +231,7 @@ def scale_log_accept(state, hyper, gamma_new, zeta_new):
     return float(la + np.log(new) - np.log(old))
 
 
-def birth_log_accept(state, hyper, w_new, mu_new, forced, counts=None):
+def birth_log_accept(state, hyper, w_new, mu_new, forced, counts):
     """Log acceptance of inserting a non-allocated component.
 
     ``w_new`` is the proposed (m+1)-weight vector with the newborn's entry
@@ -240,10 +241,9 @@ def birth_log_accept(state, hyper, w_new, mu_new, forced, counts=None):
     because no non-allocated component existed.  Under the default
     reversible bookkeeping the (m+1)/(m_na+1) factor pairs the uniform
     insertion-slot choice with the reverse move's uniform victim choice;
-    the append variant keeps only 1/(m_na+1).  ``counts`` are
-    ``state.counts()``, counted here when not given.
+    the append variant keeps only 1/(m_na+1).  ``counts`` are the
+    allocation counts of ``state``.
     """
-    counts = state.counts() if counts is None else counts
     return _birth_log_ratio(state.weights, state.mus, state.m - np.count_nonzero(counts),
                             state, hyper, w_new, mu_new, forced)
 
@@ -275,18 +275,17 @@ def _birth_log_ratio(weights, mus, m_na, state, hyper, w_new, mu_new, forced):
     return float(la)
 
 
-def death_log_accept(state, hyper, j, w_hat, counts=None):
+def death_log_accept(state, hyper, j, w_hat, counts):
     """Log acceptance of deleting non-allocated component ``j``.
 
     Minus the log acceptance of the birth that undoes it: the reduced state
     (weights ``w_hat``, component ``j`` gone) regrowing component ``j`` with
     the current weights and location.  Death from a single-component state
     is impossible because the component count prior has no mass below one.
-    ``counts`` are ``state.counts()``, counted here when not given.
+    ``counts`` are the allocation counts of ``state``.
     """
     if state.m == 1:
         return -np.inf
-    counts = state.counts() if counts is None else counts
     if counts[j]:
         raise ValueError("death move targets a non-allocated component")
     m_na = state.m - np.count_nonzero(counts)
@@ -346,15 +345,15 @@ def update_allocations(y, state, rng):
     return dataclasses.replace(state, alloc=np.argmax(log_p, axis=1).astype(np.int64, copy=False))
 
 
-def update_means(y, state, rng, step_mu, grouped):
+def update_means(state, rng, step_mu, grouped):
     """Coordinate-wise Metropolis pass over all component means.
 
     Allocated components take Gaussian random-walk proposals with variance
     ``step_mu``; non-allocated components are refreshed by independence
     proposals from N(0, 2*m + 1/zeta), wide enough to cover the ensemble
-    bulk and dominate its tails.  ``grouped`` is ``_grouped_points(y,
-    state)``.  Returns the new state and the tuple (rw_accepts, rw_attempts,
-    refresh_accepts, refresh_attempts).
+    bulk and dominate its tails.  ``grouped`` is the sweep's
+    ``_grouped_points`` of ``state``.  Returns the new state and the tuple
+    (rw_accepts, rw_attempts, refresh_accepts, refresh_attempts).
     """
     counts, groups = grouped
     mus = state.mus.copy()
@@ -385,7 +384,7 @@ def update_means(y, state, rng, step_mu, grouped):
     return out, (rw_acc, rw_att, ref_acc, ref_att)
 
 
-def update_covariances(y, state, hyper, rng, grouped):
+def update_covariances(state, hyper, rng, grouped):
     """Gibbs draw of every covariance from its inverse-Wishart full conditional.
 
     Component j draws from IW(v0 + S_j, nu0 + n_j), S_j being the scatter of
@@ -394,7 +393,7 @@ def update_covariances(y, state, hyper, rng, grouped):
     symmetrising the stack keeps it.  One stacked ``sample_invwishart`` call
     draws them all; a failed factorisation raises LinAlgError, which
     ``run_sampler`` reports as a SamplerError naming the sweep.  ``grouped``
-    is ``_grouped_points(y, state)``.
+    is the sweep's ``_grouped_points`` of ``state``.
     """
     counts, groups = grouped
     scales = np.empty((state.m, state.dim, state.dim))
@@ -432,7 +431,7 @@ def update_scale(state, hyper, rng, key, step_gamma):
     return state, False
 
 
-def birth_death_step(y, state, hyper, rng, counts):
+def birth_death_step(state, hyper, rng, counts):
     """One birth or death proposal on the non-allocated components.
 
     Birth is chosen with probability q (with probability one when every
@@ -537,15 +536,15 @@ def sweep(y, state, hyper, rng, step_mu, step_gamma):
     state = update_allocations(y, state, rng)
     grouped = _grouped_points(y, state)
     alloc_counts = grouped[0]
-    state, means = update_means(y, state, rng, step_mu, grouped)  # random walk, then refresh
-    state = update_covariances(y, state, hyper, rng, grouped)
+    state, means = update_means(state, rng, step_mu, grouped)  # random walk, then refresh
+    state = update_covariances(state, hyper, rng, grouped)
     state, w_acc = update_weights(state, hyper, rng, alloc_counts)
     counts = {"means": means[:2], "means_refresh": means[2:], "weights": (int(w_acc), 1)}
     for key in ("gamma", "zeta"):
         if getattr(hyper, f"{key}_free"):
             state, s_acc = update_scale(state, hyper, rng, key, step_gamma)
             counts[key] = (int(s_acc), 1)
-    state, move, bd_acc = birth_death_step(y, state, hyper, rng, alloc_counts)
+    state, move, bd_acc = birth_death_step(state, hyper, rng, alloc_counts)
     counts[move] = (int(bd_acc), 1)
     return state, counts
 

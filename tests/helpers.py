@@ -12,6 +12,7 @@ rather than a tautology.
 import copy
 import csv
 import dataclasses
+import functools
 import os
 import warnings
 from fractions import Fraction
@@ -30,12 +31,19 @@ from selmix.model import Hyperparams, MixtureState, log_complete_joint, weight_p
 from selmix.selberg import SdirParams, sample_sdir
 
 
-def child_env(**overrides):
+def child_env(**changes):
     """The environment for a child interpreter that imports this checkout's
-    selmix: its src directory leads PYTHONPATH, whatever is installed."""
+    selmix: its src directory leads PYTHONPATH, whatever is installed.  Each
+    keyword sets a variable, and a ``None`` value removes it."""
     src = str(Path(selmix.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **overrides)
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    for key, value in changes.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
 
 
 # ---------------------------------------------------------------------------
@@ -842,7 +850,7 @@ def death_log_accept_ref(state, hyper, j, w_hat):
     return float(la)
 
 
-def birth_death_step_ref(y, state, hyper, rng, counts):
+def birth_death_step_ref(state, hyper, rng, counts):
     """The birth-death step with the term-by-term ratios; it counts the
     allocations itself and ignores the sweep's ``counts``."""
     counts = state.counts()
@@ -887,15 +895,16 @@ def birth_death_step_ref(y, state, hyper, rng, counts):
     return copy.deepcopy(state), "death", False
 
 
-def reference_sweep_patches():
-    """(module, name, reference) triples that turn ``run_sampler`` into the
-    reference chain: every step and constant the fast sweep changed is
-    swapped for its per-component, uncached version, in each namespace the
-    sweep reaches it through."""
+def reference_sweep_patches(y):
+    """(module, name, reference) triples that turn ``run_sampler(y, ...)``
+    into the reference chain: every step and constant the fast sweep changed
+    is swapped for its per-component, uncached version, in each namespace the
+    sweep reaches it through.  The means and covariance references select
+    each component's points from ``y`` themselves, so ``y`` is bound in."""
     return [
         (sampler, "update_allocations", update_allocations_ref),
-        (sampler, "update_means", update_means_ref),
-        (sampler, "update_covariances", update_covariances_ref),
+        (sampler, "update_means", functools.partial(update_means_ref, y)),
+        (sampler, "update_covariances", functools.partial(update_covariances_ref, y)),
         (sampler, "update_scale", update_scale_ref),
         (sampler, "birth_death_step", birth_death_step_ref),
         (sampler, "pairwise_log_gap_sum", pairwise_log_gap_sum_ref),

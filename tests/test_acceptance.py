@@ -189,13 +189,14 @@ def test_criterion_05_acceptance_ratios_match_joint():
     def check_birth(rng):
         book = "reversible" if rng.integers(2) else "append"
         y, state, hyper = _ratio_case(rng, birth_death=book)
-        forced = state.m_nonallocated == 0
+        counts = state.counts()
+        forced = np.count_nonzero(counts) == state.m
         slot = int(rng.integers(state.m + 1)) if book == "reversible" else state.m
-        alpha_post = hyper.alpha0 + state.counts().astype(float)
+        alpha_post = hyper.alpha0 + counts.astype(float)
         w_new = rng.dirichlet(np.insert(alpha_post, slot, hyper.alpha0))
         mu_new = rng.normal(0.0, 1.0 / np.sqrt(state.zeta), size=state.dim)
         sigma_new = sample_invwishart(rng, hyper.v0, hyper.nu0)
-        return (birth_log_accept(state, hyper, w_new, mu_new, forced),
+        return (birth_log_accept(state, hyper, w_new, mu_new, forced, counts),
                 H.oracle_birth(y, state, hyper, slot, w_new, mu_new,
                                sigma_new, forced))
 
@@ -209,7 +210,7 @@ def test_criterion_05_acceptance_ratios_match_joint():
         y = rng.normal(0.0, 2.0, size=(8, dim))
         alpha_post = hyper.alpha0 + state.counts().astype(float)
         w_hat = rng.dirichlet(np.delete(alpha_post, victim))
-        return (death_log_accept(state, hyper, victim, w_hat),
+        return (death_log_accept(state, hyper, victim, w_hat, state.counts()),
                 H.oracle_death(y, state, hyper, victim, w_hat))
 
     checks = [check_mean_rw, check_mean_refresh, check_weights, check_gamma,
@@ -228,12 +229,13 @@ def test_criterion_06_birth_death_reciprocity():
     for i in range(1000):
         book = "reversible" if i % 2 else "append"
         y, state, hyper = _ratio_case(rng, birth_death=book)
-        forced = state.m_nonallocated == 0
+        counts = state.counts()
+        forced = np.count_nonzero(counts) == state.m
         slot = int(rng.integers(state.m + 1)) if book == "reversible" else state.m
-        alpha_post = hyper.alpha0 + state.counts().astype(float)
+        alpha_post = hyper.alpha0 + counts.astype(float)
         w_new = rng.dirichlet(np.insert(alpha_post, slot, hyper.alpha0))
         mu_new = rng.normal(0.0, 1.0, size=state.dim)
-        la_birth = birth_log_accept(state, hyper, w_new, mu_new, forced)
+        la_birth = birth_log_accept(state, hyper, w_new, mu_new, forced, counts)
 
         alloc = state.alloc.copy()
         alloc[alloc >= slot] += 1
@@ -245,7 +247,7 @@ def test_criterion_06_birth_death_reciprocity():
                              axis=0),
             alloc=alloc, gamma=state.gamma, zeta=state.zeta,
         )
-        la_death = death_log_accept(grown, hyper, slot, state.weights)
+        la_death = death_log_accept(grown, hyper, slot, state.weights, grown.counts())
         assert abs(np.exp(la_birth + la_death) - 1.0) < 1e-8, (i, book)
 
 

@@ -258,6 +258,16 @@ class TestPartitionSummary:
             assert canon.index(canon[t]) == t
             assert count == len(set(canon))
 
+    def test_one_call_gives_the_similarity_and_the_binder_draw(self):
+        # the README recipe for wanting both: one pass over the co-counts
+        y, _ = simulate_benchmark(7)
+        hyper = Hyperparams(gamma_fixed=1.0, zeta_fixed=0.1, burn_in=50, thin=2, n_samples=40)
+        trace, _ = run_sampler(y, SamplerConfig(hyper=hyper, seed=101))
+        counts, group, t, _, _ = partition_summary(trace)
+        psm = counts[np.ix_(group, group)] / trace.n_samples
+        np.testing.assert_array_equal(psm, posterior_similarity(trace), strict=True)
+        np.testing.assert_array_equal(trace.alloc[t], binder_estimate(trace), strict=True)
+
     def test_rows_are_equal_exactly_within_a_group(self):
         # two PSM rows are equal if and only if their observations share a
         # label in every draw, which is what the groups are
@@ -444,7 +454,7 @@ class TestElicitation:
         with pytest.raises(ValueError, match="^need at least two centers$"):
             center_gap_by_dimension(np.zeros((k, 2)))
 
-    @pytest.mark.parametrize("grid", [[], [0.1, 0.0], [-1.0]])
+    @pytest.mark.parametrize("grid", [[], [0.1, 0.0], [-1.0], [0.1, np.nan]])
     def test_grid_must_hold_positive_values(self, grid):
         with pytest.raises(ValueError, match="^zeta grid must hold positive values$"):
             elicit_zeta(np.random.default_rng(3).normal(size=(20, 2)), 3, grid,

@@ -9,15 +9,13 @@ that ``selmix.cli`` sets when it is imported before numpy.
 """
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import selmix
+from helpers import child_env
 from selmix.io import write_dataset
 
 # modules a numpy-only subcommand must not load (scipy counts with its submodules)
@@ -33,19 +31,6 @@ threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
 print(json.dumps({{"code": code, "loaded": sorted(loaded), "environ": dict(os.environ),
                   "threads": threads}}))
 """.format(heavy=HEAVY)
-
-
-def child_env(**changes):
-    """This process's environment with ``src`` on PYTHONPATH; a ``None`` value removes a key."""
-    src = str(Path(selmix.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    for key, value in changes.items():
-        if value is None:
-            env.pop(key, None)
-        else:
-            env[key] = value
-    return env
 
 
 def child_report(argv, cwd, env=None, prelude=""):

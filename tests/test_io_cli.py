@@ -646,6 +646,18 @@ class TestCli:
         assert capsys.readouterr().err == f"selmix: error: {message}\n"
         assert not (tmp_path / "fit").exists()
 
+    def test_number_not_in_use_of_the_wrong_type_names_the_field(self, benchmark_csv,
+                                                                  tmp_path, capsys):
+        # gamma is fixed, so gamma_shape is not in use; it is still refused
+        # rather than copied into the manifest
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": str(benchmark_csv), "gamma_fixed": 1.0,
+                                      "gamma_shape": "x"}))
+        args = ["fit", "--out-dir", str(tmp_path / "fit"), "--config", str(config)]
+        assert cli_dispatch(args) == 1
+        assert capsys.readouterr().err == "selmix: error: gamma_shape must be a number, got 'x'\n"
+        assert not (tmp_path / "fit").exists()
+
     def test_analyze_outputs_match_loop_references(self, benchmark_csv, tmp_path):
         fit_dir, an_dir = tmp_path / "fit", tmp_path / "an"
         assert cli_dispatch(tiny_fit_args(benchmark_csv, fit_dir, extra=["--chains", "2"])) == 0

@@ -182,7 +182,6 @@ class TestMixtureState:
         assert counts.sum() == 9
         assert counts[2] == 0
         assert state.m_allocated == int((counts > 0).sum())
-        assert state.m_nonallocated == state.m - state.m_allocated
 
     def test_validate_rejects_broken_states(self):
         state = random_state(np.random.default_rng(5), 3, 2, 5)

@@ -140,19 +140,20 @@ class TestRatiosAgainstJoint:
         for _ in range(40):
             y, state, hyper = random_case(rng, birth_death=bookkeeping)
             counts = state.counts()
-            forced = state.m_nonallocated == 0
+            forced = np.count_nonzero(counts) == state.m
             slot = int(rng.integers(state.m + 1)) if bookkeeping == "reversible" else state.m
             alpha_post = hyper.alpha0 + counts.astype(float)
             w_new = rng.dirichlet(np.insert(alpha_post, slot, hyper.alpha0))
             mu_new = rng.normal(0.0, 1.0 / np.sqrt(state.zeta), size=state.dim)
             sigma_new = sample_invwishart(rng, hyper.v0, hyper.nu0)
-            got = birth_log_accept(state, hyper, w_new, mu_new, forced)
+            got = birth_log_accept(state, hyper, w_new, mu_new, forced, counts)
             want = H.oracle_birth(y, state, hyper, slot, w_new, mu_new, sigma_new, forced)
             assert got == pytest.approx(want, abs=1e-10)
             # tied repelled weights have zero prior density
             tied = w_new.copy()
             tied[1] = tied[0]
-            assert birth_log_accept(state, hyper, tied / tied.sum(), mu_new, forced) == -np.inf
+            assert birth_log_accept(state, hyper, tied / tied.sum(), mu_new, forced,
+                                    counts) == -np.inf
 
     @pytest.mark.parametrize("bookkeeping", ["reversible", "append"])
     def test_death_of_middle_victim(self, bookkeeping):
@@ -166,7 +167,7 @@ class TestRatiosAgainstJoint:
             y = rng.normal(0.0, 2.0, size=(8, dim))
             alpha_post = hyper.alpha0 + state.counts().astype(float)
             w_hat = rng.dirichlet(np.delete(alpha_post, victim))
-            got = death_log_accept(state, hyper, victim, w_hat)
+            got = death_log_accept(state, hyper, victim, w_hat, state.counts())
             want = H.oracle_death(y, state, hyper, victim, w_hat)
             assert got == pytest.approx(want, abs=1e-10)
 
@@ -178,12 +179,12 @@ class TestRatiosAgainstJoint:
         for _ in range(40):
             y, state, hyper = random_case(rng, birth_death=bookkeeping)
             counts = state.counts()
-            forced = state.m_nonallocated == 0
+            forced = np.count_nonzero(counts) == state.m
             slot = int(rng.integers(state.m + 1)) if bookkeeping == "reversible" else state.m
             alpha_post = hyper.alpha0 + counts.astype(float)
             w_new = rng.dirichlet(np.insert(alpha_post, slot, hyper.alpha0))
             mu_new = rng.normal(0.0, 1.0, size=state.dim)
-            la_birth = birth_log_accept(state, hyper, w_new, mu_new, forced)
+            la_birth = birth_log_accept(state, hyper, w_new, mu_new, forced, counts)
 
             alloc = state.alloc.copy()
             alloc[alloc >= slot] += 1
@@ -194,7 +195,7 @@ class TestRatiosAgainstJoint:
                 sigmas=np.insert(state.sigmas, slot, sigma_new, axis=0),
                 alloc=alloc, gamma=state.gamma, zeta=state.zeta,
             )
-            la_death = death_log_accept(grown, hyper, slot, state.weights)
+            la_death = death_log_accept(grown, hyper, slot, state.weights, grown.counts())
             assert la_birth + la_death == pytest.approx(0.0, abs=1e-10)
 
     def test_forced_birth_differs_by_selection_probability(self):
@@ -202,8 +203,8 @@ class TestRatiosAgainstJoint:
         y, state, hyper = random_case(rng)
         w_new = rng.dirichlet(np.append(hyper.alpha0 + state.counts(), hyper.alpha0))
         mu_new = rng.normal(size=state.dim)
-        la_free = birth_log_accept(state, hyper, w_new, mu_new, False)
-        la_forced = birth_log_accept(state, hyper, w_new, mu_new, True)
+        la_free = birth_log_accept(state, hyper, w_new, mu_new, False, state.counts())
+        la_forced = birth_log_accept(state, hyper, w_new, mu_new, True, state.counts())
         assert la_forced - la_free == pytest.approx(np.log(hyper.q_birth), abs=1e-12)
 
 
@@ -214,13 +215,13 @@ class TestRatioEdgeCases:
         state = H.random_state(rng, 3, 2, 9)
         occupied = int(np.flatnonzero(state.counts() > 0)[0])
         with pytest.raises(ValueError):
-            death_log_accept(state, hyper, occupied, np.array([0.5, 0.5]))
+            death_log_accept(state, hyper, occupied, np.array([0.5, 0.5]), state.counts())
 
     def test_death_from_single_component_impossible(self):
         rng = np.random.default_rng(12)
         hyper = H.random_hyper(rng, 1)
         state = H.random_state(rng, 1, 1, 0, gamma=1.0)
-        assert death_log_accept(state, hyper, 0, np.array([1.0])) == -np.inf
+        assert death_log_accept(state, hyper, 0, np.array([1.0]), state.counts()) == -np.inf
 
     def test_repulsion_ratio_fast_path_and_ties(self):
         assert repulsion_log_ratio(0.0, [0.3, 0.3, 0.4], [0.2, 0.3, 0.5]) == 0.0
@@ -351,7 +352,7 @@ class TestSweepSteps:
         state = H.random_state(rng, 3, 2, 12, force_empty=[2])
         y = rng.normal(size=(12, 2))
         out, (rw_acc, rw_att, ref_acc, ref_att) = update_means(
-            y, state, rng, hyper.step_mu, _grouped_points(y, state))
+            state, rng, hyper.step_mu, _grouped_points(y, state))
         assert rw_att == 2 * 2 and ref_att == 1 * 2
         assert 0 <= rw_acc <= rw_att and 0 <= ref_acc <= ref_att
         np.testing.assert_array_equal(out.alloc, state.alloc)
@@ -370,7 +371,7 @@ class TestSweepSteps:
             gamma=1.0, zeta=0.1,
         )
         grouped = _grouped_points(y, state)
-        draws = np.mean([update_covariances(y, state, hyper, rng, grouped).sigmas[0]
+        draws = np.mean([update_covariances(state, hyper, rng, grouped).sigmas[0]
                          for _ in range(400)], axis=0)
         resid = y - state.mus[0]
         scale = resid.T @ resid + hyper.v0
@@ -425,7 +426,7 @@ class TestBirthDeathStep:
         state = H.random_state(rng, 3, 2, 30)
         for _ in range(200):
             out, move, accepted = birth_death_step(
-                np.empty((30, 2)), state, hyper, rng, state.counts())
+                state, hyper, rng, state.counts())
             H.validate_state(out)
             if move == "birth" and accepted:
                 assert out.m == state.m + 1
@@ -444,7 +445,7 @@ class TestBirthDeathStep:
         for _ in range(300):
             state = H.random_state(rng, 4, 2, 20, force_empty=[1])
             out, move, accepted = birth_death_step(
-                np.empty((20, 2)), state, hyper, rng, state.counts())
+                state, hyper, rng, state.counts())
             H.validate_state(out)
             if move == "death" and accepted:
                 assert out.m == state.m - 1
@@ -458,9 +459,9 @@ class TestBirthDeathStep:
         rng = np.random.default_rng(32)
         hyper = H.random_hyper(rng, 1)
         state = H.random_state(rng, 2, 1, 10)
-        assert state.m_nonallocated == 0
+        assert np.count_nonzero(state.counts()) == state.m
         for _ in range(10):
-            _, move, _ = birth_death_step(np.empty((10, 1)), state, hyper, rng, state.counts())
+            _, move, _ = birth_death_step(state, hyper, rng, state.counts())
             assert move == "birth"
 
     def test_append_bookkeeping_always_appends(self):
@@ -469,8 +470,7 @@ class TestBirthDeathStep:
         state = H.random_state(rng, 3, 1, 15)
         seen_birth = False
         for _ in range(300):
-            out, move, accepted = birth_death_step(np.empty((15, 1)), state, hyper, rng,
-                                                   state.counts())
+            out, move, accepted = birth_death_step(state, hyper, rng, state.counts())
             if move == "birth" and accepted:
                 seen_birth = True
                 np.testing.assert_array_equal(out.mus[:state.m], state.mus)
@@ -704,7 +704,7 @@ class TestFastSweepMatchesReference:
             r1, r2 = twin_generators(trial)
             before = copy.deepcopy(state)
             grouped = _grouped_points(y, state)
-            got, got_counts = update_means(y, state, r1, step, grouped)
+            got, got_counts = update_means(state, r1, step, grouped)
             want, want_counts = H.update_means_ref(y, state, r2, step, grouped)
             assert_states_equal(got, want)
             assert got_counts == want_counts
@@ -719,7 +719,7 @@ class TestFastSweepMatchesReference:
             r1, r2 = twin_generators(trial)
             before = copy.deepcopy(state)
             grouped = _grouped_points(y, state)
-            got = update_covariances(y, state, hyper, r1, grouped)
+            got = update_covariances(state, hyper, r1, grouped)
             assert_states_equal(got, H.update_covariances_ref(y, state, hyper, r2, grouped))
             assert r1.bit_generator.state == r2.bit_generator.state
             assert_states_equal(state, before)
@@ -747,8 +747,8 @@ class TestFastSweepMatchesReference:
             r1, r2 = twin_generators(trial)
             before = copy.deepcopy(state)
             counts = _grouped_points(y, state)[0]
-            got, move, accepted = birth_death_step(y, state, hyper, r1, counts)
-            want, want_move, want_accepted = H.birth_death_step_ref(y, state, hyper, r2, counts)
+            got, move, accepted = birth_death_step(state, hyper, r1, counts)
+            want, want_move, want_accepted = H.birth_death_step_ref(state, hyper, r2, counts)
             assert (move, accepted) == (want_move, want_accepted)
             assert_states_equal(got, want)
             assert r1.bit_generator.state == r2.bit_generator.state
@@ -784,7 +784,7 @@ class TestFastSweepMatchesReference:
         config = SamplerConfig(hyper=hyper, seed=61, record_weights=True)
         trace, diag = run_sampler(y, config)
         with monkeypatch.context() as patch:
-            for module, name, reference in H.reference_sweep_patches():
+            for module, name, reference in H.reference_sweep_patches(y):
                 patch.setattr(module, name, reference)
             ref_trace, ref_diag = run_sampler(y, config)
         write_trace(tmp_path / "fast.ndjson", trace)
@@ -861,8 +861,8 @@ class TestRatiosArePure:
                 lambda: scale_log_accept(state, hyper, state.gamma, 0.7 * state.zeta),
                 lambda: birth_log_accept(
                     state, hyper, rng.dirichlet(np.insert(alpha_post, slot, hyper.alpha0)),
-                    rng.normal(size=dim), forced=bool(trial % 2)),
-                lambda: death_log_accept(state, hyper, 0, rng.dirichlet(alpha_post[1:])),
+                    rng.normal(size=dim), forced=bool(trial % 2), counts=counts),
+                lambda: death_log_accept(state, hyper, 0, rng.dirichlet(alpha_post[1:]), counts),
             ]
             for j in np.flatnonzero(counts):
                 mu_new = state.mus[j, d] + rng.normal()
@@ -954,7 +954,7 @@ class TestScaleAndDeathMatchReference:
             victim = int(rng.choice(empty))
             alpha_post = hyper.alpha0 + state.counts()
             w_hat = rng.dirichlet(np.delete(alpha_post, victim))
-            got = death_log_accept(state, hyper, victim, w_hat)
+            got = death_log_accept(state, hyper, victim, w_hat, state.counts())
             assert got == pytest.approx(H.death_log_accept_ref(state, hyper, victim, w_hat),
                                         rel=1e-12, abs=0.0)
 
@@ -982,7 +982,7 @@ class TestScaleAndDeathMatchReference:
         state = H.read_only_state(H.random_state(rng, 4, 2, 12, gamma=1.0, force_empty=[1]))
 
         def both(state, j, w_hat):
-            return (death_log_accept(state, hyper, j, w_hat),
+            return (death_log_accept(state, hyper, j, w_hat, state.counts()),
                     H.death_log_accept_ref(state, hyper, j, w_hat))
 
         # a tie among the repelled weights has no prior mass
@@ -995,9 +995,11 @@ class TestScaleAndDeathMatchReference:
         single = H.random_state(rng, 1, 2, 0, gamma=1.0)
         assert both(single, 0, np.array([1.0])) == (-np.inf, -np.inf)
         occupied = int(np.flatnonzero(state.counts() > 0)[0])
-        for death in (death_log_accept, H.death_log_accept_ref):
-            with pytest.raises(ValueError):
-                death(state, hyper, occupied, np.array([0.3, 0.2, 0.5]))
+        w_hat = np.array([0.3, 0.2, 0.5])
+        with pytest.raises(ValueError):
+            death_log_accept(state, hyper, occupied, w_hat, state.counts())
+        with pytest.raises(ValueError):
+            H.death_log_accept_ref(state, hyper, occupied, w_hat)
 
 
 BLOCKS = ("weights", "mus", "sigmas", "alloc")
@@ -1024,9 +1026,9 @@ class TestStepsShareUnchangedBlocks:
             else:
                 assert out is state
             grouped = _grouped_points(y, state)
-            out, _ = update_means(y, state, rng, hyper.step_mu, grouped)
+            out, _ = update_means(state, rng, hyper.step_mu, grouped)
             assert_shares(out, state, "weights", "sigmas", "alloc")
-            out = update_covariances(y, state, hyper, rng, grouped)
+            out = update_covariances(state, hyper, rng, grouped)
             assert_shares(out, state, "weights", "mus", "alloc")
 
     def test_rejected_moves_return_their_input(self):
@@ -1050,7 +1052,7 @@ class TestStepsShareUnchangedBlocks:
             else:
                 assert out is state
             outcomes["scale"].add(accepted)
-            out, move, accepted = birth_death_step(y, state, hyper, rng, counts)
+            out, move, accepted = birth_death_step(state, hyper, rng, counts)
             if accepted:
                 assert_shares(out, state)
             else:
