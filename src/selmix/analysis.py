@@ -292,8 +292,8 @@ def elicit_zeta(y, k, zeta_grid, rng, reps=200):
     if reps < 1:
         raise ValueError("reps must be >= 1")
     zeta_grid = [float(z) for z in zeta_grid]
-    if not zeta_grid or any(not z > 0.0 for z in zeta_grid):
-        raise ValueError("zeta grid must hold positive values")
+    if not zeta_grid or any(not 0.0 < z < np.inf for z in zeta_grid):
+        raise ValueError("zeta grid must hold positive finite values")
     if not 2 <= k <= len(y):
         raise ValueError("k must lie in 2..n")
     centers, _ = kmeans(np.asarray(y, dtype=float), k, iter=10, rng=rng)

@@ -11,15 +11,15 @@ chain i as seed XOR i, so runs with nearby seeds can share chains:
 
 Each subcommand imports the modules it runs.  Only ``fit`` loads the
 sampler; ``prior-ma``, ``elicit-zeta`` and ``dist`` load the model or the
-closed-form modules they evaluate, and with them scipy.  ``simulate``,
-``analyze``, ``--version`` and ``--help`` run on numpy alone.
+closed-form modules they evaluate, and only ``elicit-zeta`` loads scipy.
+``simulate``, ``analyze``, ``--version`` and ``--help`` run on numpy alone.
 
 BLAS threads: where this module is the entry point (``selmix`` or ``python
 -m selmix.cli``), it sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads,
 unless the caller set it.  Every BLAS or LAPACK call of ``fit`` works on a
-d x d matrix or a d x n_j panel, where a second thread saves nothing, while
-OpenBLAS's idle workers spin and starve the other processes of a
-multi-chain or multi-seed study.  ``analyze`` multiplies G x G co-counts
+d x d matrix or a panel d columns wide, where a second thread saves
+nothing, while OpenBLAS's idle workers spin and starve the other processes
+of a multi-chain or multi-seed study.  ``analyze`` multiplies G x G co-counts
 (G distinct groups of observations), which more threads do speed up when
 G runs into the thousands and CPUs are free.  ``OPENBLAS_NUM_THREADS=2``
 (or any value) in the environment still wins; ``OMP_NUM_THREADS`` alone no
@@ -30,8 +30,8 @@ keeps its environment as it is, since OpenBLAS has already started there.
 
 Garbage collector: ``main()``, the entry point of ``selmix`` and ``python -m
 selmix.cli``, turns Python's cyclic collector off before it dispatches and
-freezes the heap before it exits.  Otherwise the collector walks the ~42,000
-objects that numpy and scipy leave behind about 90 times during the imports,
+freezes the heap before it exits.  Otherwise the collector walks the ~22,000
+objects that ``fit``'s imports leave behind about 55 times while they run,
 and once more at interpreter exit, which collects even with the collector
 off but skips frozen objects; this was about a tenth of a cold ``fit`` or
 ``analyze``.  Nothing that grows with the run length makes reference cycles
@@ -49,7 +49,7 @@ import os
 import sys
 from pathlib import Path
 
-# read by OpenBLAS when numpy and scipy load it, so only before numpy's import
+# read by OpenBLAS when numpy loads it, so only before numpy's import
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

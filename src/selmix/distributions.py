@@ -1,20 +1,27 @@
-"""Shared density and sampling helpers built on scipy primitives.
+"""Shared density and sampling helpers built on numpy and ``math``.
 
 Everything here is standard-distribution plumbing used by the model,
 sampler and analysis modules.  Log densities are hand-rolled on top of
-``gammaln`` so that ratios needed inside tight Metropolis loops stay cheap
+``log_gamma`` so that ratios needed inside tight Metropolis loops stay cheap
 and so that degenerate one-component edge cases behave predictably.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln, multigammaln
 
 LOG_2PI = np.log(2.0 * np.pi)
+
+
+def log_gamma(x):
+    """log |Gamma(x)| as ``math.lgamma``, with +inf where that overflows."""
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        return math.inf
 
 
 @lru_cache(maxsize=128)
@@ -54,7 +61,7 @@ def gamma_log_pdf(x, shape, rate):
     """Gamma log density under the shape/rate parameterization."""
     if x <= 0.0:
         return -np.inf
-    return float(shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x)
+    return float(shape * np.log(rate) - log_gamma(shape) + (shape - 1.0) * np.log(x) - rate * x)
 
 
 def invwishart_log_pdf(sigma, scale, df):
@@ -68,13 +75,15 @@ def invwishart_log_pdf(sigma, scale, df):
     chol_sigma = np.linalg.cholesky(sigma)
     logdet_scale = 2.0 * np.log(np.diag(chol_scale)).sum()
     logdet_sigma = 2.0 * np.log(np.diag(chol_sigma)).sum()
-    # tr(scale @ sigma^{-1}) through triangular solves against the Cholesky factor
-    half = solve_triangular(chol_sigma, chol_scale, lower=True)
+    # tr(scale @ sigma^{-1}) through a solve against the Cholesky factor
+    half = np.linalg.solve(chol_sigma, chol_scale)
     trace = (half * half).sum()
+    log_multigamma = 0.25 * d * (d - 1) * math.log(math.pi)
+    log_multigamma += sum(log_gamma(0.5 * df - 0.5 * j) for j in range(d))
     return float(
         0.5 * df * logdet_scale
         - 0.5 * df * d * np.log(2.0)
-        - multigammaln(0.5 * df, d)
+        - log_multigamma
         - 0.5 * (df + d + 1.0) * logdet_sigma
         - 0.5 * trace
     )

@@ -18,10 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.special import gammaln
 
-from .distributions import LOG_2PI, pairwise_log_gap_sum, require_finite
+from .distributions import LOG_2PI, log_gamma, pairwise_log_gap_sum, require_finite
 
 __all__ = ["GeParams", "ge_log_norm_const", "ge_log_density", "sample_ge"]
 
@@ -59,7 +57,7 @@ def _ge_log_norm_const(z, m):
     with np.errstate(over="ignore", invalid="ignore"):
         total = (-0.5 * m - 0.25 * z * m * (m - 1)) * np.log(z) + 0.5 * m * LOG_2PI
         for j in range(2, m + 1):  # the j = 1 factor is one
-            total += gammaln(1.0 + 0.5 * j * z) - gammaln(1.0 + 0.5 * z)
+            total += log_gamma(1.0 + 0.5 * j * z) - log_gamma(1.0 + 0.5 * z)
     if not np.isfinite(total):
         raise ValueError(f"zeta = {z!r} overflows the ensemble constant at m = {m}")
     return float(total)
@@ -113,10 +111,11 @@ def sample_ge(params, n, rng):
         return out
     off_dof = z * np.arange(m - 1, 0, -1)
     scale = 1.0 / np.sqrt(2.0)
+    tri = np.zeros((m, m))
     for i in range(n):
-        diag = rng.normal(0.0, np.sqrt(2.0), size=m) * scale
-        off = np.sqrt(rng.chisquare(off_dof)) * scale
-        eigs = eigh_tridiagonal(diag, off, eigvals_only=True)
+        tri.flat[:: m + 1] = rng.normal(0.0, np.sqrt(2.0), size=m) * scale  # the diagonal
+        tri.flat[m :: m + 1] = np.sqrt(rng.chisquare(off_dof)) * scale  # and below it
+        eigs = np.linalg.eigvalsh(tri, UPLO="L")
         vec = eigs / np.sqrt(z)
         rng.shuffle(vec)
         out[i] = vec

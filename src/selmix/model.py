@@ -23,10 +23,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
-from scipy.special import gammaln, logsumexp
 
-from .distributions import LOG_2PI, gamma_log_pdf, invwishart_log_pdf, require_finite
+from .distributions import LOG_2PI, gamma_log_pdf, invwishart_log_pdf, log_gamma, require_finite
 from .ensemble import GeParams, ge_log_density
 from .planted import simulate_benchmark  # noqa: F401  (still imported from here)
 from .selberg import SdirParams, sdir_log_density
@@ -209,7 +207,7 @@ def shifted_poisson_log_pmf(m, lam):
         raise ValueError("lam must be positive")
     if int(m) != m or m < 1:
         return -np.inf
-    return float((m - 1) * np.log(lam) - lam - gammaln(m))
+    return float((m - 1) * np.log(lam) - lam - log_gamma(m))
 
 
 def weight_prior_log_density(w, alpha0, gamma, m):
@@ -220,28 +218,17 @@ def weight_prior_log_density(w, alpha0, gamma, m):
 def component_log_pdfs(y, state):
     """(n, m) matrix of per-component Gaussian log densities.
 
-    Equal bit for bit to one multivariate normal log density per component
-    (a Cholesky factor, ``solve_triangular`` on the residuals; kept as
-    ``component_log_pdfs_ref`` in tests/helpers.py): one batched Cholesky
-    factors every covariance, and each component makes the LAPACK
-    triangular solve that ``solve_triangular`` makes on a C-ordered factor,
-    in place on its block of one array of residuals.
+    One batched Cholesky factors every covariance and one batched inverse
+    of the factors whitens every component's residuals.
     """
     n, dim = y.shape
     if not (np.isfinite(y).all() and np.isfinite(state.mus).all()):
         raise ValueError("array must not contain infs or NaNs")
     chol = np.linalg.cholesky(state.sigmas)
     half_logdet = np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    resid = y - state.mus[:, None, :]  # (m, n, d)
-    for j, rhs in enumerate(resid.transpose(0, 2, 1)):
-        z, info = dtrtrs(chol[j].T, rhs, lower=0, trans=1, overwrite_b=1)
-        if info:
-            raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
-        if z is not rhs:  # the solve copied its right-hand side
-            rhs[...] = z
+    resid = (y - state.mus[:, None, :]) @ np.linalg.inv(chol).transpose(0, 2, 1)  # (m, n, d)
     resid *= resid
-    # row-major like the column-filled original, so reductions over a row
-    # (logsumexp in log_likelihood) add in the same order
+    # row-major, so reductions over a row (in log_likelihood) add in order
     out = np.empty((n, state.m))
     np.multiply(_last_axis_sums(resid).T, -0.5, out=out)
     out -= half_logdet
@@ -276,7 +263,10 @@ def allocation_log_probs(y, state):
 def log_likelihood(y, state):
     """Mixture log likelihood of the data, allocations marginalized out."""
     y = np.asarray(y, dtype=float)
-    return float(logsumexp(allocation_log_probs(y, state), axis=1).sum())
+    log_p = allocation_log_probs(y, state)
+    top = log_p.max(axis=1, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    return float((np.log(np.exp(log_p - top).sum(axis=1)) + top[:, 0]).sum())
 
 
 def log_complete_joint(y, state, hyper):

@@ -48,7 +48,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .analysis import PosteriorTrace
 from .distributions import (
@@ -56,6 +55,7 @@ from .distributions import (
     bartlett_variates,
     gamma_log_pdf,
     invwishart_from_variates,
+    log_gamma,
     pairwise_log_gap_sum,
     sample_invwishart,
 )
@@ -270,7 +270,7 @@ def _birth_log_ratio(weights, mus, m_na, state, hyper, w_new, mu_new, forced):
     if hyper.birth_death == "reversible":
         la += np.log(m + 1.0)
     conc_total = m * a0 + state.n_obs
-    la += gammaln(a0) + gammaln(conc_total) - gammaln(conc_total + a0)
+    la += log_gamma(a0) + log_gamma(conc_total) - log_gamma(conc_total + a0)
     la += 0.5 * dim * (LOG_2PI - np.log(z))
     return float(la)
 

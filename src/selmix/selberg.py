@@ -11,7 +11,7 @@ product.  The normalizing constant is a Selberg-type integral with a closed
 form in gamma functions, which also yields closed-form moments for the
 excluded coordinate and for symmetric product moments.
 
-All constants are evaluated in log space through ``gammaln`` and stay finite
+All constants are evaluated in log space through ``log_gamma`` and stay finite
 well beyond M = 50.
 """
 
@@ -21,10 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .analysis import SIMPLEX_TOL
-from .distributions import pairwise_log_gap_sum, require_finite
+from .distributions import log_gamma, pairwise_log_gap_sum, require_finite
 
 __all__ = [
     "SdirParams",
@@ -116,9 +115,9 @@ def sdir_log_norm_const(params):
 
 @lru_cache(maxsize=1024)
 def _sdir_log_norm_const(a, g, m):
-    total = gammaln(a) - gammaln(m * a + g * (m - 1) * (m - 2))
+    total = log_gamma(a) - log_gamma(m * a + g * (m - 1) * (m - 2))
     for j in range(1, m):
-        total += gammaln(a + (j - 1) * g) + gammaln(1.0 + j * g) - gammaln(1.0 + g)
+        total += log_gamma(a + (j - 1) * g) + log_gamma(1.0 + j * g) - log_gamma(1.0 + g)
     return float(total)
 
 
@@ -136,7 +135,8 @@ def sdir_log_density(w, params):
             return -np.inf
     else:
         repulsion = 0.0
-    kernel = xlogy(params.alpha - 1.0, w).sum()
+    with np.errstate(divide="ignore"):  # alpha = 1 gives 0, also where a weight is 0
+        kernel = 0.0 if params.alpha == 1.0 else ((params.alpha - 1.0) * np.log(w)).sum()
     return float(kernel + repulsion - sdir_log_norm_const(params))
 
 
@@ -162,7 +162,7 @@ def sdir_moments(params, k=1):
     mean = a / eta
     second = a * (a + 1.0) / ((eta + 1.0) * eta)
     variance = mean * (1.0 - mean) / (eta + 1.0)
-    marginal_k = float(np.exp(gammaln(a + k) + gammaln(eta) - gammaln(a) - gammaln(eta + k)))
+    marginal_k = float(np.exp(log_gamma(a + k) + log_gamma(eta) - log_gamma(a) - log_gamma(eta + k)))
     bumped = SdirParams(a + k, g, m)
     product_k = float(np.exp(sdir_log_norm_const(bumped) - sdir_log_norm_const(params)))
     return SdirMoments(

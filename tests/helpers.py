@@ -13,6 +13,7 @@ import copy
 import csv
 import dataclasses
 import functools
+import math
 import os
 import warnings
 from fractions import Fraction
@@ -528,20 +529,30 @@ def pairwise_log_gap_sum_ref(values):
     return float(np.log(gaps).sum())
 
 
-def sdir_log_norm_const_ref(params):
+def sdir_log_norm_const_ref(params, lgamma=math.lgamma):
+    """The Selberg constant term by term; ``lgamma=gammaln`` gives scipy's value."""
     a, g, m = params.alpha, params.gamma, params.m
-    total = gammaln(a) - gammaln(m * a + g * (m - 1) * (m - 2))
+    total = lgamma(a) - lgamma(m * a + g * (m - 1) * (m - 2))
     for j in range(1, m):
-        total += gammaln(a + (j - 1) * g) + gammaln(1.0 + j * g) - gammaln(1.0 + g)
+        total += lgamma(a + (j - 1) * g) + lgamma(1.0 + j * g) - lgamma(1.0 + g)
     return float(total)
 
 
-def ge_log_norm_const_ref(params):
+def ge_log_norm_const_ref(params, lgamma=math.lgamma):
+    """The ensemble constant term by term; ``lgamma=gammaln`` gives scipy's value."""
     z, m = params.zeta, params.m
     total = (-0.5 * m - 0.25 * z * m * (m - 1)) * np.log(z) + 0.5 * m * LOG_2PI
     for j in range(1, m + 1):
-        total += gammaln(1.0 + 0.5 * j * z) - gammaln(1.0 + 0.5 * z)
+        total += lgamma(1.0 + 0.5 * j * z) - lgamma(1.0 + 0.5 * z)
     return float(total)
+
+
+def assert_near_scipy(got, want):
+    """|got - want| <= 1e-12 max(1, |want|) in every entry: a value check
+    against a scipy closed form, whose last bits may differ."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), (got, want)
 
 
 def gaussian_log_pdf(y, mean, cov):
@@ -566,10 +577,21 @@ def gaussian_log_pdf(y, mean, cov):
 
 
 def component_log_pdfs_ref(y, state):
+    """One component at a time: the Cholesky factor, its inverse, the
+    residuals times the inverse's transpose."""
     out = np.empty((y.shape[0], state.m))
     for j in range(state.m):
-        out[:, j] = gaussian_log_pdf(y, state.mus[j], state.sigmas[j])
+        chol = np.linalg.cholesky(state.sigmas[j])
+        z = (y - state.mus[j]) @ np.linalg.inv(chol).T
+        out[:, j] = (-0.5 * (z * z).sum(axis=1) - np.log(np.diag(chol)).sum()
+                     - 0.5 * state.dim * LOG_2PI)
     return out
+
+
+def component_log_pdfs_scipy(y, state):
+    """The scipy value of ``component_log_pdfs``, one ``gaussian_log_pdf`` a column."""
+    return np.column_stack([gaussian_log_pdf(y, state.mus[j], state.sigmas[j])
+                            for j in range(state.m)])
 
 
 def update_allocations_ref(y, state, rng):

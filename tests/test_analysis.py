@@ -454,9 +454,9 @@ class TestElicitation:
         with pytest.raises(ValueError, match="^need at least two centers$"):
             center_gap_by_dimension(np.zeros((k, 2)))
 
-    @pytest.mark.parametrize("grid", [[], [0.1, 0.0], [-1.0], [0.1, np.nan]])
+    @pytest.mark.parametrize("grid", [[], [0.1, 0.0], [-1.0], [0.1, np.nan], [0.1, np.inf]])
     def test_grid_must_hold_positive_values(self, grid):
-        with pytest.raises(ValueError, match="^zeta grid must hold positive values$"):
+        with pytest.raises(ValueError, match="^zeta grid must hold positive finite values$"):
             elicit_zeta(np.random.default_rng(3).normal(size=(20, 2)), 3, grid,
                         np.random.default_rng(4))
 

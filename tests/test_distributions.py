@@ -1,20 +1,42 @@
 """Log-density helpers and the inverse-Wishart sampler against scipy."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
 
 from helpers import dirichlet_log_pdf, gaussian_log_pdf, sample_invwishart_ref
 from selmix.distributions import (
     LOG_2PI,
     gamma_log_pdf,
     invwishart_log_pdf,
+    log_gamma,
     pairwise_log_gap_sum,
     sample_invwishart,
 )
 
 
 rng = np.random.default_rng(314)
+
+
+class TestLogGamma:
+    GRID = [*np.logspace(-300.0, 305.0, 1211), *np.linspace(0.5, 3.0, 501)]
+
+    def test_matches_scipy(self):
+        # relative to max(1, |value|): a plain relative bound fails near the zeros at 1 and 2
+        for x in self.GRID:
+            want = gammaln(x)
+            assert abs(log_gamma(x) - want) <= 1e-14 * max(1.0, abs(want)), x
+
+    def test_is_maths_lgamma_where_finite(self):
+        for x in self.GRID:
+            assert log_gamma(x) == math.lgamma(x), x
+
+    @pytest.mark.parametrize("x", [1e306, 1e308])
+    def test_overflow_gives_inf(self, x):
+        assert log_gamma(x) == math.inf
 
 
 class TestLogDensities:

@@ -1,11 +1,12 @@
 """Start-up budget: ``simulate``, ``analyze``, ``--version`` and ``--help`` run
-on numpy alone, and ``prior-ma`` loads the Selberg module without the
-sampler, the model or the ensemble.
+on numpy alone, ``prior-ma`` loads the Selberg module without the sampler,
+the model or the ensemble, and only ``elicit-zeta`` loads scipy.
 
 Each command runs in a fresh interpreter that then lists the modules it
 loaded.  ``fit`` runs the same way, as a control that the listing sees the
-sampler when it is loaded.  The same children check the BLAS thread default
-that ``selmix.cli`` sets when it is imported before numpy.
+sampler when it is loaded, and ``elicit-zeta`` as a control that it sees
+scipy.  The same children check the BLAS thread default that
+``selmix.cli`` sets when it is imported before numpy.
 """
 
 import json
@@ -44,6 +45,10 @@ def child_report(argv, cwd, env=None, prelude=""):
     return "\n".join(printed), json.loads(last)
 
 
+def scipy_modules(loaded):
+    return [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
 def run_child(argv, cwd):
     """Run ``cli_dispatch(argv)`` in a fresh interpreter; return (stdout, exit code, loaded)."""
     printed, report = child_report(argv, cwd)
@@ -69,7 +74,8 @@ def test_fit_writes_its_trace_and_loads_the_sampler(fitted):
     root, code, loaded = fitted
     assert code == 0
     assert (root / "fit" / "trace_chain0.ndjson").stat().st_size > 0
-    assert "selmix.sampler" in loaded and "scipy" in loaded
+    assert "selmix.sampler" in loaded
+    assert scipy_modules(loaded) == []
 
 
 @pytest.mark.parametrize("argv", [["--version"], ["--help"]])
@@ -104,6 +110,25 @@ def test_prior_ma_loads_neither_sampler_model_nor_ensemble(tmp_path):
     assert len(printed.splitlines()) == 9
     assert "selmix.selberg" in loaded
     assert not {"selmix.sampler", "selmix.model", "selmix.ensemble"} & set(loaded)
+    assert scipy_modules(loaded) == []
+
+
+def test_dist_sdir_log_const_loads_no_scipy(tmp_path):
+    argv = ["dist", "sdir-log-const", "--alpha", "1.5", "--gamma", "0.7", "--m", "4"]
+    printed, code, loaded = run_child(argv, tmp_path)
+    assert code == 0
+    assert float(printed) < 0.0
+    assert "selmix.selberg" in loaded
+    assert scipy_modules(loaded) == []
+
+
+def test_elicit_zeta_loads_scipys_kmeans(fitted):
+    root, _, _ = fitted
+    argv = ["elicit-zeta", "--data", "y.csv", "--k", "3", "--reps", "20", "--seed", "1"]
+    printed, code, loaded = run_child(argv, root)
+    assert code == 0
+    assert float(printed) > 0.0
+    assert "scipy.cluster" in loaded
 
 
 def test_fit_child_runs_one_blas_thread_by_default(fitted):

@@ -88,22 +88,6 @@ class TestLikelihood:
         with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
             component_log_pdfs(y, state)
 
-    def test_component_log_pdfs_when_the_solve_copies(self, monkeypatch):
-        # the densities are read from the residuals the solves overwrite in
-        # place; a solve that returns a copy instead gives the same bits
-        import selmix.model as model_mod
-        from helpers import component_log_pdfs_ref
-
-        solve = model_mod.dtrtrs
-        monkeypatch.setattr(model_mod, "dtrtrs",
-                            lambda a, b, **kw: solve(a, b.copy(order="F"), **kw))
-        rng = np.random.default_rng(12)
-        for dim in (1, 2, 9):
-            state = random_state(rng, 4, dim, 30)
-            y = rng.normal(size=(30, dim))
-            np.testing.assert_array_equal(component_log_pdfs(y, state),
-                                          component_log_pdfs_ref(y, state))
-
     def test_last_axis_sums_are_numpys_bit_for_bit(self):
         # the squared residuals' sums are taken slice by slice below 8
         # numbers and by numpy from 8 on

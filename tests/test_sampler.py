@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaln
 
 import helpers as H
 from selmix.analysis import elicit_zeta, partition_summary, prior_ma_simulation
@@ -688,6 +689,7 @@ class TestFastSweepMatchesReference:
             assert got.flags.c_contiguous
             assert got.shape == (n, state.m) and got.dtype == np.float64
             np.testing.assert_array_equal(got, H.component_log_pdfs_ref(y, state))
+            H.assert_near_scipy(got, H.component_log_pdfs_scipy(y, state))
             r1, r2 = twin_generators(trial)
             before = copy.deepcopy(state)
             assert_states_equal(update_allocations(y, state, r1),
@@ -766,8 +768,12 @@ class TestFastSweepMatchesReference:
             for _repeat in range(2):  # the second call is served from the cache
                 sdir = SdirParams(a, g, m)
                 assert sdir_log_norm_const(sdir) == H.sdir_log_norm_const_ref(sdir)
+                H.assert_near_scipy(sdir_log_norm_const(sdir),
+                                    H.sdir_log_norm_const_ref(sdir, lgamma=gammaln))
                 ge = GeParams(z, m)
                 assert ge_log_norm_const(ge) == H.ge_log_norm_const_ref(ge)
+                H.assert_near_scipy(ge_log_norm_const(ge),
+                                    H.ge_log_norm_const_ref(ge, lgamma=gammaln))
             vals = rng.normal(size=m)
             if m > 2 and rng.random() < 0.2:
                 vals[1] = vals[0]

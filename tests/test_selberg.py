@@ -8,6 +8,7 @@ from scipy import stats
 from scipy.special import gammaln
 
 from helpers import (
+    assert_near_scipy,
     batch_means_se,
     sdir_log_density_ref,
     sdir_log_norm_const_ref,
@@ -80,7 +81,9 @@ class TestSharedProduct:
             for gamma in self.GAMMAS:
                 for m in self.MS:
                     params = SdirParams(alpha, gamma, m)
-                    assert sdir_log_norm_const(params) == sdir_log_norm_const_ref(params), params
+                    got = sdir_log_norm_const(params)
+                    assert got == sdir_log_norm_const_ref(params), params
+                    assert_near_scipy(got, sdir_log_norm_const_ref(params, lgamma=gammaln))
 
 
 class TestMoments:

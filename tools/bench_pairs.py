@@ -16,7 +16,9 @@ which the change was better (ties count for neither side).  ``gain`` is
 ``yes`` when the change won at least nine tenths of the pairs and its median
 is better by more than the parent's quartile spread, the rule for claiming a
 gain.  A last line says in how many pairs the two checkouts' ``fingerprint``
-lines (trace sha256 of the first operation) were equal.  The tool exits 1
+lines (trace sha256 of the first operation) were equal.  Each pair's line
+also gives both runs' median ``host.calib_ms``, the harness's timing of a
+fixed pure-Python loop, which shows a host that slowed down.  The tool exits 1
 if any run exited non-zero or reported ``correct: false``, else 0.
 """
 
@@ -39,7 +41,8 @@ SIDES = ("parent", "change")
 
 def run_bench(root, workload, seed, seconds):
     """One ``bench/run.py`` run; returns (its metrics, None if it failed; its
-    fingerprint line; whether it succeeded)."""
+    fingerprint line; whether it succeeded; its median ``host.calib_ms``,
+    None if not printed)."""
     proc = subprocess.run(
         [sys.executable, str(root / "bench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds)],
@@ -47,6 +50,8 @@ def run_bench(root, workload, seed, seconds):
     )
     lines = proc.stdout.splitlines()
     fingerprint = next((line for line in lines if line.startswith("fingerprint ")), None)
+    calib = next((float(line.split(" median ")[1].split()[0]) for line in lines
+                  if " host.calib_ms first " in line), None)
     try:
         result = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
@@ -55,7 +60,7 @@ def run_bench(root, workload, seed, seconds):
     if not ok:
         print(f"  FAILED {root} seed {seed}: exit {proc.returncode}\n{proc.stderr[-1000:]}")
     metrics = {k: v["value"] for k, v in result["metrics"].items()} if ok else None
-    return metrics, fingerprint, ok
+    return metrics, fingerprint, ok, calib
 
 
 def main(argv=None):
@@ -79,7 +84,7 @@ def main(argv=None):
     for seed in range(1, args.pairs + 1):
         order = SIDES if seed % 2 else SIDES[::-1]
         runs = {side: run_bench(roots[side], args.workload, seed, args.seconds) for side in order}
-        failed += sum(not ok for _, _, ok in runs.values())
+        failed += sum(not run[2] for run in runs.values())
         same_fingerprint += runs["parent"][1] is not None and runs["parent"][1] == runs["change"][1]
         if not (runs["parent"][0] and runs["change"][0]):
             continue
@@ -91,7 +96,8 @@ def main(argv=None):
             won[name] += sign * (values["change"] - values["parent"]) > 0
         print(f"pair {seed} ({' first, '.join(order)} second): "
               + "  ".join(f"{m['name']} {runs['parent'][0][m['name']]:.5g} -> "
-                          f"{runs['change'][0][m['name']]:.5g}" for m in spec))
+                          f"{runs['change'][0][m['name']]:.5g}" for m in spec)
+              + f"  host.calib_ms {runs['parent'][3]} -> {runs['change'][3]}")
 
     pairs = len(samples["parent"][spec[0]["name"]])
     print(f"\n{args.workload}: {pairs} complete pairs of {args.pairs}, --seconds {args.seconds}")

@@ -36,10 +36,12 @@ that flips no accept coin or argmax leaves it as it was.  So one more child
 per tree runs ``initial_state`` and then 300 ``sweep`` calls on each of
 three chains, the ``planted``, ``lam`` and ``wide`` data and priors above,
 and hashes the bytes of ``weights``, ``mus``, ``sigmas``, ``alloc``,
-``gamma`` and ``zeta`` after every sweep into one sha256 per chain.  A
-last-bit change in the component densities flips no draw in such a chain,
-so the bytes of ``log_complete_joint`` of each state go into the digest
-too.
+``gamma`` and ``zeta`` after every sweep into one state sha256 per chain.
+A last-bit change in the component densities flips no draw in such a
+chain, so ``log_complete_joint`` of each state is compared too: its bytes
+go into a second sha256 per chain, and the line prints on how many
+states the joint differs between the trees and its largest relative
+difference.
 
 The input data are made once, with the first tree.  A prior chain writes
 its acceptance counts to ``counts.json`` in place of ``summary.json``;
@@ -52,7 +54,9 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -87,7 +91,7 @@ centres = rng.normal(0.0, 4.0, size=(3, 9))
 write_dataset(sys.argv[1], centres[rng.integers(3, size=300)] + rng.standard_normal((300, 9)))
 """
 SWEEP_DIGESTS = """
-import hashlib, sys
+import hashlib, json, sys
 import numpy as np
 from selmix.io import read_dataset
 from selmix.model import Hyperparams, log_complete_joint
@@ -97,13 +101,13 @@ for path, seed, lam in zip(*[iter(sys.argv[1:])] * 3):
     hyper = Hyperparams(lam=float(lam), gamma_fixed=1.0, zeta_fixed=0.1).resolved(y.shape[1])
     rng = np.random.default_rng(int(seed))
     state = initial_state(y, hyper, rng)
-    digest = hashlib.sha256()
+    digest, joints = hashlib.sha256(), []
     for _ in range(300):
         state, _ = sweep(y, state, hyper, rng, hyper.step_mu, hyper.step_gamma)
-        for block in (state.weights, state.mus, state.sigmas, state.alloc, state.gamma, state.zeta,
-                      log_complete_joint(y, state, hyper)):
+        for block in (state.weights, state.mus, state.sigmas, state.alloc, state.gamma, state.zeta):
             digest.update(np.ascontiguousarray(block).tobytes())
-    print(digest.hexdigest())
+        joints.append(log_complete_joint(y, state, hyper))
+    print(json.dumps([digest.hexdigest(), joints]))
 """
 TALL_DATA = """
 import sys
@@ -191,11 +195,22 @@ SWEEP_CHAINS = (("planted", "planted", 3), ("lam", "lam", 12), ("wide", "wide", 
 
 
 def sweep_digests(src, data, work):
-    """One sha256 per chain of ``SWEEP_CHAINS``, over its states after every sweep."""
+    """(state sha256, log joints) per chain of ``SWEEP_CHAINS``, over its
+    states after every sweep."""
     argv = ["-c", SWEEP_DIGESTS]
     for _, kind, lam in SWEEP_CHAINS:
         argv += [data[kind, 1], chain_seed(1, 1), lam]
-    return child(src, argv, work).split()
+    return [json.loads(line) for line in child(src, argv, work).splitlines()]
+
+
+def joint_digest(joints):
+    return hashlib.sha256(struct.pack(f"<{len(joints)}d", *joints)).hexdigest()
+
+
+def largest_relative_difference(a, b):
+    """max |a_i - b_i| / max(|a_i|, |b_i|), with equal entries counting 0."""
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b, strict=True) if x != y),
+               default=0.0)
 
 
 def digests(out):
@@ -228,9 +243,16 @@ def main(argv=None):
         chains = zip(SWEEP_CHAINS, *(sweep_digests(src, data, work) for src in srcs),
                      strict=True)
         chains_differ = 0
-        for (name, _, _), a, b in chains:
-            chains_differ += a != b
-            print(f"sweeps-{name:11s} {'same' if a == b else 'DIFFERENT'}  300 states  {a[:12]}")
+        for (name, _, _), (state_a, joints_a), (state_b, joints_b) in chains:
+            joint_a = joint_digest(joints_a)
+            same_state, same_joint = state_a == state_b, joint_a == joint_digest(joints_b)
+            chains_differ += not (same_state and same_joint)
+            unequal = sum(a != b for a, b in zip(joints_a, joints_b, strict=True))
+            rel = largest_relative_difference(joints_a, joints_b)
+            print(f"sweeps-{name:11s} states {'same' if same_state else 'DIFFERENT'} "
+                  f"{state_a[:12]}  log joints {'same' if same_joint else 'DIFFERENT'} "
+                  f"{joint_a[:12]} ({unequal} of 300 unequal, largest relative "
+                  f"difference {rel:.2g})")
     print(f"{differ} of {sum(1 for _ in fits())} fits and {chains_differ} of "
           f"{len(SWEEP_CHAINS)} sweep chains differ ({time.perf_counter() - start:.0f} s)")
     return 1 if differ or chains_differ else 0
