@@ -2,7 +2,7 @@
 
 Each exported name is imported from its home module on first access
 (PEP 562), so ``import selmix`` and the subcommands that need only numpy
-do not load scipy or the sampler.
+do not load the sampler.  numpy is the one runtime dependency.
 """
 
 import importlib

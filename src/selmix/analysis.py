@@ -1,9 +1,8 @@
 """Posterior summaries: similarity matrices, point-estimate partitions,
 prior cluster-count simulation, and repulsion-scale elicitation.
 
-Importing the module loads numpy alone, so ``analyze`` loads no scipy.
-``prior_ma_simulation`` imports the Selberg sampler when called, and
-``elicit_zeta`` imports scipy's k-means and the ensemble sampler.
+The module runs on numpy alone.  ``prior_ma_simulation`` imports the
+Selberg sampler when called, and ``elicit_zeta`` the ensemble sampler.
 
 Partition summaries are label-invariant: they depend only on which
 observations share a component, never on the component indices themselves.
@@ -278,17 +277,19 @@ def center_gap_by_dimension(centers):
 def elicit_zeta(y, k, zeta_grid, rng, reps=200):
     """Pick the grid zeta whose ensemble matches the data's cluster spread.
 
-    Runs scipy's k-means (best of 10 restarts from k distinct observations),
+    Runs k-means (best of 10 restarts from k distinct observations),
     takes the mean absolute pairwise center distance averaged over
     dimensions, computes the same statistic for ``reps`` location-ensemble
     draws at each candidate zeta, and returns the first candidate with the
     smallest absolute discrepancy.  The ensemble gap shrinks as zeta grows,
     so degenerate single-cluster data selects the largest grid value.
     """
-    from scipy.cluster.vq import kmeans
-
     from .ensemble import GeParams, sample_ge
 
+    if np.ndim(y) != 2:
+        raise ValueError("data must be a 2-D array (n, d)")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ValueError("k must be an integer")
     if reps < 1:
         raise ValueError("reps must be >= 1")
     zeta_grid = [float(z) for z in zeta_grid]
@@ -296,9 +297,8 @@ def elicit_zeta(y, k, zeta_grid, rng, reps=200):
         raise ValueError("zeta grid must hold positive finite values")
     if not 2 <= k <= len(y):
         raise ValueError("k must lie in 2..n")
-    centers, _ = kmeans(np.asarray(y, dtype=float), k, iter=10, rng=rng)
-    # scipy drops a centre that ends with no observations (repeated points
-    # can do that); a single centre left means the data show no spread
+    centers = _kmeans(np.asarray(y, dtype=float), k, rng)
+    # a single centre left means the data show no spread
     target = float(center_gap_by_dimension(centers).mean()) if len(centers) > 1 else 0.0
 
     def discrepancy(z):
@@ -307,3 +307,28 @@ def elicit_zeta(y, k, zeta_grid, rng, reps=200):
         return abs(float(center_gap_by_dimension(draws.T).mean()) - target)
 
     return min(zeta_grid, key=discrepancy)
+
+
+def _kmeans(y, k, rng):
+    """The centres of ``scipy.cluster.vq.kmeans(y, k, iter=10, rng=rng)``, bit for
+    bit and from the same draws: the best of 10 runs, the first of equals."""
+    if not np.isfinite(y).all():
+        raise ValueError("array must not contain infs or NaNs")
+    runs = [_lloyd(y, y[rng.choice(len(y), size=k, replace=False)]) for _ in range(10)]
+    return min(runs, key=lambda run: run[1])[0]
+
+
+def _lloyd(y, book):
+    """Lloyd's iterations until the mean distance to the nearest centre changes
+    by at most 1e-5: (centres, emptied ones dropped; that mean distance)."""
+    diff = prev = np.inf
+    while diff > 1e-5:
+        # as scipy's vq below 5 features and its update_cluster_means: squares
+        # summed feature by feature, ties to the first centre, sums in row order
+        sq = sum((y[:, j, None] - book[:, j]) ** 2 for j in range(y.shape[1]))
+        code, dist = sq.argmin(axis=1), np.sqrt(sq.min(axis=1)).mean()
+        counts = np.bincount(code, minlength=len(book))
+        sums = np.stack([np.bincount(code, col, len(book)) for col in y.T], axis=1)
+        book = sums[counts > 0] / counts[counts > 0, None]
+        diff, prev = abs(prev - dist), dist
+    return book, dist

@@ -9,10 +9,10 @@ chain i as seed XOR i, so runs with nearby seeds can share chains:
 ``fit --seed 2 --chains 2`` and ``--seed 3 --chains 2`` run the same pair
 (seeds 2 and 3, in swapped order).
 
-Each subcommand imports the modules it runs.  Only ``fit`` loads the
-sampler; ``prior-ma``, ``elicit-zeta`` and ``dist`` load the model or the
-closed-form modules they evaluate, and only ``elicit-zeta`` loads scipy.
-``simulate``, ``analyze``, ``--version`` and ``--help`` run on numpy alone.
+Each subcommand imports the modules it runs, and none loads scipy.  Only
+``fit`` loads the sampler; ``prior-ma``, ``elicit-zeta`` and ``dist`` load
+the model or the closed-form modules they evaluate.  ``simulate``,
+``analyze``, ``--version`` and ``--help`` run on numpy alone.
 
 BLAS threads: where this module is the entry point (``selmix`` or ``python
 -m selmix.cli``), it sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads,

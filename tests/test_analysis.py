@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.cluster.vq import kmeans
 
 import helpers as H
 from selmix import analysis
@@ -481,6 +482,39 @@ class TestElicitation:
         with pytest.raises(ValueError, match=r"^k must lie in 2\.\.n$"):
             elicit_zeta(np.random.default_rng(3).normal(size=(20, 2)), k, [0.1],
                         np.random.default_rng(4))
+
+    @pytest.mark.parametrize("y,k,message", [
+        (np.arange(20.0), 3, r"^data must be a 2-D array \(n, d\)$"),
+        (np.ones((20, 2)), 3.0, "^k must be an integer$"),
+        (np.ones((20, 2)), 3.5, "^k must be an integer$"),
+        (np.ones((20, 2)), True, "^k must be an integer$"),
+        (np.r_[np.ones((19, 2)), [[1.0, np.nan]]], 3, "^array must not contain infs or NaNs$"),
+    ], ids=["1-D y", "k=3.0", "k=3.5", "k=True", "NaN in y"])
+    def test_input_refusals_name_the_input(self, y, k, message):
+        with pytest.raises(ValueError, match=message):
+            elicit_zeta(y, k, [0.1], np.random.default_rng(4))
+
+    def test_kmeans_is_scipys_bit_for_bit(self):
+        # 132 fixed-seed cases: d 1-11 (scipy's vq switches to a BLAS distance
+        # from 5 features), every third one rounded so that centres get
+        # dropped, every tenth with k = n
+        cases, dropped = np.random.default_rng(28), 0
+        for case in range(132):
+            d = case % 11 + 1
+            n = int(cases.integers(5, 13 if case % 10 == 0 else 300))
+            k = n if case % 10 == 0 else int(cases.integers(2, min(n, 8) + 1))
+            y = cases.normal(size=(n, d)) * cases.uniform(0.1, 10.0) + cases.normal(size=d)
+            if case % 3 == 0:
+                # mostly zeros: repeated points, some of them starting centres
+                y = np.round(0.4 * cases.normal(size=(n, d)))
+            seed = int(cases.integers(2**32))
+            ours_rng, scipy_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            ours = analysis._kmeans(y, k, ours_rng)
+            want, _ = kmeans(y, k, iter=10, rng=scipy_rng)
+            assert np.array_equal(ours, want), (case, n, d, k)
+            assert ours_rng.random() == scipy_rng.random(), (case, n, d, k)
+            dropped += len(want) < k
+        assert dropped >= 10
 
     def test_benchmark_selects_frozen_scale(self):
         y, _ = simulate_benchmark(0)

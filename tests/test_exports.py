@@ -70,12 +70,17 @@ def test_package_exports_are_pinned():
 
 
 def test_scipy_floor_has_the_kmeans_rng_keyword():
-    # analysis.elicit_zeta calls scipy.cluster.vq.kmeans(..., rng=rng), a
-    # keyword that scipy added in 1.15; read with a regex (no tomllib on 3.10)
+    # numpy is the one runtime dependency; the test extra's scipy serves as a
+    # reference, and test_analysis compares analysis._kmeans with
+    # scipy.cluster.vq.kmeans(..., rng=rng), a keyword that scipy added in
+    # 1.15.  pyproject.toml is read with regexes (no tomllib on 3.10)
     from scipy.cluster.vq import kmeans
 
     assert "rng" in inspect.signature(kmeans).parameters
     text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
-    floor = re.search(r'"scipy>=(\d+)\.(\d+)', text)
-    assert floor, "pyproject.toml declares no scipy floor"
+    dependencies = re.search(r"^dependencies = \[(.*?)\]", text, re.M | re.S)
+    assert dependencies, "pyproject.toml declares no dependencies"
+    assert re.findall(r'"([^"]*)"', dependencies[1]) == ["numpy>=1.24"]
+    floor = re.search(r'^test = \[.*"scipy>=(\d+)\.(\d+)', text, re.M)
+    assert floor, "the test extra declares no scipy floor"
     assert (int(floor[1]), int(floor[2])) >= (1, 15)

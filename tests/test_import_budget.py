@@ -1,12 +1,14 @@
 """Start-up budget: ``simulate``, ``analyze``, ``--version`` and ``--help`` run
 on numpy alone, ``prior-ma`` loads the Selberg module without the sampler,
-the model or the ensemble, and only ``elicit-zeta`` loads scipy.
+the model or the ensemble, and no subcommand loads scipy.
 
 Each command runs in a fresh interpreter that then lists the modules it
 loaded.  ``fit`` runs the same way, as a control that the listing sees the
-sampler when it is loaded, and ``elicit-zeta`` as a control that it sees
-scipy.  The same children check the BLAS thread default that
-``selmix.cli`` sets when it is imported before numpy.
+sampler when it is loaded.  Every subcommand also runs in an interpreter
+where ``import scipy`` fails, so a scipy import anywhere on its path, even
+one that the listing would miss, fails it.  The same children check the
+BLAS thread default that ``selmix.cli`` sets when it is imported before
+numpy.
 """
 
 import json
@@ -122,13 +124,29 @@ def test_dist_sdir_log_const_loads_no_scipy(tmp_path):
     assert scipy_modules(loaded) == []
 
 
-def test_elicit_zeta_loads_scipys_kmeans(fitted):
+def test_elicit_zeta_loads_no_scipy(fitted):
     root, _, _ = fitted
     argv = ["elicit-zeta", "--data", "y.csv", "--k", "3", "--reps", "20", "--seed", "1"]
     printed, code, loaded = run_child(argv, root)
     assert code == 0
     assert float(printed) > 0.0
-    assert "scipy.cluster" in loaded
+    assert "selmix.ensemble" in loaded
+    assert scipy_modules(loaded) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--seed", "7", "--out", "sim.csv"],
+    fit_argv("fit-no-scipy"),
+    ["analyze", "--trace", "fit/trace_chain0.ndjson", "--out-dir", "an-no-scipy"],
+    ["elicit-zeta", "--data", "y.csv", "--k", "3", "--reps", "20", "--seed", "1"],
+    ["prior-ma", "--gamma", "3", "--m", "8", "--reps", "200"],
+    ["dist", "sdir-log-const", "--alpha", "1.5", "--gamma", "0.7", "--m", "4"],
+], ids=["simulate", "fit", "analyze", "elicit-zeta", "prior-ma", "dist"])
+def test_subcommand_runs_with_scipy_absent(fitted, argv):
+    # a None entry in sys.modules makes ``import scipy`` raise ImportError
+    root, _, _ = fitted
+    _, report = child_report(argv, root, prelude='import sys; sys.modules["scipy"] = None\n')
+    assert report["code"] == 0
 
 
 def test_fit_child_runs_one_blas_thread_by_default(fitted):

@@ -6,8 +6,9 @@ interpreter start, command and exit.
 Each run starts one fresh interpreter per command: ``--version``,
 ``simulate`` (n = 300), ``fit`` on the planted data (n = 300, d = 2) and on
 the tall data (n = 3000, d = 5) with the flags of the bench workloads of the
-same names (``bench/workloads.py``), and ``analyze`` of each of the two
-traces.  Every child writes into a directory of its own, deleted after the
+same names (``bench/workloads.py``), ``analyze`` of each of the two traces,
+and ``elicit-zeta --k 5`` (default grid and ``--reps``) on each of the two
+datasets.  Every child writes into a directory of its own, deleted after the
 run, so no child overwrites a file.  ``--src`` names a ``src`` directory
 whose ``selmix`` the children import (default: this checkout's); with
 several, each run goes through them in turn, starting from the next one each
@@ -85,6 +86,8 @@ def commands(work, flags):
         out.append((f"analyze {name}", ["analyze", "--trace",
                                         str(fit_dir / "trace_chain0.ndjson"),
                                         "--out-dir", str(analyze_dir)]))
+    out += [(f"elicit-zeta {name}", ["elicit-zeta", "--data", str(data), "--k", "5"])
+            for name, data in fits.items()]
     return out
 
 
@@ -161,12 +164,12 @@ def main(argv=None):
         shutil.rmtree(root, ignore_errors=True)
 
     print(f"medians over {args.runs} runs per command and src (ms; peak RSS in MB)")
-    print(f"{'command':<16} {'src':<40} " + " ".join(f"{p:>8}" for p in PARTS) + f" {'rss':>7}")
+    print(f"{'command':<19} {'src':<40} " + " ".join(f"{p:>8}" for p in PARTS) + f" {'rss':>7}")
     for name, src in sorted(samples, key=lambda key: (names.index(key[0]), srcs.index(key[1]))):
         rows = samples[name, src]
         parts = [statistics.median(ms[p] for ms, _ in rows) for p in PARTS]
         rss = statistics.median(r for _, r in rows)
-        print(f"{name:<16} {str(src)[-40:]:<40} " + " ".join(f"{v:8.1f}" for v in parts)
+        print(f"{name:<19} {str(src)[-40:]:<40} " + " ".join(f"{v:8.1f}" for v in parts)
               + f" {rss:7.1f}")
     return 1 if failed else 0
 

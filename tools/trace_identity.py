@@ -43,11 +43,22 @@ go into a second sha256 per chain, and the line prints on how many
 states the joint differs between the trees and its largest relative
 difference.
 
+On every ``planted``, ``tall`` and ``wide`` dataset, each tree also runs
+``selmix elicit-zeta`` with ``--k`` 3 and 5 and ``--seed`` 1 and 2, and the
+printed choices are compared.  The grid is fine (60 values 10% apart) and
+``--reps`` is 2, so that the choice moves with the ensemble draws, which
+follow the k-means starts on the same generator.  Still, a generator
+shifted by a few numbers can fall back into step inside the ensemble's
+rejection samplers: a k-means with one restart fewer changed 12 of the 24
+choices, none of them at k = 3.  An equal choice is thus weaker evidence
+than an equal digest; ``tests/test_analysis.py`` compares the k-means
+centres and generator state with scipy's bit for bit.
+
 The input data are made once, with the first tree.  A prior chain writes
 its acceptance counts to ``counts.json`` in place of ``summary.json``;
 ``manifest.json``, which names the package version, is not compared.  The
-tool prints one line per fit and per sweep chain and exits 1 if any file
-or chain digest differs, else 0.
+tool prints one line per fit, per sweep chain and per ``elicit-zeta`` run,
+and exits 1 if any file or chain digest or any choice differs, else 0.
 """
 
 from __future__ import annotations
@@ -213,6 +224,24 @@ def largest_relative_difference(a, b):
                default=0.0)
 
 
+# the kinds of data ``elicit-zeta`` runs on, and its --k and --seed values
+ELICIT_KINDS, ELICIT_KS, ELICIT_SEEDS = ("planted", "tall", "wide"), (3, 5), (1, 2)
+# a fine grid and few ensemble draws, so that the choice moves with the draws
+ELICIT_FLAGS = ("--grid", ",".join(f"{0.01 * 1.1**i:.4g}" for i in range(60)), "--reps", "2")
+
+
+def elicit_runs(data):
+    """(name, ``selmix elicit-zeta`` argv) of every run, on every dataset of
+    ``ELICIT_KINDS``."""
+    for (kind, seed), path in data.items():
+        if kind in ELICIT_KINDS:
+            for k in ELICIT_KS:
+                for ez_seed in ELICIT_SEEDS:
+                    yield (f"elicit-{kind}-s{seed}-k{k}-seed{ez_seed}",
+                           ["elicit-zeta", "--data", path, "--k", k, "--seed", ez_seed,
+                            *ELICIT_FLAGS])
+
+
 def digests(out):
     return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
             for p in sorted(out.rglob("*")) if p.is_file() and p.name != "manifest.json"}
@@ -253,9 +282,17 @@ def main(argv=None):
                   f"{state_a[:12]}  log joints {'same' if same_joint else 'DIFFERENT'} "
                   f"{joint_a[:12]} ({unequal} of 300 unequal, largest relative "
                   f"difference {rel:.2g})")
-    print(f"{differ} of {sum(1 for _ in fits())} fits and {chains_differ} of "
-          f"{len(SWEEP_CHAINS)} sweep chains differ ({time.perf_counter() - start:.0f} s)")
-    return 1 if differ or chains_differ else 0
+        choices_differ = runs = 0
+        for name, argv in elicit_runs(data):
+            a, b = (child(src, ["-m", "selmix.cli", *argv], work).strip() for src in srcs)
+            choices_differ += a != b
+            runs += 1
+            print(f"{name:30s} {'same' if a == b else 'DIFFERENT'}  zeta {a}"
+                  + ("" if a == b else f" vs {b}"))
+    print(f"{differ} of {sum(1 for _ in fits())} fits, {chains_differ} of "
+          f"{len(SWEEP_CHAINS)} sweep chains and {choices_differ} of {runs} elicit-zeta "
+          f"choices differ ({time.perf_counter() - start:.0f} s)")
+    return 1 if differ or chains_differ or choices_differ else 0
 
 
 if __name__ == "__main__":
