@@ -1,7 +1,8 @@
 """Repulsive Gaussian mixtures with Selberg Dirichlet weight priors.
 
 Each exported name is imported from its home module on first access
-(PEP 562), so ``import selmix`` and the subcommands that need only numpy
+(PEP 562): ``import selmix`` loads no numpy, nor do ``selmix --version``,
+``--help`` and argument errors, and the subcommands that need only numpy
 do not load the sampler.  numpy is the one runtime dependency.
 """
 

@@ -9,10 +9,10 @@ chain i as seed XOR i, so runs with nearby seeds can share chains:
 ``fit --seed 2 --chains 2`` and ``--seed 3 --chains 2`` run the same pair
 (seeds 2 and 3, in swapped order).
 
-Each subcommand imports the modules it runs, and none loads scipy.  Only
-``fit`` loads the sampler; ``prior-ma``, ``elicit-zeta`` and ``dist`` load
-the model or the closed-form modules they evaluate.  ``simulate``,
-``analyze``, ``--version`` and ``--help`` run on numpy alone.
+Each subcommand imports the modules it runs, numpy included, and none loads
+scipy.  Only ``fit`` loads the sampler; ``prior-ma``, ``elicit-zeta`` and
+``dist`` load the modules they evaluate; ``simulate`` and ``analyze`` run on
+numpy alone.  ``--version``, ``--help`` and argument errors load no numpy.
 
 BLAS threads: where this module is the entry point (``selmix`` or ``python
 -m selmix.cli``), it sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads,
@@ -40,37 +40,34 @@ unreachable object), so memory stays what it was.  ``cli_dispatch`` and
 library callers keep their collector as it is.
 """
 
-from __future__ import annotations
-
 import argparse
-import dataclasses
 import gc
 import os
 import sys
-from pathlib import Path
+
+import selmix
+
+from . import __version__
 
 # read by OpenBLAS when numpy loads it, so only before numpy's import
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
-
-import selmix  # noqa: E402
-
-from . import __version__  # noqa: E402
-from .io import read_json, write_json  # noqa: E402
 
 RNG_NAME = "numpy.random.PCG64"
 
 
 def _hyper_keys():
     """The ``Hyperparams`` field names, in declaration order."""
+    import dataclasses
+
     from .model import Hyperparams
 
     return tuple(field.name for field in dataclasses.fields(Hyperparams))
 
 
 def hyperparams_to_dict(hyper):
+    import numpy as np
+
     out = {}
     for key in _hyper_keys():
         value = getattr(hyper, key)
@@ -167,6 +164,8 @@ def build_parser():
 
 def _parse_vector(text, flag):
     """The comma-separated numbers that ``flag`` was given, as an array."""
+    import numpy as np
+
     try:
         return np.asarray([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
@@ -194,6 +193,10 @@ def _cmd_simulate(args):
 
 
 def _fit_config(args):
+    import numpy as np
+
+    from .io import read_json
+
     payload = dict(read_json(args.config)) if args.config else {}
     # manifests written before the uncentered covariance update was removed
     # carry its selector; the centered value is what every fit now does
@@ -220,12 +223,18 @@ def _fit_config(args):
 def _ma_histogram(m_allocated):
     """Draws per allocated-component count.  The keys are ints, so the
     sorted keys of ``write_json`` come out in numeric order (1, 2, 10)."""
+    import numpy as np
+
     values, counts = np.unique(m_allocated, return_counts=True)
     return {int(v): int(c) for v, c in zip(values, counts)}
 
 
 def _cmd_fit(args):
-    from .io import read_dataset, write_trace
+    from pathlib import Path
+
+    import numpy as np
+
+    from .io import read_dataset, write_json, write_trace
     from .sampler import SamplerConfig, run_sampler
 
     payload = _fit_config(args)
@@ -277,8 +286,10 @@ def _cmd_fit(args):
 
 
 def _cmd_analyze(args):
+    from pathlib import Path
+
     from .analysis import PosteriorTrace, partition_summary
-    from .io import read_trace, write_matrix_csv, write_psm_csv
+    from .io import read_trace, write_json, write_matrix_csv, write_psm_csv
 
     merged = PosteriorTrace.concat(read_trace(p) for p in args.trace)
     if merged.n_obs == 0:
@@ -305,6 +316,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_prior_ma(args):
+    import numpy as np
+
     from .analysis import prior_ma_simulation
 
     rng = np.random.default_rng(_integer(args.seed, "--seed", 0))
@@ -320,6 +333,8 @@ def _cmd_prior_ma(args):
 
 
 def _cmd_elicit_zeta(args):
+    import numpy as np
+
     from .analysis import elicit_zeta
     from .io import read_dataset
 

@@ -73,10 +73,9 @@ def write_dataset(path, y, header=None):
     if header is None:
         header = [f"x{j + 1}" for j in range(y.shape[1])]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in y:
-            writer.writerow([repr(float(v)) for v in row])
+        csv.writer(fh).writerow(header)
+        # a float's repr holds no comma, quote or line break: csv.writer's bytes
+        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in y)
 
 
 def write_trace(path, trace):

@@ -413,6 +413,19 @@ def binder_loss_exact(trace, alloc):
     return Fraction(int(((t * same - counts)[iu] ** 2).sum()), t * t)
 
 
+def write_dataset_ref(path, y, header=None):
+    """The dataset file format as ``csv.writer`` writes it: the header row,
+    then rows of ``repr(float(v))`` cells."""
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    if header is None:
+        header = [f"x{j + 1}" for j in range(y.shape[1])]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in y:
+            writer.writerow([repr(float(v)) for v in row])
+
+
 def write_matrix_csv_repr(path, mat):
     """The PSM file format: csv rows of ``repr(float(v))`` cells."""
     with open(path, "w", newline="") as fh:

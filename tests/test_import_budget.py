@@ -1,6 +1,7 @@
-"""Start-up budget: ``simulate``, ``analyze``, ``--version`` and ``--help`` run
-on numpy alone, ``prior-ma`` loads the Selberg module without the sampler,
-the model or the ensemble, and no subcommand loads scipy.
+"""Start-up budget: ``--version``, ``--help`` and argument errors load no
+numpy, ``simulate`` and ``analyze`` run on numpy alone, ``prior-ma`` loads the
+Selberg module without the sampler, the model or the ensemble, and no
+subcommand loads scipy.
 
 Each command runs in a fresh interpreter that then lists the modules it
 loaded.  ``fit`` runs the same way, as a control that the listing sees the
@@ -8,7 +9,7 @@ sampler when it is loaded.  Every subcommand also runs in an interpreter
 where ``import scipy`` fails, so a scipy import anywhere on its path, even
 one that the listing would miss, fails it.  The same children check the
 BLAS thread default that ``selmix.cli`` sets when it is imported before
-numpy.
+numpy, which a ``--version`` child sets too, though it never loads numpy.
 """
 
 import json
@@ -31,15 +32,16 @@ code = cli_dispatch(sys.argv[1:])
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy" or m in {heavy!r}]
 tasks = "/proc/self/task"
 threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
-print(json.dumps({{"code": code, "loaded": sorted(loaded), "environ": dict(os.environ),
-                  "threads": threads}}))
+print(json.dumps({{"code": code, "loaded": sorted(loaded), "numpy": "numpy" in sys.modules,
+                  "environ": dict(os.environ), "threads": threads}}))
 """.format(heavy=HEAVY)
 
 
 def child_report(argv, cwd, env=None, prelude=""):
     """Run ``prelude`` then ``cli_dispatch(argv)`` in a fresh interpreter; return
     (stdout, report), where the report holds the exit code, the loaded modules,
-    the child's final ``os.environ`` and its thread count (``None`` without /proc)."""
+    whether numpy is loaded, the child's final ``os.environ`` and its thread
+    count (``None`` without /proc)."""
     proc = subprocess.run([sys.executable, "-c", prelude + CHILD, *argv], capture_output=True,
                           text=True, cwd=cwd, env=child_env() if env is None else env,
                           check=True)
@@ -80,12 +82,27 @@ def test_fit_writes_its_trace_and_loads_the_sampler(fitted):
     assert scipy_modules(loaded) == []
 
 
-@pytest.mark.parametrize("argv", [["--version"], ["--help"]])
-def test_version_and_help_load_numpy_only(argv, tmp_path):
-    printed, code, loaded = run_child(argv, tmp_path)
-    assert code == 0
-    assert "selmix" in printed
-    assert loaded == []
+@pytest.mark.parametrize("argv, code", [
+    (["--version"], 0),
+    (["--help"], 0),
+    (["fit", "--help"], 0),
+    (["fit", "--data", "y.csv"], 2),
+    (["no-such-command"], 2),
+], ids=["version", "help", "fit-help", "fit-without-out-dir", "unknown-command"])
+def test_parsing_loads_no_numpy(argv, code, tmp_path):
+    printed, report = child_report(argv, tmp_path)
+    assert report["code"] == code
+    assert not report["numpy"]
+    assert report["loaded"] == []
+    if code == 0:
+        assert "selmix" in printed
+
+
+def test_version_child_sets_one_blas_thread(tmp_path):
+    _, report = child_report(["--version"], tmp_path, env=child_env(OPENBLAS_NUM_THREADS=None))
+    assert report["code"] == 0
+    assert not report["numpy"]
+    assert report["environ"]["OPENBLAS_NUM_THREADS"] == "1"
 
 
 def test_analyze_loads_numpy_only(fitted):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from selmix.io import (
     write_trace,
 )
 from selmix.model import shifted_poisson_log_pmf
+from selmix.planted import simulate_benchmark
 from selmix.sampler import SamplerConfig, run_sampler
 from selmix.selberg import (
     SdirParams,
@@ -39,7 +41,37 @@ from selmix.selberg import (
 )
 
 
+def tall_data():
+    """The ``tall`` workload's data, from ``bench/workloads.py``."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        from workloads import make_tall
+    finally:
+        sys.path.remove(bench)
+    return make_tall(1)
+
+
+# (data, header) given to ``write_dataset``, as ``simulate``, the bench and callers do
+DATASET_CASES = {
+    "planted": lambda: (simulate_benchmark(7)[0], None),
+    "tall": lambda: (tall_data(), None),
+    "special-values": lambda: (
+        [[0.0, -0.0, 5e-324, 1e300, float("inf"), -float("inf"), float("nan")]], None),
+    "1-D": lambda: (np.arange(5) / 3.0, None),
+    "labels": lambda: ((simulate_benchmark(7)[1] + 1).reshape(-1, 1).astype(float), ["label"]),
+    "comma-header": lambda: (np.random.default_rng(2).normal(size=(4, 2)), ["a,b", 'say "c"']),
+}
+
+
 class TestDatasetFiles:
+    @pytest.mark.parametrize("case", list(DATASET_CASES))
+    def test_bytes_are_csv_writers(self, tmp_path, case):
+        y, header = DATASET_CASES[case]()
+        write_dataset(tmp_path / "got.csv", y, header=header)
+        H.write_dataset_ref(tmp_path / "want.csv", y, header=header)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
     def test_round_trip(self, tmp_path):
         y = np.random.default_rng(1).normal(size=(17, 3))
         path = tmp_path / "data.csv"

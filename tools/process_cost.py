@@ -14,6 +14,13 @@ whose ``selmix`` the children import (default: this checkout's); with
 several, each run goes through them in turn, starting from the next one each
 run.
 
+Trees are compared on equal bytecode: the children of each ``--src`` read
+and write their ``.pyc`` files in a cache of its own under this tool's temp
+directory (``PYTHONPYCACHEPREFIX``, with ``PYTHONDONTWRITEBYTECODE``
+removed), so a ``__pycache__`` left in one tree and not in another moves
+nothing.  Before any timing, each tree runs every command once, untimed,
+which fills its cache.
+
 A child runs ``selmix.cli.main()`` and reads ``time.perf_counter`` (the
 monotonic clock, which this launcher reads too) at its first line and when
 ``main()`` raises SystemExit.  That splits its wall time into:
@@ -91,9 +98,14 @@ def commands(work, flags):
     return out
 
 
-def child_env(src):
+def child_env(src, cache):
+    """The environment of ``src``'s children: ``src`` leads PYTHONPATH, and
+    bytecode is read from and written to ``cache`` alone."""
     path = os.environ.get("PYTHONPATH")
-    return dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""))
+    env = dict(os.environ, PYTHONPATH=str(src) + (os.pathsep + path if path else ""),
+               PYTHONPYCACHEPREFIX=str(cache))
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    return env
 
 
 def spawn(argv, env, err_path):
@@ -137,33 +149,36 @@ def main(argv=None):
     print(f"env *_NUM_THREADS: {threads or 'none set'}")
 
     root = Path(tempfile.mkdtemp(prefix="process_cost-"))
+    envs = {src: child_env(src, root / "pycache" / str(i)) for i, src in enumerate(srcs)}
     failed = 0
     try:
         setup = SETUP.format(bench=str(ROOT / "bench"), tall=str(root / "tall.csv"))
         flags = json.loads(subprocess.run([sys.executable, "-c", setup], capture_output=True,
-                                          text=True, env=child_env(srcs[0]), check=True).stdout)
+                                          text=True, env=envs[srcs[0]], check=True).stdout)
         subprocess.run([sys.executable, "-m", "selmix.cli", "simulate", "--seed", "1",
-                        "--out", str(root / "planted.csv")], env=child_env(srcs[0]), check=True)
+                        "--out", str(root / "planted.csv")], env=envs[srcs[0]], check=True)
 
         samples = {}
         names = [name for name, _ in commands(root, flags)]
-        for run in range(args.runs):
+        # run 0 is the untimed warm-up that fills each tree's bytecode cache
+        for run in range(args.runs + 1):
             for k in range(len(srcs)):
                 src = srcs[(run + k) % len(srcs)]
                 work = root / "run"
                 work.mkdir()
                 for name, cmd in commands(work, flags):
-                    ms, rss, err = spawn(cmd, child_env(src), work / "stderr.txt")
+                    ms, rss, err = spawn(cmd, envs[src], work / "stderr.txt")
                     if ms is None:
                         failed += 1
-                        print(f"FAILED {name} ({src}, run {run + 1}):\n{err[-1000:]}")
-                        continue
-                    samples.setdefault((name, src), []).append((ms, rss))
+                        print(f"FAILED {name} ({src}, run {run}):\n{err[-1000:]}")
+                    elif run > 0:
+                        samples.setdefault((name, src), []).append((ms, rss))
                 shutil.rmtree(work)
     finally:
         shutil.rmtree(root, ignore_errors=True)
 
-    print(f"medians over {args.runs} runs per command and src (ms; peak RSS in MB)")
+    print(f"medians over {args.runs} runs per command and src (ms; peak RSS in MB), "
+          "after one untimed run per src; bytecode caches warm, one per src")
     print(f"{'command':<19} {'src':<40} " + " ".join(f"{p:>8}" for p in PARTS) + f" {'rss':>7}")
     for name, src in sorted(samples, key=lambda key: (names.index(key[0]), srcs.index(key[1]))):
         rows = samples[name, src]
