@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .distributions import require_count
+
 __all__ = [
     "PosteriorTrace",
     "posterior_similarity",
@@ -27,10 +29,6 @@ __all__ = [
     "center_gap_by_dimension",
     "elicit_zeta",
 ]
-
-# a weight vector may miss a sum of 1 by this much (selberg.validate_weights
-# and io.read_trace); stated here because analyze loads numpy alone
-SIMPLEX_TOL = 1e-12
 
 
 @dataclass
@@ -254,8 +252,8 @@ def prior_ma_simulation(alpha0, gamma, m, n, reps, rng):
     """
     from .selberg import SdirParams, sample_sdir
 
-    if n < 1 or reps < 1:
-        raise ValueError("n and reps must be >= 1")
+    require_count("n", n)
+    require_count("reps", reps)
     weights = sample_sdir(SdirParams(alpha0, gamma, m), reps, rng)
     counts = rng.multinomial(n, weights)
     hit = (counts > 0).sum(axis=1)
@@ -290,8 +288,7 @@ def elicit_zeta(y, k, zeta_grid, rng, reps=200):
         raise ValueError("data must be a 2-D array (n, d)")
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
         raise ValueError("k must be an integer")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
+    require_count("reps", reps)
     zeta_grid = [float(z) for z in zeta_grid]
     if not zeta_grid or any(not 0.0 < z < np.inf for z in zeta_grid):
         raise ValueError("zeta grid must hold positive finite values")

@@ -14,30 +14,26 @@ scipy.  Only ``fit`` loads the sampler; ``prior-ma``, ``elicit-zeta`` and
 ``dist`` load the modules they evaluate; ``simulate`` and ``analyze`` run on
 numpy alone.  ``--version``, ``--help`` and argument errors load no numpy.
 
-BLAS threads: where this module is the entry point (``selmix`` or ``python
--m selmix.cli``), it sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads,
-unless the caller set it.  Every BLAS or LAPACK call of ``fit`` works on a
-d x d matrix or a panel d columns wide, where a second thread saves
-nothing, while OpenBLAS's idle workers spin and starve the other processes
-of a multi-chain or multi-seed study.  ``analyze`` multiplies G x G co-counts
-(G distinct groups of observations), which more threads do speed up when
-G runs into the thousands and CPUs are free.  ``OPENBLAS_NUM_THREADS=2``
-(or any value) in the environment still wins; ``OMP_NUM_THREADS`` alone no
-longer sets the BLAS thread count, because OpenBLAS reads
-``OPENBLAS_NUM_THREADS`` first.
-A process that imported numpy before this module (a test run, a notebook)
-keeps its environment as it is, since OpenBLAS has already started there.
-
-Garbage collector: ``main()``, the entry point of ``selmix`` and ``python -m
-selmix.cli``, turns Python's cyclic collector off before it dispatches and
-freezes the heap before it exits.  Otherwise the collector walks the ~22,000
-objects that ``fit``'s imports leave behind about 55 times while they run,
-and once more at interpreter exit, which collects even with the collector
-off but skips frozen objects; this was about a tenth of a cold ``fit`` or
-``analyze``.  Nothing that grows with the run length makes reference cycles
-(``tests/test_sampler.py`` checks that no sampler or summary path leaves an
-unreachable object), so memory stays what it was.  ``cli_dispatch`` and
-library callers keep their collector as it is.
+Process set-up: ``main()``, the entry point of ``selmix`` and ``python -m
+selmix.cli``, sets up its own process; importing this module or calling
+``cli_dispatch`` changes nothing in the caller's.  Before it dispatches, and
+so before any command loads numpy, it sets ``OPENBLAS_NUM_THREADS=1`` unless
+the caller set it, and turns Python's cyclic collector off; it freezes the
+heap before it exits.  One BLAS thread: every BLAS or LAPACK call of ``fit``
+works on a d x d matrix or a panel d columns wide, where a second thread
+saves nothing, while OpenBLAS's idle workers spin and starve the other
+processes of a multi-chain or multi-seed study.  ``analyze`` multiplies
+G x G co-counts (G distinct groups of observations), which more threads do
+speed up when G runs into the thousands and CPUs are free.
+``OPENBLAS_NUM_THREADS=2`` (or any value) in the environment still wins;
+``OMP_NUM_THREADS`` alone no longer sets the BLAS thread count, because
+OpenBLAS reads ``OPENBLAS_NUM_THREADS`` first.  No collector: otherwise it
+walks the ~22,000 objects that ``fit``'s imports leave behind about 55
+times while they run, and once more at interpreter exit, which collects even
+with the collector off but skips frozen objects; this was about a tenth of a
+cold ``fit`` or ``analyze``.  Nothing that grows with the run length makes
+reference cycles (``tests/test_sampler.py`` checks that no sampler or
+summary path leaves an unreachable object), so memory stays what it was.
 """
 
 import argparse
@@ -48,10 +44,6 @@ import sys
 import selmix
 
 from . import __version__
-
-# read by OpenBLAS when numpy loads it, so only before numpy's import
-if "numpy" not in sys.modules:
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 RNG_NAME = "numpy.random.PCG64"
 
@@ -291,7 +283,13 @@ def _cmd_analyze(args):
     from .analysis import PosteriorTrace, partition_summary
     from .io import read_trace, write_json, write_matrix_csv, write_psm_csv
 
-    merged = PosteriorTrace.concat(read_trace(p) for p in args.trace)
+    traces = [read_trace(args.trace[0])]
+    for path in args.trace[1:]:
+        traces.append(read_trace(path))
+        if traces[-1].n_obs != traces[0].n_obs:
+            raise ValueError(f"{path}: {traces[-1].n_obs} observations per draw, "
+                             f"{args.trace[0]} has {traces[0].n_obs}")
+    merged = PosteriorTrace.concat(traces)
     if merged.n_obs == 0:
         raise ValueError("cannot analyze traces with zero observations")
     out_dir = Path(args.out_dir)
@@ -414,8 +412,9 @@ def cli_dispatch(argv=None):
 
 
 def main():
-    """The console entry point: ``cli_dispatch`` with the collector off (see
-    "Garbage collector" above), then exit with its code."""
+    """The console entry point: set up the process (see "Process set-up"
+    above), run ``cli_dispatch`` and exit with its code."""
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     gc.disable()
     code = cli_dispatch()
     gc.freeze()

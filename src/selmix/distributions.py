@@ -1,9 +1,11 @@
 """Shared density and sampling helpers built on numpy and ``math``.
 
-Everything here is standard-distribution plumbing used by the model,
-sampler and analysis modules.  Log densities are hand-rolled on top of
-``log_gamma`` so that ratios needed inside tight Metropolis loops stay cheap
-and so that degenerate one-component edge cases behave predictably.
+Everything here is standard-distribution plumbing used by the other
+modules, with the rules they share: what a point of the simplex is
+(``validate_weights``), and what a finite parameter and a count are
+(``require_finite``, ``require_count``).  Log densities are hand-rolled on
+top of ``log_gamma`` so that ratios needed inside tight Metropolis loops stay
+cheap and so that degenerate one-component edge cases behave predictably.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from functools import lru_cache
 import numpy as np
 
 LOG_2PI = np.log(2.0 * np.pi)
+
+# a weight vector may miss a sum of 1 by this much
+SIMPLEX_TOL = 1e-12
 
 
 def log_gamma(x):
@@ -55,6 +60,28 @@ def require_finite(name, value):
     """
     if abs(value) == np.inf:
         raise ValueError(f"{name} must be finite")
+
+
+def require_count(name, value, least=1):
+    """A ValueError naming ``name`` unless ``value`` is an integer >= ``least`` (no bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
+
+
+def validate_weights(w, m=None):
+    """Check that ``w`` lies on the probability simplex and return it as a
+    float array: a non-empty vector (of ``m`` entries when given) in [0, 1]
+    that sums to 1 within ``SIMPLEX_TOL``."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or w.size < 1:
+        raise ValueError("weights must form a non-empty vector")
+    if m is not None and w.size != m:
+        raise ValueError(f"expected {m} weights, got {w.size}")
+    if not ((w >= 0.0) & (w <= 1.0)).all():  # NaN fails both comparisons
+        raise ValueError("weights must lie in [0, 1]")
+    if abs(w.sum() - 1.0) > SIMPLEX_TOL:
+        raise ValueError(f"weights must sum to 1 within {SIMPLEX_TOL:g}")
+    return w
 
 
 def gamma_log_pdf(x, shape, rate):

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import LOG_2PI, log_gamma, pairwise_log_gap_sum, require_finite
+from .distributions import LOG_2PI, log_gamma, pairwise_log_gap_sum, require_count, require_finite
 
 __all__ = ["GeParams", "ge_log_norm_const", "ge_log_density", "sample_ge"]
 
@@ -35,8 +35,7 @@ class GeParams:
         require_finite("zeta", self.zeta)
         if not self.zeta > 0.0:
             raise ValueError("zeta must be positive")
-        if int(self.m) != self.m or self.m < 1:
-            raise ValueError("m must be an integer >= 1")
+        require_count("m", self.m)
 
 
 def ge_log_norm_const(params):
@@ -102,8 +101,7 @@ def sample_ge(params, n, rng):
     and rescales by 1/sqrt(zeta).  Coordinates are shuffled so the output
     is exchangeable rather than sorted.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_count("n", n)
     z, m = params.zeta, params.m
     out = np.empty((n, m))
     if m == 1:

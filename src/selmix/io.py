@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .analysis import SIMPLEX_TOL, PosteriorTrace
+from .analysis import PosteriorTrace
+from .distributions import validate_weights
 
 __all__ = [
     "read_dataset",
@@ -74,8 +75,7 @@ def write_dataset(path, y, header=None):
         header = [f"x{j + 1}" for j in range(y.shape[1])]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerow(header)
-        # a float's repr holds no comma, quote or line break: csv.writer's bytes
-        fh.writelines(",".join(map(repr, row.tolist())) + "\r\n" for row in y)
+        _write_rows(fh, y)
 
 
 def write_trace(path, trace):
@@ -101,7 +101,7 @@ def read_trace(path):
     integer below 2**63, ``alloc`` a list of integer labels in 1..m (empty
     for a chain without data), ``m_a`` the number of distinct labels,
     ``gamma`` and ``zeta`` finite numbers, and ``weights``, on every record
-    or none, m numbers in [0, 1] that sum to 1 within ``SIMPLEX_TOL``.
+    or none, m numbers that ``distributions.validate_weights`` accepts.
     Each ValueError names the file, the line and the key.  The file is read
     once, so a pipe will do: the labels go straight into one (T, n) array,
     which doubles its rows in place (a realloc) as records come in and is
@@ -155,11 +155,11 @@ def read_trace(path):
                 if not _is_finite_number(rec[key]):
                     raise ValueError(f"{where}: {key!r} must be a finite number")
             if have_weights:
-                w = _weight_vector(rec["weights"], m_rec)
-                if w is None:
-                    raise ValueError(
-                        f"{where}: 'weights' must be {m_rec} numbers in [0, 1] that sum to 1")
-                weights.append(w)
+                try:
+                    weights.append(_weight_vector(rec["weights"], m_rec))
+                except ValueError:
+                    raise ValueError(f"{where}: 'weights' must be {m_rec} numbers in [0, 1] "
+                                     "that sum to 1") from None
             if len(m) == len(alloc):
                 alloc.resize((2 * len(alloc), alloc.shape[1]), refcheck=False)
             alloc[len(m)] = alloc_rec
@@ -190,22 +190,25 @@ def _is_finite_number(value):
 
 
 def _weight_vector(value, m):
-    """``value`` as a float array if it is m numbers in [0, 1] that sum to 1
-    within ``SIMPLEX_TOL`` (as ``selberg.validate_weights`` requires), else None."""
-    if type(value) is not list or len(value) != m or not all(
-            _is_finite_number(v) and 0 <= v <= 1 for v in value):
-        return None
-    w = np.asarray(value, dtype=float)
-    return w if abs(w.sum() - 1.0) <= SIMPLEX_TOL else None
+    """``value``, a JSON list of finite numbers, as the simplex point of m
+    weights it must be (``validate_weights``); else ValueError."""
+    if type(value) is not list or not all(map(_is_finite_number, value)):
+        raise ValueError("weights must be a list of finite numbers")
+    return validate_weights(value, m)
+
+
+def _write_rows(fh, mat):
+    """Write ``mat`` (a 1-D array is one row) as CSV lines of ``repr(float(v))``
+    cells: a float's repr needs no quoting, so these are ``csv.writer``'s bytes."""
+    fh.writelines(",".join(map(repr, row.tolist())) + "\r\n"
+                  for row in np.atleast_2d(np.asarray(mat, dtype=float)))
 
 
 def write_matrix_csv(path, mat):
     """Write a matrix as plain CSV without a header (used for the Binder
-    partition): cells are ``repr(float(v))`` and lines end in ``\r\n``."""
+    partition), its rows as ``write_dataset`` writes them."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(np.asarray(mat)):
-            writer.writerow([repr(float(v)) for v in row])
+        _write_rows(fh, mat)
 
 
 def write_psm_csv(path, counts, group, denominator):

@@ -24,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import LOG_2PI, gamma_log_pdf, invwishart_log_pdf, log_gamma, require_finite
+from .distributions import (
+    LOG_2PI,
+    gamma_log_pdf,
+    invwishart_log_pdf,
+    log_gamma,
+    require_count,
+    require_finite,
+)
 from .ensemble import GeParams, ge_log_density
 from .planted import simulate_benchmark  # noqa: F401  (still imported from here)
 from .selberg import SdirParams, sdir_log_density
@@ -157,10 +164,7 @@ class Hyperparams:
         if not 0.0 < self.q_birth < 1.0:
             raise ValueError("q_birth must lie strictly between 0 and 1")
         for name, low in (("burn_in", 0), ("thin", 1), ("n_samples", 1)):
-            value = getattr(self, name)
-            # what operator.index takes, bools aside
-            if isinstance(value, bool) or not hasattr(value, "__index__") or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}")
+            require_count(name, getattr(self, name), low)
         if not isinstance(self.adapt, (bool, np.bool_)):
             raise ValueError(f"adapt must be true or false, got {self.adapt!r}")
         if self.v0 is not None:

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .distributions import require_count
+
 __all__ = ["simulate_benchmark", "BENCHMARK_WEIGHTS", "BENCHMARK_MEANS", "BENCHMARK_COVS"]
 
 BENCHMARK_WEIGHTS = np.array([0.2, 0.2, 0.2, 0.3, 0.1])
@@ -19,8 +21,7 @@ def simulate_benchmark(seed, n_obs=300):
     Returns (y, labels) with y of shape (n_obs, 2) and 0-based true labels.
     Deterministic for a given seed on any platform (Cholesky-based normals).
     """
-    if not n_obs >= 1:
-        raise ValueError("n_obs must be >= 1")
+    require_count("n_obs", n_obs)
     rng = np.random.default_rng(seed)
     labels = rng.choice(BENCHMARK_WEIGHTS.size, size=n_obs, p=BENCHMARK_WEIGHTS)
     y = np.empty((n_obs, 2))

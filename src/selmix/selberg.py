@@ -22,13 +22,17 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analysis import SIMPLEX_TOL
-from .distributions import log_gamma, pairwise_log_gap_sum, require_finite
+from .distributions import (
+    log_gamma,
+    pairwise_log_gap_sum,
+    require_count,
+    require_finite,
+    validate_weights,
+)
 
 __all__ = [
     "SdirParams",
     "SdirMoments",
-    "validate_weights",
     "sdir_log_norm_const",
     "sdir_log_density",
     "sdir_moments",
@@ -65,8 +69,7 @@ class SdirParams:
         require_finite("gamma", self.gamma)
         if not self.gamma >= 0.0:
             raise ValueError("gamma must be non-negative")
-        if int(self.m) != self.m or self.m < 1:
-            raise ValueError("m must be an integer >= 1")
+        require_count("m", self.m)
 
 
 @dataclass(frozen=True)
@@ -78,23 +81,6 @@ class SdirMoments:
     variance: float
     marginal_k_moment: float
     product_moment_k: float
-
-
-def validate_weights(w, m=None):
-    """Check that ``w`` lies on the probability simplex and return it.
-
-    Entries must fall in [0, 1] and sum to 1 within ``SIMPLEX_TOL``.
-    """
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size < 1:
-        raise ValueError("weights must form a non-empty vector")
-    if m is not None and w.size != m:
-        raise ValueError(f"expected {m} weights, got {w.size}")
-    if not ((w >= 0.0) & (w <= 1.0)).all():  # NaN fails both comparisons
-        raise ValueError("weights must lie in [0, 1]")
-    if abs(w.sum() - 1.0) > SIMPLEX_TOL:
-        raise ValueError(f"weights must sum to 1 within {SIMPLEX_TOL:g}")
-    return w
 
 
 def sdir_log_norm_const(params):
@@ -200,8 +186,7 @@ def sample_sdir(params, n, rng):
     independent of sum(x) ~ Gamma(M*alpha + gamma*(M-1)*(M-2)).  gamma = 0 or
     M <= 2 draws the Dirichlet(alpha).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    require_count("n", n)
     a, g, m = params.alpha, params.gamma, params.m
     if g == 0.0 or m <= 2:
         return rng.dirichlet(np.full(m, a), size=n)

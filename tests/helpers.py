@@ -26,7 +26,7 @@ from scipy.special import gammaln, xlogy
 
 import selmix
 from selmix import ensemble, sampler, selberg
-from selmix.distributions import LOG_2PI, gamma_log_pdf, sample_invwishart
+from selmix.distributions import LOG_2PI, gamma_log_pdf, sample_invwishart, validate_weights
 from selmix.ensemble import GeParams, ge_log_density, sample_ge
 from selmix.model import Hyperparams, MixtureState, log_complete_joint, weight_prior_log_density
 from selmix.selberg import SdirParams, sample_sdir
@@ -520,7 +520,7 @@ def sample_invwishart_ref(rng, scale, df):
 
 
 def sdir_log_density_ref(w, params):
-    w = selberg.validate_weights(w, params.m)
+    w = validate_weights(w, params.m)
     if params.gamma > 0.0:
         repulsion = 2.0 * params.gamma * selberg.pairwise_log_gap_sum(w[:-1])
         if repulsion == -np.inf:

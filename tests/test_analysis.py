@@ -438,9 +438,13 @@ class TestPriorClusterCount:
         assert means[1] < means[0]
 
 
-    @pytest.mark.parametrize("n,reps", [(0, 10), (10, 0), (-1, 10)])
-    def test_needs_observations_and_replicates(self, n, reps):
-        with pytest.raises(ValueError, match="^n and reps must be >= 1$"):
+    # a fractional n was once truncated: 10.5 gave the distribution of n = 10
+    @pytest.mark.parametrize("n,reps,name", [
+        (0, 10, "n"), (10, 0, "reps"), (-1, 10, "n"), (10.5, 10, "n"), (True, 10, "n"),
+        (10, 2.5, "reps"),
+    ], ids=["0-10", "10-0", "-1-10", "10.5-10", "True-10", "10-2.5"])
+    def test_needs_observations_and_replicates(self, n, reps, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1$"):
             prior_ma_simulation(1.0, 1.0, 3, n, reps, np.random.default_rng(0))
 
 
@@ -493,6 +497,12 @@ class TestElicitation:
     def test_input_refusals_name_the_input(self, y, k, message):
         with pytest.raises(ValueError, match=message):
             elicit_zeta(y, k, [0.1], np.random.default_rng(4))
+
+    @pytest.mark.parametrize("reps", [2.5, True])
+    def test_reps_must_be_an_integer(self, reps):
+        with pytest.raises(ValueError, match="^reps must be an integer >= 1$"):
+            elicit_zeta(np.random.default_rng(3).normal(size=(20, 2)), 3, [0.1],
+                        np.random.default_rng(4), reps=reps)
 
     def test_kmeans_is_scipys_bit_for_bit(self):
         # 132 fixed-seed cases: d 1-11 (scipy's vq switches to a BLAS distance

@@ -104,6 +104,12 @@ class TestDensity:
         with pytest.raises(ValueError):
             GeParams(1.0, 0)
 
+    @pytest.mark.parametrize("m", [3.0, np.float64(3.0), True], ids=["float", "float64", "bool"])
+    def test_size_must_be_an_integer(self, m):
+        with pytest.raises(ValueError, match="^m must be an integer >= 1$"):
+            GeParams(1.0, m)
+        assert GeParams(1.0, np.int64(3)).m == 3
+
     @pytest.mark.parametrize("zeta,message", [
         (np.inf, "zeta must be finite"),
         (-np.inf, "zeta must be finite"),
@@ -122,9 +128,9 @@ class TestSampling:
         assert a.shape == (50, 4)
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("n", [0, -2])
+    @pytest.mark.parametrize("n", [0, -2, 2.5, 3.0, True])
     def test_needs_a_draw(self, n):
-        with pytest.raises(ValueError, match="^n must be >= 1$"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1$"):
             sample_ge(GeParams(1.0, 3), n, np.random.default_rng(0))
 
     def test_single_coordinate_is_standard_gaussian_scaled(self):

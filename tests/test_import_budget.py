@@ -7,9 +7,11 @@ Each command runs in a fresh interpreter that then lists the modules it
 loaded.  ``fit`` runs the same way, as a control that the listing sees the
 sampler when it is loaded.  Every subcommand also runs in an interpreter
 where ``import scipy`` fails, so a scipy import anywhere on its path, even
-one that the listing would miss, fails it.  The same children check the
-BLAS thread default that ``selmix.cli`` sets when it is imported before
-numpy, which a ``--version`` child sets too, though it never loads numpy.
+one that the listing would miss, fails it.  Children that run ``main()``, as
+``selmix`` does, check the BLAS thread default that it sets before any
+command loads numpy (a ``--version`` child sets it too, though it never
+loads numpy); importing ``selmix.cli`` sets nothing, and importing
+``selmix.selberg`` does not load the posterior summaries.
 """
 
 import json
@@ -25,10 +27,23 @@ from selmix.io import write_dataset
 # modules a numpy-only subcommand must not load (scipy counts with its submodules)
 HEAVY = ("selmix.sampler", "selmix.model", "selmix.selberg", "selmix.ensemble")
 
-CHILD = """
-import json, os, sys
+# how a child runs the command line: through cli_dispatch, or through main() as
+# the ``selmix`` entry point does
+DISPATCH = """
+import sys
 from selmix.cli import cli_dispatch
 code = cli_dispatch(sys.argv[1:])
+"""
+MAIN = """
+from selmix.cli import main
+try:
+    main()
+except SystemExit as exc:
+    code = exc.code
+"""
+
+REPORT = """
+import json, os, sys
 loaded = [m for m in sys.modules if m.split(".")[0] == "scipy" or m in {heavy!r}]
 tasks = "/proc/self/task"
 threads = len(os.listdir(tasks)) if os.path.isdir(tasks) else None
@@ -37,14 +52,14 @@ print(json.dumps({{"code": code, "loaded": sorted(loaded), "numpy": "numpy" in s
 """.format(heavy=HEAVY)
 
 
-def child_report(argv, cwd, env=None, prelude=""):
-    """Run ``prelude`` then ``cli_dispatch(argv)`` in a fresh interpreter; return
-    (stdout, report), where the report holds the exit code, the loaded modules,
-    whether numpy is loaded, the child's final ``os.environ`` and its thread
-    count (``None`` without /proc)."""
-    proc = subprocess.run([sys.executable, "-c", prelude + CHILD, *argv], capture_output=True,
-                          text=True, cwd=cwd, env=child_env() if env is None else env,
-                          check=True)
+def child_report(argv, cwd, env=None, prelude="", entry=DISPATCH):
+    """Run ``prelude`` then ``argv`` through ``entry`` (``DISPATCH`` or ``MAIN``)
+    in a fresh interpreter; return (stdout, report), where the report holds the
+    exit code, the loaded modules, whether numpy is loaded, the child's final
+    ``os.environ`` and its thread count (``None`` without /proc)."""
+    proc = subprocess.run([sys.executable, "-c", prelude + entry + REPORT, *argv],
+                          capture_output=True, text=True, cwd=cwd,
+                          env=child_env() if env is None else env, check=True)
     *printed, last = proc.stdout.splitlines()
     return "\n".join(printed), json.loads(last)
 
@@ -99,7 +114,8 @@ def test_parsing_loads_no_numpy(argv, code, tmp_path):
 
 
 def test_version_child_sets_one_blas_thread(tmp_path):
-    _, report = child_report(["--version"], tmp_path, env=child_env(OPENBLAS_NUM_THREADS=None))
+    _, report = child_report(["--version"], tmp_path, env=child_env(OPENBLAS_NUM_THREADS=None),
+                             entry=MAIN)
     assert report["code"] == 0
     assert not report["numpy"]
     assert report["environ"]["OPENBLAS_NUM_THREADS"] == "1"
@@ -169,7 +185,7 @@ def test_subcommand_runs_with_scipy_absent(fitted, argv):
 def test_fit_child_runs_one_blas_thread_by_default(fitted):
     root, _, _ = fitted
     _, report = child_report(fit_argv("blas1"), root,
-                             env=child_env(OPENBLAS_NUM_THREADS=None))
+                             env=child_env(OPENBLAS_NUM_THREADS=None), entry=MAIN)
     assert report["code"] == 0
     assert report["environ"]["OPENBLAS_NUM_THREADS"] == "1"
     if sys.platform.startswith("linux"):
@@ -179,7 +195,7 @@ def test_fit_child_runs_one_blas_thread_by_default(fitted):
 def test_callers_blas_thread_count_wins(fitted):
     root, _, _ = fitted
     _, report = child_report(fit_argv("blas2"), root,
-                             env=child_env(OPENBLAS_NUM_THREADS="2"))
+                             env=child_env(OPENBLAS_NUM_THREADS="2"), entry=MAIN)
     assert report["code"] == 0
     assert report["environ"]["OPENBLAS_NUM_THREADS"] == "2"
 
@@ -192,3 +208,19 @@ def test_environment_untouched_when_numpy_loaded_first(tmp_path):
     assert report["code"] == 0
     assert report["environ"] == json.loads(printed.splitlines()[0])
     assert "OPENBLAS_NUM_THREADS" not in report["environ"]
+
+
+def child_run(code):
+    """The stdout of ``code`` run in a fresh interpreter that imports this checkout."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(OPENBLAS_NUM_THREADS=None), check=True).stdout
+
+
+def test_importing_the_cli_sets_no_blas_threads():
+    code = "import os, selmix.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    assert child_run(code) == "None\n"
+
+
+def test_selberg_loads_no_posterior_summaries():
+    code = "import sys, selmix.selberg; print('selmix.analysis' in sys.modules)"
+    assert child_run(code) == "False\n"

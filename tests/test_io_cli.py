@@ -302,6 +302,16 @@ class TestTraceFiles:
         with pytest.raises(ValueError, match="weights.ndjson: line 2: 'weights'"):
             read_trace(path)
 
+    @pytest.mark.parametrize("weights", [
+        [True, 0.0], [0.5, "0.5"], [0.5, 0.25, 0.25], [0.5, 0.5 - 2e-12],
+    ], ids=["bool", "string", "m+1 entries", "sum off by 2e-12"])
+    def test_off_simplex_weights_keep_their_message(self, tmp_path, weights):
+        records = [dict(self.RECORD, weights=[0.5, 0.5]), dict(self.RECORD, weights=weights)]
+        path = self.write_records(tmp_path / "weights.ndjson", *records)
+        message = f"{path}: line 2: 'weights' must be 2 numbers in [0, 1] that sum to 1"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_trace(path)
+
     def test_weights_on_the_simplex_load(self, tmp_path):
         records = [dict(self.RECORD, weights=w) for w in ([1, 0], [0.25, 0.75], [0.1, 0.9])]
         back = read_trace(self.write_records(tmp_path / "weights.ndjson", *records))
@@ -356,6 +366,19 @@ class TestMatrixAndJson:
         path = tmp_path / "mat.csv"
         write_matrix_csv(path, mat)
         np.testing.assert_array_equal(np.loadtxt(path, delimiter=",", ndmin=2), mat)
+
+    # matrices given to ``write_matrix_csv``: the integer row is the binder.csv call
+    @pytest.mark.parametrize("mat", [
+        np.array([[3, 1, 2, 1, 10]]),
+        np.array([[0.0, -0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan]]),
+        np.arange(5) / 3.0,
+        np.empty((1, 0)),
+        np.random.default_rng(5).normal(size=(3, 4)),
+    ], ids=["binder", "special-values", "1-D", "empty-row", "normal"])
+    def test_matrix_bytes_are_csv_writers(self, tmp_path, mat):
+        write_matrix_csv(tmp_path / "got.csv", mat)
+        H.write_matrix_csv_repr(tmp_path / "want.csv", mat)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def assert_psm_matches_the_oracle(self, tmp_path, counts, group, t):
         write_psm_csv(tmp_path / "table.csv", counts, group, t)
@@ -817,11 +840,16 @@ class TestCli:
         (["dist", "count-log-pmf", "--m", "3", "--lam", "inf"], "lam must be finite"),
         (["dist", "ge-log-const", "--zeta", "inf", "--m", "3"], "zeta must be finite"),
         (["prior-ma", "--gamma", "nan", "--m", "3"], "gamma must be non-negative"),
-        (["simulate", "--seed", "1", "--n=-3", "--out", "unused.csv"], "n_obs must be >= 1"),
-        (["simulate", "--seed", "1", "--n", "0", "--out", "unused.csv"], "n_obs must be >= 1"),
+        # These three cases keep the ids they had before the count rule
+        # (distributions.require_count) added "an integer" to its message.
+        pytest.param(["simulate", "--seed", "1", "--n=-3", "--out", "unused.csv"],
+                     "n_obs must be an integer >= 1", id="args6-n_obs must be >= 1"),
+        pytest.param(["simulate", "--seed", "1", "--n", "0", "--out", "unused.csv"],
+                     "n_obs must be an integer >= 1", id="args7-n_obs must be >= 1"),
         (["dist", "sdir-log-pdf", "--alpha", "1", "--gamma", "1", "--m", "3",
           "--w", "nan,0.5,0.5"], "weights must lie in [0, 1]"),
-        (["elicit-zeta", "--data", "d.csv", "--k", "3", "--reps", "0"], "reps must be >= 1"),
+        pytest.param(["elicit-zeta", "--data", "d.csv", "--k", "3", "--reps", "0"],
+                     "reps must be an integer >= 1", id="args9-reps must be >= 1"),
         (["dist", "ge-log-const", "--zeta", "1e307", "--m", "2"],
          "zeta = 1e+307 overflows the ensemble constant at m = 2"),
         (["dist", "ge-log-pdf", "--zeta", "1e307", "--m", "2", "--x", "1e100,-1e100"],
@@ -852,6 +880,18 @@ class TestCli:
         assert cli_dispatch(args) == 1
         assert capsys.readouterr().err == f"selmix: error: {message}\n"
         assert not (tmp_path / "unused.csv").exists()
+
+    def test_analyze_names_the_trace_of_another_size(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for name, n in (("a", 40), ("b", 30)):
+            write_trace(f"{name}.ndjson", PosteriorTrace(
+                m=np.ones(2, dtype=np.int64), m_allocated=np.ones(2, dtype=np.int64),
+                alloc=np.zeros((2, n), dtype=np.int64), gamma=np.ones(2), zeta=np.ones(2)))
+        argv = ["analyze", "--trace", "a.ndjson", "--trace", "b.ndjson", "--out-dir", "an"]
+        assert cli_dispatch(argv) == 1
+        assert capsys.readouterr().err == (
+            "selmix: error: b.ndjson: 30 observations per draw, a.ndjson has 40\n")
+        assert not (tmp_path / "an").exists()
 
     def test_analyze_refuses_zero_observations(self, tmp_path, capsys):
         trace = PosteriorTrace(m=np.ones(3, dtype=np.int64),

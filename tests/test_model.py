@@ -238,7 +238,8 @@ class TestHyperparams:
 
     @pytest.mark.parametrize("field,low", [("burn_in", 0), ("thin", 1), ("n_samples", 1)])
     def test_run_length_must_be_an_integer_in_range(self, field, low):
-        for value in (2.5, np.float64(3.0), low - 1):
+        # the arrays have __index__ and were once taken as run lengths
+        for value in (2.5, np.float64(3.0), low - 1, np.array(low + 5), np.array([low + 5])):
             with pytest.raises(ValueError, match=f"^{field} must be an integer >= {low}$"):
                 Hyperparams(**{field: value})
         assert getattr(Hyperparams(**{field: np.int64(low)}), field) == low
@@ -340,7 +341,7 @@ class TestBenchmark:
         y, labels = simulate_benchmark(1, n_obs=50)
         assert y.shape == (50, 2) and labels.shape == (50,)
 
-    @pytest.mark.parametrize("n_obs", [0, -3])
+    @pytest.mark.parametrize("n_obs", [0, -3, 2.5, 50.0, True])
     def test_refuses_empty_dataset(self, n_obs):
-        with pytest.raises(ValueError, match="^n_obs must be >= 1$"):
+        with pytest.raises(ValueError, match="^n_obs must be an integer >= 1$"):
             simulate_benchmark(1, n_obs=n_obs)

@@ -15,6 +15,7 @@ from helpers import (
     selberg_constant_quad_m3,
 )
 from selmix import selberg
+from selmix.distributions import validate_weights
 from selmix.selberg import (
     SdirParams,
     internal_dispersion_expectation,
@@ -22,7 +23,6 @@ from selmix.selberg import (
     sdir_log_density,
     sdir_log_norm_const,
     sdir_moments,
-    validate_weights,
 )
 
 
@@ -253,10 +253,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="^k must be a positive integer$"):
             sdir_moments(SdirParams(1.0, 1.0, 3), k=k)
 
-    @pytest.mark.parametrize("n", [0, -2])
+    @pytest.mark.parametrize("n", [0, -2, 2.5, 3.0, True])
     def test_sampler_needs_a_draw(self, n):
-        with pytest.raises(ValueError, match="^n must be >= 1$"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1$"):
             sample_sdir(SdirParams(1.0, 1.0, 3), n, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("m", [3.0, np.float64(3.0), True], ids=["float", "float64", "bool"])
+    def test_size_must_be_an_integer(self, m):
+        with pytest.raises(ValueError, match="^m must be an integer >= 1$"):
+            SdirParams(1.0, 1.0, m)
+        assert SdirParams(1.0, 1.0, np.int64(3)).m == 3
 
     @pytest.mark.parametrize("tau,message", [
         (np.inf, "tau must be finite"),
