@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import require_count
+from .distributions import require_count, require_number
 
 __all__ = [
     "PosteriorTrace",
@@ -286,13 +286,14 @@ def elicit_zeta(y, k, zeta_grid, rng, reps=200):
 
     if np.ndim(y) != 2:
         raise ValueError("data must be a 2-D array (n, d)")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ValueError("k must be an integer")
+    require_count("k", k, 2)
     require_count("reps", reps)
+    for z in zeta_grid:
+        require_number("zeta grid entry", z)
     zeta_grid = [float(z) for z in zeta_grid]
     if not zeta_grid or any(not 0.0 < z < np.inf for z in zeta_grid):
         raise ValueError("zeta grid must hold positive finite values")
-    if not 2 <= k <= len(y):
+    if k > len(y):
         raise ValueError("k must lie in 2..n")
     centers = _kmeans(np.asarray(y, dtype=float), k, rng)
     # a single centre left means the data show no spread

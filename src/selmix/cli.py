@@ -164,20 +164,13 @@ def _parse_vector(text, flag):
         raise ValueError(f"{flag} must be comma-separated numbers, got {text!r}") from None
 
 
-def _integer(value, flag, least):
-    """``value`` given for ``flag`` (on the command line or in a config), checked
-    to be an integer of at least ``least`` (0 or 1)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        kind = "non-negative" if least == 0 else "positive"
-        raise ValueError(f"{flag} must be a {kind} integer, got {value!r}")
-    return value
-
-
 def _cmd_simulate(args):
+    from .distributions import require_count
     from .io import write_dataset
     from .planted import simulate_benchmark
 
-    y, labels = simulate_benchmark(_integer(args.seed, "--seed", 0), n_obs=args.n)
+    require_count("seed", args.seed, 0)
+    y, labels = simulate_benchmark(args.seed, n_obs=args.n)
     write_dataset(args.out, y)
     if args.labels_out:
         write_dataset(args.labels_out, (labels + 1).reshape(-1, 1).astype(float), header=["label"])
@@ -189,7 +182,9 @@ def _fit_config(args):
 
     from .io import read_json
 
-    payload = dict(read_json(args.config)) if args.config else {}
+    payload = read_json(args.config) if args.config else {}
+    if not isinstance(payload, dict):
+        raise ValueError(f"--config {args.config}: the top level must be a JSON object")
     # manifests written before the uncentered covariance update was removed
     # carry its selector; the centered value is what every fit now does
     if payload.pop("covariance_update", "centered") != "centered":
@@ -222,31 +217,30 @@ def _ma_histogram(m_allocated):
 
 
 def _cmd_fit(args):
+    import dataclasses
     from pathlib import Path
 
     import numpy as np
 
+    from .distributions import require_count
     from .io import read_dataset, write_json, write_trace
     from .sampler import SamplerConfig, run_sampler
 
     payload = _fit_config(args)
-    seed = _integer(payload["seed"], "--seed", 0)
-    chains = _integer(payload["chains"], "--chains", 1)
+    chains = payload["chains"]
+    require_count("chains", chains)
     if not isinstance(payload["data"], str):
         raise ValueError(f"data must be a path, got {payload['data']!r}")
-    record_weights = payload["record_weights"]
-    if not isinstance(record_weights, bool):
-        raise ValueError(f"record_weights must be true or false, got {record_weights!r}")
-    hyper = hyperparams_from_dict(payload)
+    config = SamplerConfig(hyperparams_from_dict(payload), payload["seed"],
+                           payload["record_weights"])
     y = read_dataset(payload["data"])
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    summary = {"chains": {}, "seed": seed, "n_chains": chains}
+    summary = {"chains": {}, "seed": config.seed, "n_chains": chains}
     m_allocated = []
     for i in range(chains):
-        config = SamplerConfig(hyper=hyper, seed=seed ^ i, record_weights=record_weights)
-        trace, diag = run_sampler(y, config)
+        trace, diag = run_sampler(y, dataclasses.replace(config, seed=config.seed ^ i))
         write_trace(out_dir / f"trace_chain{i}.ndjson", trace)
         summary["chains"][str(i)] = {
             "acceptance_rates": diag.acceptance_rates(),
@@ -261,13 +255,13 @@ def _cmd_fit(args):
     summary["acceptance_rates"] = summary["chains"]["0"]["acceptance_rates"]
     summary["ma_histogram"] = _ma_histogram(np.concatenate(m_allocated))
 
-    manifest = hyperparams_to_dict(hyper.resolved(y.shape[1]))
+    manifest = hyperparams_to_dict(config.hyper.resolved(y.shape[1]))
     manifest.update(
         {
             "data": payload["data"],
-            "seed": seed,
+            "seed": config.seed,
             "chains": chains,
-            "record_weights": record_weights,
+            "record_weights": config.record_weights,
             "version": __version__,
             "rng": RNG_NAME,
         }
@@ -317,8 +311,10 @@ def _cmd_prior_ma(args):
     import numpy as np
 
     from .analysis import prior_ma_simulation
+    from .distributions import require_count
 
-    rng = np.random.default_rng(_integer(args.seed, "--seed", 0))
+    require_count("seed", args.seed, 0)
+    rng = np.random.default_rng(args.seed)
     probs = prior_ma_simulation(args.alpha0, args.gamma, args.m, args.n, args.reps, rng)
     lines = [f"{k},{repr(float(p))}" for k, p in enumerate(probs)]
     text = "\n".join(lines) + "\n"
@@ -334,10 +330,12 @@ def _cmd_elicit_zeta(args):
     import numpy as np
 
     from .analysis import elicit_zeta
+    from .distributions import require_count
     from .io import read_dataset
 
+    require_count("seed", args.seed, 0)
     y = read_dataset(args.data)
-    rng = np.random.default_rng(_integer(args.seed, "--seed", 0))
+    rng = np.random.default_rng(args.seed)
     chosen = elicit_zeta(y, args.k, _parse_vector(args.grid, "--grid"), rng, reps=args.reps)
     print(f"{chosen:.12g}")
     return 0

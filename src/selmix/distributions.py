@@ -2,15 +2,17 @@
 
 Everything here is standard-distribution plumbing used by the other
 modules, with the rules they share: what a point of the simplex is
-(``validate_weights``), and what a finite parameter and a count are
-(``require_finite``, ``require_count``).  Log densities are hand-rolled on
-top of ``log_gamma`` so that ratios needed inside tight Metropolis loops stay
-cheap and so that degenerate one-component edge cases behave predictably.
+(``validate_weights``), and the two rules for a value a caller hands in:
+every number goes through ``require_number`` and every count and seed
+through ``require_count``.  Log densities are hand-rolled on top of
+``log_gamma`` so that ratios needed inside tight Metropolis loops stay cheap
+and so that degenerate one-component edge cases behave predictably.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -52,14 +54,18 @@ def pairwise_log_gap_sum(values):
     return float(np.log(gaps).sum())
 
 
-def require_finite(name, value):
-    """Raise a ValueError naming ``name`` when ``value`` is +-inf.
-
-    A plain comparison, cheap enough for every parameter construction; NaN
-    passes here and fails the caller's range check.
-    """
-    if abs(value) == np.inf:
+def require_number(name, value, sign=None):
+    """A ValueError naming ``name`` unless ``value`` is a real number (no
+    bool); with ``sign`` "positive" or "non-negative", also unless it is
+    finite and of that sign (NaN is neither)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if sign is None:
+        return
+    if abs(value) == math.inf:
         raise ValueError(f"{name} must be finite")
+    if not (value > 0.0 if sign == "positive" else value >= 0.0):
+        raise ValueError(f"{name} must be {sign}")
 
 
 def require_count(name, value, least=1):

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import LOG_2PI, log_gamma, pairwise_log_gap_sum, require_count, require_finite
+from .distributions import LOG_2PI, log_gamma, pairwise_log_gap_sum, require_count, require_number
 
 __all__ = ["GeParams", "ge_log_norm_const", "ge_log_density", "sample_ge"]
 
@@ -32,9 +32,7 @@ class GeParams:
     m: int
 
     def __post_init__(self):
-        require_finite("zeta", self.zeta)
-        if not self.zeta > 0.0:
-            raise ValueError("zeta must be positive")
+        require_number("zeta", self.zeta, "positive")
         require_count("m", self.m)
 
 

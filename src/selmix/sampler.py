@@ -57,6 +57,7 @@ from .distributions import (
     invwishart_from_variates,
     log_gamma,
     pairwise_log_gap_sum,
+    require_count,
     sample_invwishart,
 )
 from .ensemble import GeParams, ge_log_density, ge_log_norm_const, sample_ge
@@ -91,6 +92,11 @@ class SamplerConfig:
     hyper: Hyperparams
     seed: int = 0
     record_weights: bool = False
+
+    def __post_init__(self):
+        require_count("seed", self.seed, 0)
+        if not isinstance(self.record_weights, bool):
+            raise ValueError(f"record_weights must be true or false, got {self.record_weights!r}")
 
 
 @dataclass

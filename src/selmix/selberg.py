@@ -26,7 +26,7 @@ from .distributions import (
     log_gamma,
     pairwise_log_gap_sum,
     require_count,
-    require_finite,
+    require_number,
     validate_weights,
 )
 
@@ -63,12 +63,8 @@ class SdirParams:
     m: int
 
     def __post_init__(self):
-        require_finite("alpha", self.alpha)
-        if not self.alpha > 0.0:
-            raise ValueError("alpha must be positive")
-        require_finite("gamma", self.gamma)
-        if not self.gamma >= 0.0:
-            raise ValueError("gamma must be non-negative")
+        require_number("alpha", self.alpha, "positive")
+        require_number("gamma", self.gamma, "non-negative")
         require_count("m", self.m)
 
 
@@ -141,8 +137,7 @@ def sdir_moments(params, k=1):
     The repelled coordinates share a different common mean,
     (1 - mean) / (M - 1), by symmetry among the first M - 1 entries.
     """
-    if int(k) != k or k < 1:
-        raise ValueError("k must be a positive integer")
+    require_count("k", k)
     a, g, m = params.alpha, params.gamma, params.m
     eta = a * m + (m - 1) * (m - 2) * g
     mean = a / eta
@@ -166,9 +161,7 @@ def internal_dispersion_expectation(params, tau):
     Equals D(alpha, gamma + tau/2, M) / D(alpha, gamma, M); the statistic is
     1 at tau = 0, rises with gamma and falls with alpha, M and tau.
     """
-    require_finite("tau", tau)
-    if not tau >= 0.0:
-        raise ValueError("tau must be non-negative")
+    require_number("tau", tau, "non-negative")
     shifted = SdirParams(params.alpha, params.gamma + 0.5 * tau, params.m)
     return float(np.exp(sdir_log_norm_const(shifted) - sdir_log_norm_const(params)))
 

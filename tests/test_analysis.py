@@ -481,22 +481,29 @@ class TestElicitation:
         y = np.zeros((20, 2))
         assert elicit_zeta(y, 3, [0.01, 0.1, 1.0], np.random.default_rng(2)) == 1.0
 
-    @pytest.mark.parametrize("k", [0, 1, 21])
-    def test_k_must_lie_between_two_and_n(self, k):
-        with pytest.raises(ValueError, match=r"^k must lie in 2\.\.n$"):
+    @pytest.mark.parametrize("k,message", [
+        pytest.param(0, "^k must be an integer >= 2$", id="0"),
+        pytest.param(1, "^k must be an integer >= 2$", id="1"),
+        pytest.param(21, r"^k must lie in 2\.\.n$", id="21"),
+    ])
+    def test_k_must_lie_between_two_and_n(self, k, message):
+        with pytest.raises(ValueError, match=message):
             elicit_zeta(np.random.default_rng(3).normal(size=(20, 2)), k, [0.1],
                         np.random.default_rng(4))
 
-    @pytest.mark.parametrize("y,k,message", [
-        (np.arange(20.0), 3, r"^data must be a 2-D array \(n, d\)$"),
-        (np.ones((20, 2)), 3.0, "^k must be an integer$"),
-        (np.ones((20, 2)), 3.5, "^k must be an integer$"),
-        (np.ones((20, 2)), True, "^k must be an integer$"),
-        (np.r_[np.ones((19, 2)), [[1.0, np.nan]]], 3, "^array must not contain infs or NaNs$"),
-    ], ids=["1-D y", "k=3.0", "k=3.5", "k=True", "NaN in y"])
-    def test_input_refusals_name_the_input(self, y, k, message):
+    @pytest.mark.parametrize("y,k,grid,message", [
+        (np.arange(20.0), 3, [0.1], r"^data must be a 2-D array \(n, d\)$"),
+        (np.ones((20, 2)), 3.0, [0.1], "^k must be an integer >= 2$"),
+        (np.ones((20, 2)), 3.5, [0.1], "^k must be an integer >= 2$"),
+        (np.ones((20, 2)), True, [0.1], "^k must be an integer >= 2$"),
+        (np.r_[np.ones((19, 2)), [[1.0, np.nan]]], 3, [0.1],
+         "^array must not contain infs or NaNs$"),
+        (np.ones((20, 2)), 3, ["0.1"], "^zeta grid entry must be a number, got '0.1'$"),
+        (np.ones((20, 2)), 3, [True], "^zeta grid entry must be a number, got True$"),
+    ], ids=["1-D y", "k=3.0", "k=3.5", "k=True", "NaN in y", "grid '0.1'", "grid True"])
+    def test_input_refusals_name_the_input(self, y, k, grid, message):
         with pytest.raises(ValueError, match=message):
-            elicit_zeta(y, k, [0.1], np.random.default_rng(4))
+            elicit_zeta(y, k, grid, np.random.default_rng(4))
 
     @pytest.mark.parametrize("reps", [2.5, True])
     def test_reps_must_be_an_integer(self, reps):

@@ -114,6 +114,8 @@ class TestDensity:
         (np.inf, "zeta must be finite"),
         (-np.inf, "zeta must be finite"),
         (np.nan, "zeta must be positive"),
+        (True, "zeta must be a number, got True"),
+        ("1", "zeta must be a number, got '1'"),
     ])
     def test_non_finite_zeta_names_the_field(self, zeta, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

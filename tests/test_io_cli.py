@@ -609,6 +609,20 @@ class TestCli:
         assert named in capsys.readouterr().err
         assert not (out_dir / "trace_chain0.ndjson").exists()
 
+    @pytest.mark.parametrize("top", [
+        [["data", "d.csv"], ["burn_in", 2], ["thin", 1], ["n_samples", 2]], "ab", [1, 2], 5, None,
+    ], ids=["pairs", "string", "list", "number", "null"])
+    def test_config_must_hold_an_object(self, benchmark_csv, tmp_path, capsys, monkeypatch,
+                                        top):
+        # dict() once turned a list of pairs into a config and ran the fit
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "d.csv").write_bytes(benchmark_csv.read_bytes())
+        write_json(tmp_path / "config.json", top)
+        assert cli_dispatch(["fit", "--config", "config.json", "--out-dir", "fit"]) == 1
+        assert capsys.readouterr().err == ("selmix: error: --config config.json: "
+                                           "the top level must be a JSON object\n")
+        assert not (tmp_path / "fit").exists()
+
     def test_covariance_update_flag_is_gone(self, benchmark_csv, tmp_path):
         args = tiny_fit_args(benchmark_csv, tmp_path / "fit",
                              extra=["--covariance-update", "centered"])
@@ -660,8 +674,10 @@ class TestCli:
                     == (tmp_path / "an_apart" / name).read_bytes())
 
     @pytest.mark.parametrize("key,value,message", [
-        ("seed", 2.5, "--seed must be a non-negative integer, got 2.5"),
-        ("chains", True, "--chains must be a positive integer, got True"),
+        pytest.param("seed", 2.5, "seed must be an integer >= 0",
+                     id="seed-2.5---seed must be a non-negative integer, got 2.5"),
+        pytest.param("chains", True, "chains must be an integer >= 1",
+                     id="chains-True---chains must be a positive integer, got True"),
     ])
     def test_seed_and_chains_in_config_must_be_integers(self, benchmark_csv, tmp_path,
                                                          capsys, key, value, message):
@@ -862,16 +878,21 @@ class TestCli:
          "--x must be comma-separated numbers, got '1,two'"),
         (["elicit-zeta", "--data", "d.csv", "--k", "3", "--grid", "0.1,abc"],
          "--grid must be comma-separated numbers, got '0.1,abc'"),
-        (["fit", "--data", "d.csv", "--out-dir", "unused.csv", "--chains", "0"],
-         "--chains must be a positive integer, got 0"),
-        (["fit", "--data", "d.csv", "--out-dir", "unused.csv", "--seed", "-1"],
-         "--seed must be a non-negative integer, got -1"),
-        (["simulate", "--seed", "-1", "--out", "unused.csv"],
-         "--seed must be a non-negative integer, got -1"),
-        (["prior-ma", "--gamma", "1", "--m", "3", "--seed", "-2", "--out", "unused.csv"],
-         "--seed must be a non-negative integer, got -2"),
-        (["elicit-zeta", "--data", "d.csv", "--k", "3", "--seed", "-1"],
-         "--seed must be a non-negative integer, got -1"),
+        pytest.param(["fit", "--data", "d.csv", "--out-dir", "unused.csv", "--chains", "0"],
+                     "chains must be an integer >= 1",
+                     id="args16---chains must be a positive integer, got 0"),
+        pytest.param(["fit", "--data", "d.csv", "--out-dir", "unused.csv", "--seed", "-1"],
+                     "seed must be an integer >= 0",
+                     id="args17---seed must be a non-negative integer, got -1"),
+        pytest.param(["simulate", "--seed", "-1", "--out", "unused.csv"],
+                     "seed must be an integer >= 0",
+                     id="args18---seed must be a non-negative integer, got -1"),
+        pytest.param(["prior-ma", "--gamma", "1", "--m", "3", "--seed", "-2", "--out",
+                      "unused.csv"], "seed must be an integer >= 0",
+                     id="args19---seed must be a non-negative integer, got -2"),
+        pytest.param(["elicit-zeta", "--data", "d.csv", "--k", "3", "--seed", "-1"],
+                     "seed must be an integer >= 0",
+                     id="args20---seed must be a non-negative integer, got -1"),
     ])
     def test_unusable_parameter_names_the_field(self, capsys, tmp_path, monkeypatch,
                                                 args, message):

@@ -46,6 +46,8 @@ class TestShiftedPoisson:
     @pytest.mark.parametrize("lam,message", [
         (np.inf, "lam must be finite"),
         (np.nan, "lam must be positive"),
+        (True, "lam must be a number, got True"),
+        ("1", "lam must be a number, got '1'"),
     ])
     def test_unusable_rate_names_the_field(self, lam, message):
         with pytest.raises(ValueError, match=f"^{message}$"):

@@ -526,6 +526,18 @@ class TestChainDriver:
         with pytest.raises(ValueError):
             run_sampler(np.zeros(7), self.prior_config())
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"record_weights": "no"}, "record_weights must be true or false, got 'no'"),
+        ({"seed": True}, "seed must be an integer >= 0"),
+        ({"seed": -1}, "seed must be an integer >= 0"),
+        ({"seed": 2.5}, "seed must be an integer >= 0"),
+    ])
+    def test_config_refusals_name_the_field(self, kwargs, message):
+        # "no" once recorded weights and True ran seed 1
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SamplerConfig(Hyperparams(), **kwargs)
+        assert SamplerConfig(Hyperparams(), seed=np.int64(3)).seed == 3
+
     def test_step_failures_carry_sweep_index(self, monkeypatch):
         import selmix.sampler as sampler_mod
 

@@ -243,14 +243,18 @@ class TestValidation:
         (1.0, np.inf, "gamma must be finite"),
         (1.0, -np.inf, "gamma must be finite"),
         (1.0, np.nan, "gamma must be non-negative"),
+        (True, 1.0, "alpha must be a number, got True"),
+        ("1", 1.0, "alpha must be a number, got '1'"),
+        (1.0, True, "gamma must be a number, got True"),
+        (1.0, "1", "gamma must be a number, got '1'"),
     ])
     def test_non_finite_parameters_name_the_field(self, alpha, gamma, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             SdirParams(alpha, gamma, 3)
 
-    @pytest.mark.parametrize("k", [0, -1, 1.5])
+    @pytest.mark.parametrize("k", [0, -1, 1.5, True, 2.0])
     def test_moment_order_must_be_a_positive_integer(self, k):
-        with pytest.raises(ValueError, match="^k must be a positive integer$"):
+        with pytest.raises(ValueError, match="^k must be an integer >= 1$"):
             sdir_moments(SdirParams(1.0, 1.0, 3), k=k)
 
     @pytest.mark.parametrize("n", [0, -2, 2.5, 3.0, True])
@@ -268,6 +272,8 @@ class TestValidation:
         (np.inf, "tau must be finite"),
         (np.nan, "tau must be non-negative"),
         (-1.0, "tau must be non-negative"),
+        (True, "tau must be a number, got True"),
+        ("1", "tau must be a number, got '1'"),
     ])
     def test_dispersion_refuses_unusable_tau(self, tau, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
